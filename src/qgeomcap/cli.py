@@ -35,7 +35,7 @@ def _provenance(args, flags):
 
 
 def _dump(report, path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -169,8 +169,7 @@ def cmd_zeroerr(args):
     ch = channels.build_channel(spec)
     inputs = _read_inputs_csv(args.inputs_file)
     graph = zeroerr.build_confusability_graph(ch, inputs, args.uses)
-    res = zeroerr.zero_error_rate(ch, inputs, args.uses,
-                                  epr_normalized=args.epr)
+    res = zeroerr.solve_zero_error(graph, args.uses, epr_normalized=args.epr)
     report = {
         "type": "zeroerr",
         "K": res.K,

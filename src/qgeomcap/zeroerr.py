@@ -18,6 +18,11 @@ from . import channels
 
 ADJACENCY_TOL = 1e-9
 MAX_VERTICES = 10_000
+# branch-and-bound nodes per maximum-independent-set search; pentagon^3
+# (125 vertices, K = 10) needs about 0.72 million
+MAX_BRANCH_NODES = 10_000_000
+# bytes of one row chunk of the n-use overlap products
+_CHUNK_BYTES = 1 << 20
 
 
 class ResourceCapError(ValueError):
@@ -30,17 +35,28 @@ class ResourceCapError(ValueError):
 
 @dataclass
 class ConfusabilityGraph:
-    """Undirected graph of mutually confusable codewords."""
+    """Undirected graph of mutually confusable codewords.
+
+    Edges are stored once each as (a, b) with a < b. Edges given in the
+    other orientation are normalised into a new set; an edge that is a
+    self-loop or leaves range(vertex_count) raises ValueError.
+    """
 
     vertex_count: int
     edges: set
     labels: list = None
 
     def __post_init__(self):
+        n = self.vertex_count
+        if isinstance(self.edges, set) and all(0 <= a < b < n for a, b in self.edges):
+            return
         clean = set()
-        for a, b in self.edges:
+        for edge in self.edges:
+            a, b = edge
             if a == b:
-                raise ValueError("confusability graphs have no self-loops")
+                raise ValueError(f"confusability graphs have no self-loops: {edge}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge {edge} leaves the vertex range 0..{n - 1}")
             clean.add((min(a, b), max(a, b)))
         self.edges = clean
 
@@ -96,91 +112,150 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     """Graph on all n_uses-tuples of inputs; edge = confusable pair.
 
     The joint overlap of two tuples is the product of single-use overlaps,
-    so only the |inputs| x |inputs| single-use table is computed.
+    so the adjacency is the n_uses-th Kronecker power of the |inputs| x
+    |inputs| overlap table, multiplied left to right and thresholded: a
+    product > tol is an edge. A partial product that falls to <= tol is set
+    to zero, so later factors above 1 (unnormalised inputs) cannot revive
+    it. The power is formed a chunk of about 1 MB of rows at a time.
     """
     inputs = list(inputs)
     if not inputs:
         raise ValueError("empty input set")
-    n_vertices = len(inputs) ** n_uses
+    if n_uses < 1:
+        raise ValueError(f"the number of channel uses (--uses) must be >= 1, got {n_uses}")
+    m = len(inputs)
+    n_vertices = m ** n_uses
     if n_vertices > MAX_VERTICES:
         raise ResourceCapError(
             f"{n_vertices} codeword vertices exceed the cap of {MAX_VERTICES}"
         )
-    m = len(inputs)
-    table = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            table[i, j] = table[j, i] = output_overlap(ch, inputs[i], inputs[j])
-    verts = list(itertools.product(range(m), repeat=n_uses))
+    outs = np.array([channels.apply(ch, rho) for rho in inputs])
+    table = np.real(np.einsum("iab,jba->ij", outs, outs))
+    place = m ** np.arange(n_uses - 1, -1, -1)
+    chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
     edges = set()
-    for a in range(n_vertices):
-        for b in range(a + 1, n_vertices):
-            prod = 1.0
-            for i, j in zip(verts[a], verts[b]):
-                prod *= table[i, j]
-                if prod <= tol:
-                    break
-            if prod > tol:
-                edges.add((a, b))
-    labels = ["".join(str(i) for i in v) for v in verts]
+    for start in range(0, n_vertices, chunk):
+        rows = np.arange(start, min(start + chunk, n_vertices))
+        digits = rows[:, None] // place % m
+        prod = np.ones((len(rows), 1))
+        for k in range(n_uses):
+            prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(rows), -1)
+            prod[prod <= tol] = 0.0
+        a, b = np.nonzero(prod > tol)
+        a += start
+        upper = b > a
+        edges.update(zip(a[upper].tolist(), b[upper].tolist()))
+    labels = ["".join(str(i) for i in v)
+              for v in itertools.product(range(m), repeat=n_uses)]
     return ConfusabilityGraph(vertex_count=n_vertices, edges=edges, labels=labels)
 
 
-def max_independent_set(graph):
-    """Exact maximum independent set by branch and bound on bitsets.
+def _clique_cover(cands, adj, kmin):
+    """Greedy clique cover of the bitset cands, classes in ascending order.
 
-    Vertices are explored in descending-degree order; the bound is the
-    trivial |chosen| + |remaining candidates|.
+    Each class is a clique of the graph, so an independent set holds at
+    most one vertex per class, and branching on a vertex of class k adds
+    at most k vertices to the set. This is the greedy colouring bound of
+    MCQ/BBMC applied to the complement graph. Only vertices in a class
+    above kmin are returned: the others cannot beat the incumbent.
+    """
+    order, bounds = [], []
+    k = 0
+    while cands:
+        k += 1
+        q = cands
+        while q:
+            low = q & -q
+            cands ^= low
+            v = low.bit_length() - 1
+            q &= adj[v]
+            if k > kmin:
+                order.append(v)
+                bounds.append(k)
+    return order, bounds
+
+
+def max_independent_set(graph):
+    """Exact maximum independent set: a maximum-clique search on the complement.
+
+    Bitset branch and bound after Tomita & Seki 2003 (MCQ) and San Segundo
+    et al. 2011 (BBMC). Vertices are renumbered by ascending degree, the
+    greedy independent set in that order is the first incumbent, a greedy
+    colouring bound is recomputed at every node, and the vertex of the
+    highest class is branched on first. The search keeps an explicit
+    stack, so its depth is bounded by K rather than by the recursion limit.
+    More than MAX_BRANCH_NODES branches raise ResourceCapError.
     """
     n = graph.vertex_count
     if n > MAX_VERTICES:
         raise ResourceCapError("graph exceeds the vertex cap")
+    degree = [0] * n
+    for a, b in graph.edges:
+        degree[a] += 1
+        degree[b] += 1
+    vertex = sorted(range(n), key=degree.__getitem__)
+    rank = [0] * n
+    for i, v in enumerate(vertex):
+        rank[v] = i
     adj = [0] * n
     for a, b in graph.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    order = sorted(range(n), key=lambda v: -bin(adj[v]).count("1"))
-    rank = {v: i for i, v in enumerate(order)}
-    # remap so high-degree vertices are decided first
-    adj_r = [0] * n
-    for v in range(n):
-        mask = adj[v]
-        rv = rank[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            adj_r[rv] |= 1 << rank[w]
+        ra, rb = rank[a], rank[b]
+        adj[ra] |= 1 << rb
+        adj[rb] |= 1 << ra
+
+    # incumbent: greedy in the renumbered (ascending-degree) order
     full = (1 << n) - 1
-    best_size = 0
-    best_set = 0
-
-    def popcount(x):
-        return bin(x).count("1")
-
-    def branch(candidates, chosen, size):
-        nonlocal best_size, best_set
-        if size + popcount(candidates) <= best_size:
-            return
-        if candidates == 0:
-            if size > best_size:
-                best_size = size
-                best_set = chosen
-            return
-        v = (candidates & -candidates).bit_length() - 1
+    best_set, free = 0, full
+    while free:
+        low = free & -free
+        best_set |= low
+        free &= ~(adj[low.bit_length() - 1] | low)
+    best_size = best_set.bit_count()
+    nodes = 0
+    # frame: [chosen bitset, its size, candidates left, branch order, bounds]
+    stack = [[0, 0, full, *_clique_cover(full, adj, best_size)]]
+    while stack:
+        frame = stack[-1]
+        chosen, size, cands, order, bounds = frame
+        if not order or size + bounds[-1] <= best_size:
+            stack.pop()
+            continue
+        v = order.pop()
+        bounds.pop()
         bit = 1 << v
-        # include v
-        branch(candidates & ~(adj_r[v] | bit), chosen | bit, size + 1)
-        # exclude v
-        branch(candidates & ~bit, chosen, size)
+        frame[2] = cands = cands ^ bit
+        nodes += 1
+        if nodes > MAX_BRANCH_NODES:
+            raise ResourceCapError(
+                f"maximum independent set needs more than {MAX_BRANCH_NODES} "
+                f"branch-and-bound nodes on {n} vertices"
+            )
+        sub = cands & ~adj[v]
+        if not sub:
+            if size + 1 > best_size:
+                best_size, best_set = size + 1, chosen | bit
+            continue
+        sub_order, sub_bounds = _clique_cover(sub, adj, best_size - size - 1)
+        if sub_order:
+            stack.append([chosen | bit, size + 1, sub, sub_order, sub_bounds])
 
-    branch(full, 0, 0)
-    inv = {i: v for v, i in rank.items()}
-    witness = sorted(inv[i] for i in range(n) if best_set >> i & 1)
+    witness = sorted(vertex[i] for i in range(n) if best_set >> i & 1)
     # paranoia: the witness must be pairwise non-adjacent in the input graph
-    for a, b in itertools.combinations(witness, 2):
-        if (min(a, b), max(a, b)) in graph.edges:
+    members = set(witness)
+    for a, b in graph.edges:
+        if a in members and b in members:
             raise AssertionError("independent-set witness touches an edge")
     return best_size, witness
+
+
+def solve_zero_error(graph, n_uses, epr_normalized=False):
+    """Zero-error rate (1/n) log2 K of an n_uses-use confusability graph."""
+    k, witness = max_independent_set(graph)
+    rate = np.log2(k) / n_uses if k >= 1 else 0.0
+    if epr_normalized:
+        rate *= 0.5
+    return ZeroErrorResult(K=k, rate_bits=float(rate), witness=witness,
+                           n_uses=n_uses, epr_normalized=epr_normalized)
 
 
 def zero_error_rate(ch, inputs, n_uses=1, epr_normalized=False, tol=ADJACENCY_TOL):
@@ -192,12 +267,7 @@ def zero_error_rate(ch, inputs, n_uses=1, epr_normalized=False, tol=ADJACENCY_TO
     pair).
     """
     graph = build_confusability_graph(ch, inputs, n_uses, tol)
-    k, witness = max_independent_set(graph)
-    rate = np.log2(k) / n_uses if k >= 1 else 0.0
-    if epr_normalized:
-        rate *= 0.5
-    return ZeroErrorResult(K=k, rate_bits=float(rate), witness=witness,
-                           n_uses=n_uses, epr_normalized=epr_normalized)
+    return solve_zero_error(graph, n_uses, epr_normalized)
 
 
 def pentagon_channel():

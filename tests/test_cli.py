@@ -94,6 +94,20 @@ def test_zeroerr_cap_exit_code():
                 DATA / "pentagon_inputs.csv", "--uses", 6]) == 3
 
 
+@pytest.mark.parametrize("uses", [0, -2])
+def test_zeroerr_uses_below_one_exit_code(tmp_path, capsys, uses):
+    out = tmp_path / "ze.json"
+    assert run(["zeroerr", DATA / "pentagon.channel",
+                DATA / "pentagon_inputs.csv", f"--uses={uses}", "-o", out]) == 1
+    assert "--uses" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reports_never_contain_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._dump({"rate_bits": float("nan")}, tmp_path / "r.json")
+
+
 def test_ball_deterministic(tmp_path):
     out1, out2 = tmp_path / "b1.json", tmp_path / "b2.json"
     assert run(["ball", DATA / "example_points.csv", "-o", out1]) == 0

@@ -11,6 +11,28 @@ def _chan(kind, p):
     return channels.build_channel(channels.ChannelSpec(kind, {"p": p}))
 
 
+def _classical(prob):
+    """Channel with Kraus sqrt(P(out|in)) |out><in| for a column-stochastic P."""
+    n_out, n_in = prob.shape
+    ops = []
+    for i in range(n_in):
+        for o in range(n_out):
+            if prob[o, i] > 0.0:
+                op = np.zeros((n_out, n_in), dtype=complex)
+                op[o, i] = np.sqrt(prob[o, i])
+                ops.append(op)
+    return channels.KrausChannel(ops, n_in, n_out)
+
+
+def _diagonal_inputs(m, scale=1.0):
+    return [scale * np.diag(np.eye(m)[i]).astype(complex) for i in range(m)]
+
+
+def _shared_output_channel(e):
+    """Inputs 0 and 1 keep their own output w.p. 1 - e and share output 2 w.p. e."""
+    return _classical(np.array([[1 - e, 0.0], [0.0, 1 - e], [e, e]]))
+
+
 # ---------------------------------------------------------------------------
 # graphs, independent sets, rates
 
@@ -64,17 +86,159 @@ def test_two_use_graph_is_strong_product():
     assert g2.edges == strong_product(g1, g1).edges
 
 
-def test_max_independent_set_matches_brute_force(rng):
-    for trial in range(10):
-        n = 12
-        edges = set()
-        for a, b in itertools.combinations(range(n), 2):
-            if rng.uniform() < 0.3:
+def seed_graph_edges(ch, inputs, n_uses, tol=zeroerr.ADJACENCY_TOL):
+    """Reference: the pairwise loop that built confusability graphs before
+    the Kronecker-power build, kept verbatim as the oracle for its edges."""
+    m = len(inputs)
+    table = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            table[i, j] = table[j, i] = zeroerr.output_overlap(ch, inputs[i], inputs[j])
+    verts = list(itertools.product(range(m), repeat=n_uses))
+    edges = set()
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            prod = 1.0
+            for i, j in zip(verts[a], verts[b]):
+                prod *= table[i, j]
+                if prod <= tol:
+                    break
+            if prod > tol:
                 edges.add((a, b))
-        g = ConfusabilityGraph(vertex_count=n, edges=edges)
-        k, witness = zeroerr.max_independent_set(g)
-        assert k == brute_force_mis(g)
-        assert len(witness) == k
+    return edges
+
+
+def _random_classical(rng):
+    m = int(rng.integers(5, 8))
+    prob = np.zeros((m, m))
+    for i in range(m):
+        outs = rng.choice(m, size=int(rng.integers(2, 4)), replace=False)
+        prob[outs, i] = rng.dirichlet(np.ones(len(outs)))
+    return _classical(prob)
+
+
+def _cyclic(m, spread):
+    prob = np.zeros((m, m))
+    for i in range(m):
+        for s in range(spread):
+            prob[(i + s) % m, i] = 1.0 / spread
+    return _classical(prob)
+
+
+def _build_cases():
+    cases = [pytest.param(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), n,
+                          id=f"pentagon-n{n}") for n in (1, 2, 3)]
+    cases.append(pytest.param(_cyclic(9, 3), _diagonal_inputs(9), 2, id="C9-spread3-n2"))
+    rng = np.random.default_rng(7)
+    for k in range(4):
+        ch = _random_classical(rng)
+        cases.append(pytest.param(ch, _diagonal_inputs(ch.in_dim), 2, id=f"random{k}-n2"))
+    grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(50)]
+    cases.append(pytest.param(_chan("amplitude_damping", 0.3), grid, 1, id="qubit-grid50"))
+    # unnormalised inputs: overlaps far above 1 follow a partial product
+    # that is already <= tol, so the left-to-right early exit matters
+    cases.append(pytest.param(_shared_output_channel(1e-8), _diagonal_inputs(2, scale=1e3), 3,
+                              id="unnormalised-n3"))
+    return cases
+
+
+@pytest.mark.parametrize("ch,inputs,n_uses", _build_cases())
+def test_build_matches_pairwise_reference(ch, inputs, n_uses):
+    g = zeroerr.build_confusability_graph(ch, inputs, n_uses)
+    assert g.vertex_count == len(inputs) ** n_uses
+    assert g.edges == seed_graph_edges(ch, inputs, n_uses)
+
+
+def test_adjacency_tol_rule():
+    ch = _shared_output_channel(np.sqrt(1e-5))
+    ins = _diagonal_inputs(2)
+    overlap = zeroerr.output_overlap(ch, ins[0], ins[1])
+    assert overlap == pytest.approx(1e-5) and overlap > zeroerr.ADJACENCY_TOL
+    assert zeroerr.build_confusability_graph(ch, ins, 1).edges == {(0, 1)}
+    # (0, 0) vs (1, 1): each position 1e-5 > tol, the product 1e-10 <= tol
+    g2 = zeroerr.build_confusability_graph(ch, ins, 2)
+    assert (0, 3) not in g2.edges
+    assert (0, 1) in g2.edges
+    # an overlap exactly at tol is non-adjacent, just above it is adjacent
+    assert zeroerr.build_confusability_graph(ch, ins, 1, tol=overlap).edges == set()
+    assert zeroerr.build_confusability_graph(
+        ch, ins, 1, tol=np.nextafter(overlap, 0.0)).edges == {(0, 1)}
+
+
+def milp_mis(graph):
+    """Oracle: independence number by the MILP max sum x, x_a + x_b <= 1."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    n = graph.vertex_count
+    pairs = np.array(sorted(graph.edges)).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    mat = coo_matrix((np.ones(len(rows)), (rows, pairs.ravel())), shape=(len(pairs), n))
+    res = milp(-np.ones(n), constraints=[LinearConstraint(mat, -np.inf, 1.0)],
+               integrality=np.ones(n), bounds=Bounds(0.0, 1.0))
+    assert res.status == 0
+    return int(round(-res.fun))
+
+
+def _random_graph(rng, n, density):
+    edges = {(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.uniform() < density}
+    return ConfusabilityGraph(vertex_count=n, edges=edges)
+
+
+def _assert_independent(graph, k, witness):
+    assert len(witness) == len(set(witness)) == k
+    assert all(0 <= v < graph.vertex_count for v in witness)
+    assert not any((a, b) in graph.edges for a, b in itertools.combinations(sorted(witness), 2))
+
+
+def test_max_independent_set_matches_brute_force(rng):
+    for n in range(1, 13):
+        for density in (0.1, 0.3, 0.6):
+            g = _random_graph(rng, n, density)
+            k, witness = zeroerr.max_independent_set(g)
+            assert k == brute_force_mis(g)
+            _assert_independent(g, k, witness)
+
+
+def test_max_independent_set_matches_milp(rng):
+    for n in (20, 30, 40, 50, 60):
+        for density in (0.1, 0.3, 0.5):
+            g = _random_graph(rng, n, density)
+            k, witness = zeroerr.max_independent_set(g)
+            assert k == milp_mis(g), (n, density)
+            _assert_independent(g, k, witness)
+
+
+def test_max_independent_set_edgeless_complete_and_deep():
+    k, witness = zeroerr.max_independent_set(ConfusabilityGraph(vertex_count=1500, edges=set()))
+    assert k == 1500 and witness == list(range(1500))
+    # 250 copies of a 6-vertex graph on which the greedy start finds 3 of
+    # alpha = 4: the search goes 1000 levels deep
+    copy = [(0, 4), (1, 3), (1, 5), (3, 4), (4, 5)]
+    union = {(a + 6 * c, b + 6 * c) for c in range(250) for a, b in copy}
+    g = ConfusabilityGraph(vertex_count=1500, edges=union)
+    k, witness = zeroerr.max_independent_set(g)
+    assert k == 1000
+    _assert_independent(g, k, witness)
+    complete = set(itertools.combinations(range(200), 2))
+    k, witness = zeroerr.max_independent_set(ConfusabilityGraph(vertex_count=200, edges=complete))
+    assert k == 1 and len(witness) == 1
+
+
+def test_branch_node_cap(monkeypatch):
+    ch = zeroerr.pentagon_channel()
+    ins = zeroerr.pentagon_inputs()
+    assert zeroerr.zero_error_rate(ch, ins, 2).K == 5
+    monkeypatch.setattr(zeroerr, "MAX_BRANCH_NODES", 5)
+    with pytest.raises(zeroerr.ResourceCapError):
+        zeroerr.zero_error_rate(ch, ins, 2)
+
+
+@pytest.mark.parametrize("n_uses", [0, -1])
+def test_uses_below_one_rejected(n_uses):
+    with pytest.raises(ValueError, match="--uses"):
+        zeroerr.zero_error_rate(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), n_uses)
 
 
 def test_bit_flip_plus_minus_inputs():
@@ -137,6 +301,19 @@ def test_dot_export():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         ConfusabilityGraph(vertex_count=2, edges={(1, 1)})
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 2), (0, 3)])
+def test_out_of_range_edge_rejected(edge):
+    with pytest.raises(ValueError, match=str(edge).replace("(", r"\(").replace(")", r"\)")):
+        ConfusabilityGraph(vertex_count=3, edges={(0, 1), edge})
+
+
+def test_edges_normalised_once():
+    edges = {(0, 1), (1, 2)}
+    assert ConfusabilityGraph(vertex_count=3, edges=edges).edges is edges
+    assert ConfusabilityGraph(vertex_count=3, edges={(1, 0), (2, 1)}).edges == edges
+    assert ConfusabilityGraph(vertex_count=3, edges=[(1, 0), (0, 1)]).edges == {(0, 1)}
 
 
 # ---------------------------------------------------------------------------
