@@ -127,7 +127,8 @@ def scan_centers(points, radii, centers):
     )
     head = neg_entropy(points) + radii  # (n,)
     cross = centers @ points.T  # (m, n)
-    vals = head[None, :] - cross * b_over_r[:, None]
-    out = vals.max(axis=1) - a
+    cross *= -b_over_r[:, None]  # in place: head - cross * b, one (m, n) buffer
+    cross += head
+    out = cross.max(axis=1) - a
     out[~ok] = np.inf
     return out

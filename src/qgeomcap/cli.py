@@ -11,11 +11,13 @@ Exit codes: 0 ok, 1 input error, 2 non-convergence, 3 resource cap.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, capacity, channels, infogeo, states, superact, zeroerr
+from .errors import ResourceCapError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,22 +50,49 @@ def _read_channel(path):
         return channels.parse_channel_spec(fh.read())
 
 
-def _read_points_csv(path):
-    """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii)."""
-    pts, wts, rads = [], [], []
+def _numeric_rows(path):
+    """(where, values) for each data row of a numeric CSV file.
+
+    Blank rows and rows starting with '#' are skipped, and the first other
+    row may be a header. Any later row that does not parse, or that holds a
+    non-finite value, raises ValueError naming the file and the line.
+    """
     with open(path) as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        header_allowed = True
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            where = f"{path}, line {reader.line_num}"
             try:
                 vals = [float(v) for v in row]
             except ValueError:
-                continue  # header line
-            if len(vals) < 3:
-                raise ValueError(f"points need at least 3 columns, got {row}")
-            pts.append(vals[:3])
-            wts.append(vals[3] if len(vals) > 3 else 1.0)
-            rads.append(vals[4] if len(vals) > 4 else 0.0)
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                raise ValueError(f"{where}: not a row of numbers: {','.join(row)!r}") from None
+            header_allowed = False
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{where}: values must be finite")
+            yield where, vals
+
+
+def _read_points_csv(path):
+    """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii).
+
+    Every point needs 3 columns and must lie in the Bloch ball,
+    |(x, y, z)| <= 1 + 1e-9.
+    """
+    pts, wts, rads = [], [], []
+    for where, vals in _numeric_rows(path):
+        if len(vals) < 3:
+            raise ValueError(f"{where}: points need at least 3 columns, got {len(vals)}")
+        r = math.hypot(*vals[:3])
+        if r > 1.0 + 1e-9:
+            raise ValueError(f"{where}: Bloch point outside the unit ball, |r| = {r:.6g}")
+        pts.append(vals[:3])
+        wts.append(vals[3] if len(vals) > 3 else 1.0)
+        rads.append(vals[4] if len(vals) > 4 else 0.0)
     if not pts:
         raise ValueError(f"no points parsed from {path}")
     return np.array(pts), np.array(wts), np.array(rads)
@@ -72,15 +101,7 @@ def _read_points_csv(path):
 def _read_inputs_csv(path):
     """Input states CSV: 3 columns = Bloch vectors, d columns = diagonal
     states of dimension d."""
-    rows = []
-    with open(path) as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                continue
+    rows = [vals for _, vals in _numeric_rows(path)]
     if not rows:
         raise ValueError(f"no states parsed from {path}")
     width = len(rows[0])
@@ -291,7 +312,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except zeroerr.ResourceCapError as exc:
+    except ResourceCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE_CAP
     except (ValueError, OSError, json.JSONDecodeError) as exc:

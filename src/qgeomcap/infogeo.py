@@ -18,8 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .errors import ResourceCapError
 
 NUDGE = 1e-9
+# rounds of seb_basic (ceil(1/eps^2)) beyond which it refuses to start
+MAX_BASIC_ROUNDS = 1_000_000
+# centres per scan block of minimax_center_oracle (bounds its temporaries)
+ORACLE_CHUNK = 4096
 _LN2 = np.log(2.0)
 
 
@@ -156,11 +161,36 @@ def nudge_interior(points, amount=NUDGE):
     return (1.0 - amount) * np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def _farthest(g, points, radii, center):
-    """(index, value) of max_i D(p_i||center) + r_i; ties -> lowest index."""
-    vals = g.batch_div(points, center) + radii
-    idx = int(np.argmax(vals))
-    return idx, float(vals[idx])
+def _farthest_of(g, points, radii):
+    """farthest(center) -> (index, value) of max_i D(p_i||center) + r_i.
+
+    Ties go to the lowest index. For the Bloch generator F(p_i) is computed
+    once, so each center costs one matrix-vector product
+    (kernels.prepared_divergence, the same floats as batch_div).
+    """
+    ent = None if g.name == "squared_euclidean" else kernels.neg_entropy(points)
+
+    def farthest(center):
+        if ent is None:
+            vals = g.batch_div(points, center) + radii
+        else:
+            vals = kernels.prepared_divergence(points, ent, center) + radii
+        idx = int(np.argmax(vals))
+        return idx, float(vals[idx])
+
+    return farthest
+
+
+def _bisect(below):
+    """Upper end of [0, 1] after 60 halvings toward where below(t) turns false."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def minimax_center_oracle(g, pset, grid_resolution=61, refinements=2):
@@ -184,17 +214,21 @@ def minimax_center_oracle(g, pset, grid_resolution=61, refinements=2):
         span = np.maximum(hi - lo, 1e-12)
         lo = lo - 0.05 * span
         hi = hi + 0.05 * span
+
+    def scan(block):
+        if g.name == "neg_von_neumann":
+            return kernels.scan_centers(pts, rad, block)
+        d = block[:, None, :] - pts[None, :, :]
+        return ((d * d).sum(axis=2) + rad[None, :]).max(axis=1)
+
     best_c, best_v = None, np.inf
     for level in range(refinements + 1):
         axes = [np.linspace(lo[k], hi[k], grid_resolution) for k in range(pts.shape[1])]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pts.shape[1])
         if g.name == "neg_von_neumann":
-            inside = np.linalg.norm(mesh, axis=1) < 1.0 - 1e-9
-            mesh = mesh[inside]
-            vals = kernels.scan_centers(pts, rad, mesh)
-        else:
-            d = mesh[:, None, :] - pts[None, :, :]
-            vals = ((d * d).sum(axis=2) + rad[None, :]).max(axis=1)
+            mesh = mesh[np.linalg.norm(mesh, axis=1) < 1.0 - 1e-9]
+        vals = np.concatenate([scan(mesh[k:k + ORACLE_CHUNK])
+                               for k in range(0, len(mesh), ORACLE_CHUNK)])
         j = int(np.argmin(vals))
         if vals[j] < best_v:
             best_v = float(vals[j])
@@ -215,25 +249,28 @@ def seb_basic(g, pset, eps, seed=None):
     ceil(1/eps^2) rounds: find the farthest point, move the center a step
     1/(i+1) toward it along the gradient-space geodesic. The returned radius
     is within a factor (1 + eps) of optimal. Per-point radii, when present,
-    make this the enclosing ball of balls.
+    make this the enclosing ball of balls. More than MAX_BASIC_ROUNDS rounds
+    raise ResourceCapError before the first one.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    n_iter = int(np.ceil(1.0 / (eps * eps)))
+    if n_iter > MAX_BASIC_ROUNDS:
+        raise ResourceCapError(f"eps = {eps:g} needs {n_iter} rounds, cap {MAX_BASIC_ROUNDS}")
     pts = pset.points
     if g.name == "neg_von_neumann":
         pts = nudge_interior(pts)
-    rad = pset.radii
+    farthest = _farthest_of(g, pts, pset.radii)
     if seed is None:
         c = pts[0].copy()
     else:
         c = pts[np.random.default_rng(seed).integers(len(pset))].copy()
-    n_iter = int(np.ceil(1.0 / (eps * eps)))
     history = []
     for i in range(1, n_iter + 1):
-        idx, val = _farthest(g, pts, rad, c)
+        idx, val = farthest(c)
         history.append(val)
         c = g.interpolate(c, pts[idx], 1.0 / (i + 1.0))
-    _, radius = _farthest(g, pts, rad, c)
+    _, radius = farthest(c)
     history.append(radius)
     return InfoBall(center=c, radius=radius, history=history)
 
@@ -250,59 +287,36 @@ def _touch_parameter(g, points, radii, c, s_idx, r):
 
     if overshoot(0.0) <= 0.0:
         return 0.0
-    lo_t, hi_t = 0.0, 1.0
     if overshoot(1.0) > 0.0:
         return 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo_t + hi_t)
-        if overshoot(mid) > 0.0:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return hi_t
+    return _bisect(lambda t: overshoot(t) > 0.0)
 
 
 def two_point_minimax(g, p, q, rp=0.0, rq=0.0):
-    """min over c of max(D(p||c) + rp, D(q||c) + rq).
+    """(c, value) minimizing max(D(p||c) + rp, D(q||c) + rq) over c.
 
-    Starts from the equalization point on the gradient-space geodesic and
-    polishes with a derivative-free simplex search (the exact optimum need
-    not lie on the geodesic). The value lower-bounds the minimax radius of
-    any set containing both points.
+    The minimizer of (1 - t) D(p||c) + t D(q||c) is the mixture
+    (1 - t) p + t q (Banerjee et al. 2005), so by minimax duality the
+    optimum lies on that segment. Along it D(p||c) rises and D(q||c) falls:
+    the optimum is an endpoint when one ball already contains the other,
+    and otherwise the t that equalizes the two terms. The value
+    lower-bounds the minimax radius of any set containing both balls.
     """
-    from scipy.optimize import minimize
-
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
 
-    def val(c):
-        if g.name == "neg_von_neumann" and np.linalg.norm(c) >= 1.0 - 1e-9:
-            return np.inf
-        return max(g.div(p, c) + rp, g.div(q, c) + rq)
-
     def imbalance(t):
-        c = g.interpolate(p, q, t)
+        c = (1.0 - t) * p + t * q
         return (g.div(p, c) + rp) - (g.div(q, c) + rq)
 
-    lo, hi = 0.0, 1.0
-    if imbalance(0.0) > 0.0:
-        t0 = 0.0
-    elif imbalance(1.0) < 0.0:
-        t0 = 1.0
+    if imbalance(0.0) >= 0.0:
+        t = 0.0
+    elif imbalance(1.0) <= 0.0:
+        t = 1.0
     else:
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if imbalance(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t0 = 0.5 * (lo + hi)
-    c0 = g.interpolate(p, q, t0)
-    res = minimize(val, c0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    if res.fun <= val(c0):
-        return res.x, float(res.fun)
-    return c0, float(val(c0))
+        t = _bisect(lambda t: imbalance(t) < 0.0)
+    c = (1.0 - t) * p + t * q
+    return c, max(g.div(p, c) + rp, g.div(q, c) + rq)
 
 
 def seb_improved(g, pset, eps, seed=None, max_rounds=None):
@@ -324,14 +338,15 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     if g.name == "neg_von_neumann":
         pts = nudge_interior(pts)
     rad = pset.radii
+    farthest = _farthest_of(g, pts, rad)
     if seed is None:
         # start from the 1-center-in-S point: divergences to a near-pure
         # point blow up logarithmically, which would wreck the lower bound
-        start = int(np.argmin([_farthest(g, pts, rad, p)[1] for p in pts]))
+        start = int(np.argmin([farthest(p)[1] for p in pts]))
     else:
         start = int(np.random.default_rng(seed).integers(len(pset)))
     c = pts[start].copy()
-    far_idx, d0 = _farthest(g, pts, rad, c)
+    far_idx, d0 = farthest(c)
 
     core = []
     cert = 0.0
@@ -365,12 +380,12 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
         max_rounds = max(int(np.ceil(1.0 / eps)), 64)
     rounds = 0
     while (ell + gap) ** 2 - ell * ell > eps and rounds < max_rounds:
-        idx, _ = _farthest(g, pts, rad, c)
+        idx, _ = farthest(c)
         add_core(idx)
         t = _touch_parameter(g, pts, rad, c, idx, ell * ell)
         if t > 0.0:
             c = g.interpolate(c, pts[idx], t)
-        _, val = _farthest(g, pts, rad, c)
+        _, val = farthest(c)
         if val < best_u:
             best_u = val
             best_c = c.copy()
@@ -382,7 +397,7 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
             gap *= 0.75
         history.append(bracket())
         rounds += 1
-    _, final = _farthest(g, pts, rad, c)
+    _, final = farthest(c)
     if final < best_u:
         best_u = final
         best_c = c.copy()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels
+from .errors import ResourceCapError
 
 ADJACENCY_TOL = 1e-9
 MAX_VERTICES = 10_000
@@ -23,10 +24,6 @@ MAX_VERTICES = 10_000
 MAX_BRANCH_NODES = 10_000_000
 # bytes of one row chunk of the n-use overlap products
 _CHUNK_BYTES = 1 << 20
-
-
-class ResourceCapError(ValueError):
-    """Raised when a problem instance exceeds a hard resource cap."""
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,35 @@ def test_ball_one_point(tmp_path):
     assert json.loads(out.read_text())["radius"] == 0.0
 
 
+@pytest.mark.parametrize("algorithm", ["basic", "improved", "oracle"])
+@pytest.mark.parametrize("rows, line, rule", [
+    ("0.1,0.2,0.3\nfoo,1,2\n1.5,0,0\n-0.2,0.1,0\n", 2, "not a row of numbers"),
+    ("x,y,z\n0.1,0.2,0.3\n# comment\n1.5,0,0\n", 4, "outside the unit ball"),
+    ("0.1,0.2,0.3\n0.1,0.2\n", 2, "at least 3 columns"),
+    ("0.1,0.2,0.3\n0.1,inf,0\n", 2, "finite"),
+    ("x,y,z\nx,y,z\n", 2, "not a row of numbers"),
+])
+def test_ball_rejects_bad_rows(tmp_path, capsys, algorithm, rows, line, rule):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(rows)
+    assert run(["ball", pts, "--algorithm", algorithm]) == 1
+    err = capsys.readouterr().err
+    assert f"{pts}, line {line}:" in err and rule in err
+
+
+def test_ball_header_and_unit_sphere_accepted(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# Bloch points\nx,y,z\n0,0,1\n0.6,0.8,0\n0.1,0.2,0.3\n")
+    out = tmp_path / "b.json"
+    assert run(["ball", pts, "--algorithm", "oracle", "-o", out]) == 0
+    assert json.loads(out.read_text())["n_points"] == 3
+
+
+def test_ball_round_cap_exit_code(capsys):
+    assert run(["ball", DATA / "example_points.csv", "--eps", 1e-6]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_input_errors():
     assert run(["capacity", "/nonexistent.channel"]) == 1
     assert run(["validate", "/nonexistent.json"]) == 1

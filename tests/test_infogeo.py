@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from qgeomcap import infogeo, states
+from qgeomcap import infogeo, states, zeroerr
+from qgeomcap.errors import ResourceCapError
 from qgeomcap.infogeo import Generator, WeightedPointSet
 
 from conftest import random_bloch
@@ -105,6 +111,92 @@ def test_two_point_minimax_equalizes(rng):
         pset = WeightedPointSet(points=np.vstack([p, q]))
         _, oracle = infogeo.minimax_center_oracle(BLOCH, pset)
         assert v <= oracle + 1e-6
+
+
+def test_two_point_minimax_euclidean_midpoint(rng):
+    for _ in range(5):
+        p, q = rng.normal(size=3), rng.normal(size=3)
+        c, v = infogeo.two_point_minimax(EUCL, p, q)
+        np.testing.assert_allclose(c, 0.5 * (p + q), atol=1e-12)
+        assert v == pytest.approx(float((p - q) @ (p - q)) / 4.0, abs=1e-12)
+
+
+def _geodesic_equalizer(g, p, q, rp, rq):
+    """The equalizing point on the gradient-space geodesic from p to q."""
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        c = g.interpolate(p, q, mid)
+        if g.div(p, c) + rp <= g.div(q, c) + rq:
+            lo = mid
+        else:
+            hi = mid
+    return g.interpolate(p, q, 0.5 * (lo + hi))
+
+
+def test_two_point_minimax_is_the_segment_minimum(rng):
+    def objective(c):
+        return max(BLOCH.div(p, c) + rp, BLOCH.div(q, c) + rq)
+
+    for _ in range(20):
+        p, q = random_bloch(rng, 0.99), random_bloch(rng, 0.99)
+        rp, rq = rng.uniform(0.0, 0.05, 2)
+        c, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
+        assert v == pytest.approx(objective(c), abs=1e-15)
+        on_segment = [objective((1.0 - t) * p + t * q) for t in np.linspace(0.0, 1.0, 201)]
+        assert v <= min(on_segment) + 1e-12
+        assert v <= objective(_geodesic_equalizer(BLOCH, p, q, rp, rq)) + 1e-12
+        # an interior optimum lies on the segment and equalizes the two terms
+        t = float((c - p) @ (q - p)) / float((q - p) @ (q - p))
+        assert 0.0 < t < 1.0
+        np.testing.assert_allclose(c, (1.0 - t) * p + t * q, rtol=0.0, atol=1e-12)
+        assert abs((BLOCH.div(p, c) + rp) - (BLOCH.div(q, c) + rq)) < 1e-9
+
+
+def test_two_point_minimax_contained_ball(rng):
+    for _ in range(5):
+        p, q = random_bloch(rng, 0.9), random_bloch(rng, 0.9)
+        rq = 0.01
+        rp = BLOCH.div(q, p) + rq + 0.02  # the ball at p contains the one at q
+        c, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
+        assert np.array_equal(c, p)
+        assert v == pytest.approx(rp, abs=1e-12)
+        c, v = infogeo.two_point_minimax(BLOCH, q, p, rq, rp)
+        assert np.array_equal(c, p)
+        assert v == pytest.approx(rp, abs=1e-12)
+
+
+def test_seb_improved_does_not_load_scipy_optimize():
+    code = (
+        "import sys, numpy as np\n"
+        "from qgeomcap import infogeo\n"
+        "rng = np.random.default_rng(7)\n"
+        "pts = rng.uniform(-0.5, 0.5, size=(20, 3))\n"
+        "infogeo.seb_improved(infogeo.Generator('neg_von_neumann'),\n"
+        "                     infogeo.WeightedPointSet(points=pts), 0.05)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = pathlib.Path(infogeo.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_cached_scoring_matches_batch_div(rng, g):
+    pts = np.vstack([[random_bloch(rng, 0.99) for _ in range(40)], np.eye(3)])
+    radii = rng.uniform(0.0, 0.05, len(pts))
+    farthest = infogeo._farthest_of(g, pts, radii)
+    for c in [np.zeros(3), *(random_bloch(rng, 0.99) for _ in range(10))]:
+        vals = g.batch_div(pts, c) + radii
+        idx = int(np.argmax(vals))
+        assert farthest(c) == (idx, float(vals[idx]))
+
+
+def test_seb_basic_round_cap():
+    pset = WeightedPointSet(points=np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.1]]))
+    with pytest.raises(ResourceCapError):
+        infogeo.seb_basic(BLOCH, pset, 1e-4)
+    assert zeroerr.ResourceCapError is ResourceCapError
 
 
 def test_seb_of_balls_offsets(rng):

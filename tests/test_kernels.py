@@ -9,7 +9,7 @@ at pure points, at a center at the origin and at a singular center.
 import numpy as np
 import pytest
 
-from qgeomcap import _kernels_py, kernels
+from qgeomcap import _kernels_py, infogeo, kernels
 
 from conftest import random_bloch
 
@@ -78,3 +78,30 @@ def test_entropy_clamps_match():
     np.testing.assert_allclose(scalar, batch, rtol=0.0, atol=TOL)
     for values in (batch, scalar):  # maximally mixed, pure, and clamped to pure
         assert values[0] == -1.0 and values[-2] == 0.0 and values[-1] == 0.0
+
+
+def test_cached_path_is_bit_identical(rng):
+    # the ball solvers score with prepared_divergence; Generator.batch_div
+    # is the reference they must match exactly
+    bloch = infogeo.Generator("neg_von_neumann")
+    points = np.vstack([_interior(rng), np.eye(3)])
+    ent = kernels.neg_entropy(points)
+    for center in [np.zeros(3), *(random_bloch(rng, 0.99) for _ in range(10))]:
+        assert np.array_equal(kernels.prepared_divergence(points, ent, center),
+                              bloch.batch_div(points, center))
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, infogeo.ORACLE_CHUNK])
+def test_chunked_scan_matches_one_call(rng, chunk):
+    points = np.vstack([_interior(rng, 30), _unit([1.0, 2.0, -2.0])])
+    radii = rng.uniform(0.0, 0.05, len(points))
+    centers = np.array([random_bloch(rng, 0.999) for _ in range(5000)])
+    singular = [_unit([0.3, -0.4, 0.5]), (1.0 - 1e-10) * _unit([-1.0, 0.0, 2.0])]
+    centers = np.vstack([singular, centers, np.zeros((1, 3))])
+    whole = kernels.scan_centers(points, radii, centers)
+    chunked = np.concatenate([kernels.scan_centers(points, radii, centers[k:k + chunk])
+                              for k in range(0, len(centers), chunk)])
+    assert np.array_equal(chunked, whole)
+    assert np.all(np.isposinf(whole[:2]))
+    ref = np.array([(kernels.batch_divergence(points, c) + radii).max() for c in centers[2:]])
+    np.testing.assert_allclose(whole[2:], ref, rtol=0.0, atol=TOL)
