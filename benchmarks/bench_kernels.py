@@ -1,8 +1,9 @@
-"""Benchmark the compiled divergence kernels against the numpy fallback.
+"""Benchmark the compiled divergence kernels against the numpy fallback,
+and time the certified minimax solver.
 
 Times batch_divergence next to prepared_divergence (the cached-entropy path
-of the solvers; numpy only), and scan_centers on 200 centres and on one
-block of infogeo.ORACLE_CHUNK centres, the unit minimax_center_oracle scans.
+of the solvers; numpy only), then infogeo.minimax_ball on seeded Bloch
+clouds of 10, 100 and 1000 points with the bracket width it certifies.
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
 """
@@ -13,7 +14,7 @@ import time
 import numpy as np
 
 from qgeomcap import _kernels_py as py_impl
-from qgeomcap.infogeo import ORACLE_CHUNK
+from qgeomcap import infogeo
 
 try:
     from qgeomcap import _kernels_cy as cy_impl
@@ -36,10 +37,6 @@ def bench(fn, *args, repeats=5):
     return best
 
 
-# largest (centres x points) block timed, in bytes
-MAX_BLOCK_BYTES = 64 << 20
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 1000, 10000])
@@ -58,23 +55,25 @@ def main():
     for n in args.sizes:
         pts = random_interior_points(n, rng)
         center = np.array([0.1, -0.2, 0.3])
-        centers = random_interior_points(min(n, 200), rng)
-        block = random_interior_points(ORACLE_CHUNK, rng)
-        radii = np.zeros(n)
         cases = [
             ("batch_divergence", "batch_divergence", (pts, center)),
             ("prepared_divergence", "prepared_divergence",
              (pts, py_impl.neg_entropy(pts), center)),
-            ("scan_centers", "scan_centers", (pts, radii, centers)),
         ]
-        if ORACLE_CHUNK * n * 8 <= MAX_BLOCK_BYTES:
-            cases.append((f"scan_centers x{ORACLE_CHUNK}", "scan_centers", (pts, radii, block)))
         for label, op, argset in cases:
             times = [bench(getattr(impl, op), *argset) for _, impl in impls
                      if hasattr(impl, op)]
             ratio = times[0] / times[-1] if len(times) > 1 else float("nan")
             row = f"{n:>8} {label:<26}" + "".join(f"{t * 1e3:>10.3f}ms" for t in times)
             print(row + f"{ratio:>9.1f}x")
+
+    print(f"\n{'n':>8} {'minimax_ball':<26}{'time':>12}{'iterations':>12}{'gap':>12}")
+    g = infogeo.Generator("neg_von_neumann")
+    for n in (10, 100, 1000):
+        pset = infogeo.WeightedPointSet(points=random_interior_points(n, rng))
+        res = infogeo.minimax_ball(g, pset)
+        t = bench(infogeo.minimax_ball, g, pset)
+        print(f"{n:>8} {'':<26}{t * 1e3:>10.3f}ms{res.steps:>12}{res.gap:>12.2e}")
 
     # correctness spot check between the two implementations
     if cy_impl is not None:

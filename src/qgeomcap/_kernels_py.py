@@ -104,31 +104,3 @@ def batch_divergence(points, center):
     points = np.asarray(points, dtype=float)
     return prepared_divergence(points, neg_entropy(points), center)
 
-
-def scan_centers(points, radii, centers):
-    """max_i (D(p_i || c) + radii_i) for every candidate center.
-
-    points: (n, 3); radii: (n,) additive per-point offsets; centers: (m, 3).
-    Centers at or beyond the singular shell get +inf.
-    """
-    points = np.asarray(points, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    rc = np.linalg.norm(centers, axis=1)
-    ok = rc < _SINGULAR_CENTER
-    rc_safe = np.where(ok, rc, 0.0)
-    a = 0.5 * np.log2(np.where(ok, (1.0 - rc_safe**2) / 4.0, 1.0))
-    small = rc_safe < _EPS_CENTER
-    denom = np.where(small, 1.0, rc_safe)
-    b_over_r = np.where(
-        small,
-        1.0 / np.log(2.0),
-        0.5 * np.log2(np.where(small, 1.0, (1.0 + rc_safe) / (1.0 - rc_safe))) / denom,
-    )
-    head = neg_entropy(points) + radii  # (n,)
-    cross = centers @ points.T  # (m, n)
-    cross *= -b_over_r[:, None]  # in place: head - cross * b, one (m, n) buffer
-    cross += head
-    out = cross.max(axis=1) - a
-    out[~ok] = np.inf
-    return out

@@ -81,14 +81,14 @@ def _read_points_csv(path):
     """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii).
 
     Every point needs 3 columns and must lie in the Bloch ball,
-    |(x, y, z)| <= 1 + 1e-9.
+    |(x, y, z)| <= 1 + infogeo.BLOCH_RADIUS_TOL.
     """
     pts, wts, rads = [], [], []
     for where, vals in _numeric_rows(path):
         if len(vals) < 3:
             raise ValueError(f"{where}: points need at least 3 columns, got {len(vals)}")
         r = math.hypot(*vals[:3])
-        if r > 1.0 + 1e-9:
+        if r > 1.0 + infogeo.BLOCH_RADIUS_TOL:
             raise ValueError(f"{where}: Bloch point outside the unit ball, |r| = {r:.6g}")
         pts.append(vals[:3])
         wts.append(vals[3] if len(vals) > 3 else 1.0)
@@ -212,22 +212,26 @@ def cmd_ball(args):
     pts, wts, rads = _read_points_csv(args.points_csv)
     pset = infogeo.WeightedPointSet(points=pts, weights=wts, radii=rads)
     g = infogeo.Generator("neg_von_neumann")
-    if args.algorithm == "basic":
-        ball = infogeo.seb_basic(g, pset, args.eps, seed=args.seed)
-    elif args.algorithm == "improved":
-        ball = infogeo.seb_improved(g, pset, args.eps, seed=args.seed)
+    if args.algorithm == "oracle":
+        res = infogeo.minimax_ball(g, pset)
+        center, radius, bracket = res.center, res.upper, [res.lower, res.upper]
     else:
-        center, radius = infogeo.minimax_center_oracle(g, pset)
-        ball = infogeo.InfoBall(center=center, radius=radius, history=[])
+        solver = infogeo.seb_basic if args.algorithm == "basic" else infogeo.seb_improved
+        ball = solver(g, pset, args.eps, seed=args.seed)
+        center, radius = ball.center, ball.radius
+        # the basic solver certifies no lower end
+        bracket = [ball.history[-1][0], ball.radius] if args.algorithm == "improved" else None
     report = {
         "type": "ball",
         "algorithm": args.algorithm,
-        "center": [float(v) for v in ball.center],
-        "radius": float(ball.radius),
+        "center": [float(v) for v in center],
+        "radius": float(radius),
         "n_points": int(pts.shape[0]),
         "provenance": _provenance(args, {"algorithm": args.algorithm,
                                          "eps": args.eps}),
     }
+    if bracket is not None:
+        report["bracket"] = [float(v) for v in bracket]
     _dump(report, args.output)
     return EXIT_OK
 
@@ -252,8 +256,23 @@ def cmd_validate(args):
     for key in ("tool", "version", "flags"):
         if key not in prov:
             raise ValueError(f"provenance missing {key!r}")
+    if kind == "ball" and "bracket" in data:
+        _check_bracket(data["bracket"], data["radius"])
     sys.stdout.write(f"ok: valid {kind} report\n")
     return EXIT_OK
+
+
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_bracket(bracket, radius):
+    """A ball report's bracket is [lower, upper], finite, with lower <= radius."""
+    if not (isinstance(bracket, list) and len(bracket) == 2
+            and all(_finite_number(v) for v in bracket)):
+        raise ValueError(f"bracket must be two finite numbers, got {bracket!r}")
+    if not (_finite_number(radius) and bracket[0] <= radius + 1e-12):
+        raise ValueError(f"bracket lower end {bracket[0]!r} above radius {radius!r}")
 
 
 def build_parser():

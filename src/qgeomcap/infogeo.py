@@ -1,5 +1,5 @@
 """Bregman-divergence geometry: generators, smallest enclosing information
-balls, a brute-force minimax oracle, and Laguerre-lifted Delaunay structures.
+balls, a certified minimax solver, and Laguerre-lifted Delaunay structures.
 
 Two divergence families are provided. ``neg_von_neumann`` works on qubit
 Bloch vectors, where the generator F(r) = Tr(rho log2 rho) has the closed
@@ -23,8 +23,12 @@ from .errors import ResourceCapError
 NUDGE = 1e-9
 # rounds of seb_basic (ceil(1/eps^2)) beyond which it refuses to start
 MAX_BASIC_ROUNDS = 1_000_000
-# centres per scan block of minimax_center_oracle (bounds its temporaries)
-ORACLE_CHUNK = 4096
+# width of the certified bracket at which minimax_ball stops
+MINIMAX_GAP_TOL = 1e-9
+# iterations of minimax_ball beyond which it returns an open bracket
+MINIMAX_MAX_STEPS = 500
+# Bloch rows may overshoot the unit sphere by this much (also the CLI reader's limit)
+BLOCH_RADIUS_TOL = 1e-9
 _LN2 = np.log(2.0)
 
 
@@ -71,6 +75,32 @@ class Generator:
             return np.zeros_like(y)
         return (np.tanh(m * _LN2) / m) * y
 
+    def F_star(self, theta):
+        """Convex conjugate F*(theta) = max_x <x, theta> - F(x); grad_inv is its gradient.
+
+        For qubits F*(theta) = 1 + log2 cosh(ln 2 |theta|), evaluated as
+        log2(2^|theta| + 2^-|theta|) so that it cannot overflow.
+        """
+        theta = np.asarray(theta, dtype=float)
+        if self.name == "squared_euclidean":
+            return float(theta @ theta) / 4.0
+        m = float(np.linalg.norm(theta))
+        return float(np.logaddexp2(m, -m))
+
+    def hess_star(self, theta):
+        """Hessian of F* at theta, the Jacobian of grad_inv."""
+        theta = np.asarray(theta, dtype=float)
+        eye = np.eye(theta.shape[0])
+        if self.name == "squared_euclidean":
+            return 0.5 * eye
+        m = float(np.linalg.norm(theta))
+        if m < 1e-15:
+            return _LN2 * eye
+        t = np.tanh(m * _LN2)
+        u = theta / m
+        radial = np.outer(u, u)
+        return _LN2 * (1.0 - t * t) * radial + (t / m) * (eye - radial)
+
     def div(self, x, y):
         """Bregman divergence D_F(x || y) = F(x) - F(y) - <x - y, grad F(y)>."""
         if self.name == "squared_euclidean":
@@ -94,11 +124,6 @@ class Generator:
         gc = self.grad(np.asarray(c, dtype=float))
         gs = self.grad(np.asarray(s, dtype=float))
         return self.grad_inv((1.0 - t) * gc + t * gs)
-
-
-def bregman_div(g, x, y):
-    """D_F(x || y) for generator g."""
-    return g.div(x, y)
 
 
 def symmetric_div(g, x, y):
@@ -166,7 +191,8 @@ def _farthest_of(g, points, radii):
 
     Ties go to the lowest index. For the Bloch generator F(p_i) is computed
     once, so each center costs one matrix-vector product
-    (kernels.prepared_divergence, the same floats as batch_div).
+    (kernels.prepared_divergence, the same floats as batch_div). A value
+    below 0, which only rounding at a center on every point gives, reads 0.
     """
     ent = None if g.name == "squared_euclidean" else kernels.neg_entropy(points)
 
@@ -176,7 +202,7 @@ def _farthest_of(g, points, radii):
         else:
             vals = kernels.prepared_divergence(points, ent, center) + radii
         idx = int(np.argmax(vals))
-        return idx, float(vals[idx])
+        return idx, max(float(vals[idx]), 0.0)
 
     return farthest
 
@@ -193,53 +219,135 @@ def _bisect(below):
     return hi
 
 
-def minimax_center_oracle(g, pset, grid_resolution=61, refinements=2):
-    """Brute-force grid minimizer of max_i D(p_i || c) + r_i.
+def _check_bloch(g, points):
+    """Raise ValueError naming the first Bloch row outside the unit ball.
 
-    Scans a cubic grid over the feasible region (the open Bloch ball for
-    the quantum generator, the bounding box of the points otherwise), then
-    refines twice around the incumbent. Testing oracle for the approximate
-    solvers; accuracy ~ box-width / grid_resolution after refinement.
+    WeightedPointSet is generator-agnostic, so the solvers check this
+    themselves: F clamps such a row to |r| = 1 while <p, theta> does not,
+    which would make every divergence to it silently wrong.
+    """
+    if g.name != "neg_von_neumann":
+        return
+    norms = np.linalg.norm(points, axis=1)
+    bad = np.flatnonzero(norms > 1.0 + BLOCH_RADIUS_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"row {i}: Bloch point outside the unit ball, |r| = {norms[i]:.6g}")
+
+
+@dataclass
+class MinimaxResult:
+    """Certified solution of min_c max_i D(p_i || c) + r_i.
+
+    upper = max_i D(p_i || center) + r_i is an enclosure actually reached;
+    lower = sum_i w_i b_i - F(sum_i w_i p_i), with b_i = F(p_i) + r_i, is
+    the dual value of the weights. So lower <= r* <= upper.
+    """
+
+    center: np.ndarray
+    weights: np.ndarray
+    lower: float
+    upper: float
+    steps: int
+
+    @property
+    def gap(self):
+        return self.upper - self.lower
+
+
+def minimax_ball(g, pset):
+    """Smallest enclosing information ball of a finite set, with a bracket.
+
+    In natural coordinates theta = grad F(c) the enclosure is
+    max_i D(p_i || c) + r_i = F*(theta) + max_i (b_i - <p_i, theta>), with
+    b_i = F(p_i) + r_i, a convex function of theta. Damped Newton steps
+    minimise its log-sum-exp smoothing (Nesterov 2005)
+        F*(theta) + tau log sum_i exp((b_i - <p_i, theta>) / tau)
+    from theta = grad F(mean of the points). tau starts at 0.1 (times the
+    spread of the starting scores where that exceeds 1) and falls tenfold
+    whenever the smoothing, not the Newton solve, dominates the gap.
+    The softmax weights w of the smoothing are a dual point, so every
+    iteration certifies
+        [sum_i w_i b_i - F(sum_i w_i p_i), max_i D(p_i || c) + r_i].
+    The solver stops when the bracket is MINIMAX_GAP_TOL wide (relative to
+    the radius above 1, where the rounding of the scores exceeds it) or
+    after MINIMAX_MAX_STEPS iterations. A set whose rows all coincide
+    returns that point with radius max_i r_i. It uses the raw points, not
+    nudged ones: pure states are fine, since F stays finite on them.
     """
     pts = pset.points
     rad = pset.radii
-    if len(pset) == 1 and rad[0] == 0.0:
-        return pts[0].copy(), 0.0
-    if g.name == "neg_von_neumann":
-        lo = np.full(3, -1.0)
-        hi = np.full(3, 1.0)
-    else:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = np.maximum(hi - lo, 1e-12)
-        lo = lo - 0.05 * span
-        hi = hi + 0.05 * span
+    _check_bloch(g, pts)
+    weights = np.zeros(len(pset))
+    if (pts == pts[0]).all():
+        k = int(np.argmax(rad))
+        weights[k] = 1.0
+        return MinimaxResult(pts[0].copy(), weights, float(rad[k]), float(rad[k]), 0)
+    bloch = g.name == "neg_von_neumann"
+    b = (kernels.neg_entropy(pts) if bloch else np.einsum("ij,ij->i", pts, pts)) + rad
+    farthest = _farthest_of(g, pts, rad)
 
-    def scan(block):
-        if g.name == "neg_von_neumann":
-            return kernels.scan_centers(pts, rad, block)
-        d = block[:, None, :] - pts[None, :, :]
-        return ((d * d).sum(axis=2) + rad[None, :]).max(axis=1)
+    def smoothed(theta, tau):
+        s = b - pts @ theta
+        top = float(s.max())
+        e = np.exp((s - top) / tau)
+        z = float(e.sum())
+        return g.F_star(theta) + top + tau * np.log(z), s, e / z
 
-    best_c, best_v = None, np.inf
-    for level in range(refinements + 1):
-        axes = [np.linspace(lo[k], hi[k], grid_resolution) for k in range(pts.shape[1])]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pts.shape[1])
-        if g.name == "neg_von_neumann":
-            mesh = mesh[np.linalg.norm(mesh, axis=1) < 1.0 - 1e-9]
-        vals = np.concatenate([scan(mesh[k:k + ORACLE_CHUNK])
-                               for k in range(0, len(mesh), ORACLE_CHUNK)])
-        j = int(np.argmin(vals))
-        if vals[j] < best_v:
-            best_v = float(vals[j])
-            best_c = mesh[j].copy()
-        step = (hi - lo) / (grid_resolution - 1)
-        lo = best_c - step
-        hi = best_c + step
-        if g.name == "neg_von_neumann":
-            lo = np.clip(lo, -1.0, 1.0)
-            hi = np.clip(hi, -1.0, 1.0)
-    return best_c, best_v
+    start = pts.mean(axis=0)
+    if bloch:  # the mixture of nearly coincident pure rows can round onto the sphere
+        start = nudge_interior(start, 1e-6)[0]
+    theta = g.grad(start)
+    # a temperature far below the spread of the scores makes the smoothing a
+    # hard max, on which Newton zigzags between the top two points
+    s = b - pts @ theta
+    tau = 0.1 * max(1.0, float(s.max() - s.min()))
+    f, s, w = smoothed(theta, tau)
+    lower, upper, center = -np.inf, np.inf, None
+    steps = 0
+    while steps < MINIMAX_MAX_STEPS:
+        steps += 1
+        c = g.grad_inv(theta)
+        pbar = w @ pts
+        lo = float(w @ b) - g.F(pbar)
+        if lo > lower:
+            lower, weights = lo, w
+        _, up = farthest(c)
+        if up < upper:
+            upper, center = up, c
+        if upper - lower <= MINIMAX_GAP_TOL * max(1.0, upper):
+            break
+        # gap = (max s - <w, s>) + D(pbar || c): smoothing plus Fenchel-Young
+        smoothing = float(s.max() - w @ s)
+        fenchel = g.F_star(theta) + g.F(pbar) - float(pbar @ theta)
+        if fenchel <= 0.1 * smoothing:
+            tau *= 0.1
+            f, s, w = smoothed(theta, tau)
+            continue
+        grad = c - pbar
+        d = pts - pbar
+        hess = g.hess_star(theta) + (d.T * w) @ d / tau
+        step = -np.linalg.solve(hess, grad)
+        dec = -float(grad @ step)
+        # Armijo backtracking, with slack for the rounding of f: at small tau
+        # a Newton step that still shrinks the gap can lower f by less than that
+        slack = 1e-13 * (1.0 + abs(f))
+        alpha = 1.0
+        while True:
+            trial = theta + alpha * step
+            f_t, s_t, w_t = smoothed(trial, tau)
+            if f_t <= f - 0.25 * alpha * dec + slack or alpha < 1e-12:
+                break
+            alpha *= 0.5
+        theta, f, s, w = trial, f_t, s_t, w_t
+    return MinimaxResult(center, weights, lower, upper, steps)
+
+
+def minimax_center_oracle(g, pset):
+    """(center, radius) of the smallest enclosing ball: minimax_ball's
+    certified upper end, within MINIMAX_GAP_TOL of the optimum."""
+    res = minimax_ball(g, pset)
+    return res.center, res.upper
 
 
 def seb_basic(g, pset, eps, seed=None):
@@ -258,6 +366,7 @@ def seb_basic(g, pset, eps, seed=None):
     if n_iter > MAX_BASIC_ROUNDS:
         raise ResourceCapError(f"eps = {eps:g} needs {n_iter} rounds, cap {MAX_BASIC_ROUNDS}")
     pts = pset.points
+    _check_bloch(g, pts)
     if g.name == "neg_von_neumann":
         pts = nudge_interior(pts)
     farthest = _farthest_of(g, pts, pset.radii)
@@ -331,10 +440,13 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     over the core-set points (each is a true lower bound on r*), while the
     reported upper bound never drops below the best actual enclosure.
     History entries (r, delta) therefore satisfy r <= r* <= r + delta.
+    A start on the kernels' singular shell (a pure point) is replaced by
+    the mixture of the points.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     pts = pset.points
+    _check_bloch(g, pts)
     if g.name == "neg_von_neumann":
         pts = nudge_interior(pts)
     rad = pset.radii
@@ -347,6 +459,11 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
         start = int(np.random.default_rng(seed).integers(len(pset)))
     c = pts[start].copy()
     far_idx, d0 = farthest(c)
+    if not np.isfinite(d0):
+        # a pure start lies on the kernels' singular shell even after the
+        # nudge, so every other point is infinitely far: start from the mixture
+        c = pts.mean(axis=0)
+        far_idx, d0 = farthest(c)
 
     core = []
     cert = 0.0

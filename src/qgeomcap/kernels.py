@@ -2,7 +2,7 @@
 
 Prefers the compiled Cython extension; falls back to the vectorized numpy
 implementation when the extension was not built. Both expose the same
-functions: bloch_relative_entropy, batch_divergence, scan_centers.
+functions: bloch_relative_entropy and batch_divergence.
 
 neg_entropy and prepared_divergence, which score a fixed point set against
 many centers from its entropies computed once, exist only in the numpy
@@ -22,7 +22,6 @@ except ImportError:  # extension not built; pure-python fallback
 
 bloch_relative_entropy = _impl.bloch_relative_entropy
 batch_divergence = _impl.batch_divergence
-scan_centers = _impl.scan_centers
 
-__all__ = ["BACKEND", "bloch_relative_entropy", "batch_divergence", "scan_centers",
-           "neg_entropy", "prepared_divergence"]
+__all__ = ["BACKEND", "bloch_relative_entropy", "batch_divergence", "neg_entropy",
+           "prepared_divergence"]

@@ -86,11 +86,6 @@ def output_overlap(ch, rho_i, rho_j):
     return float(np.real(np.trace(out_i @ out_j)))
 
 
-def non_adjacent(ch, rho_i, rho_j, tol=ADJACENCY_TOL):
-    """True iff the outputs are perfectly distinguishable (overlap <= tol)."""
-    return output_overlap(ch, rho_i, rho_j) <= tol
-
-
 def codewords_non_adjacent(ch, w1, w2, tol=ADJACENCY_TOL):
     """True iff the product of per-position output overlaps vanishes.
 

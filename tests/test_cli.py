@@ -127,6 +127,52 @@ def test_ball_improved_vs_oracle(tmp_path):
     assert abs(outs["improved"] - outs["basic"]) <= 0.1
 
 
+def test_ball_reports_bracket(tmp_path):
+    reports = {}
+    for alg in ("basic", "improved", "oracle"):
+        outs = [tmp_path / f"{alg}{k}.json" for k in (1, 2)]
+        for out in outs:
+            assert run(["ball", DATA / "example_points.csv", "--algorithm", alg, "-o", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert run(["validate", outs[0]]) == 0
+        reports[alg] = json.loads(outs[0].read_text())
+    assert "bracket" not in reports["basic"]
+    for alg in ("improved", "oracle"):
+        lower, upper = reports[alg]["bracket"]
+        assert lower <= upper == reports[alg]["radius"]
+    lower, upper = reports["oracle"]["bracket"]
+    assert upper - lower <= 1e-9
+    # the improved bracket holds the oracle's, up to the nudge of its points
+    assert reports["improved"]["bracket"][0] <= lower + 1e-7
+    assert upper <= reports["improved"]["radius"] + 1e-7
+
+
+def test_ball_pure_rows(tmp_path):
+    pts = tmp_path / "pure.csv"
+    pts.write_text("1,0,0\n0,0.5,0\n0,0,1\n")
+    reports = {}
+    for alg in ("basic", "improved", "oracle"):
+        out = tmp_path / f"{alg}.json"
+        assert run(["ball", pts, "--algorithm", alg, "-o", out]) == 0
+        reports[alg] = json.loads(out.read_text())
+        assert np.isfinite(reports[alg]["radius"])
+    lower, upper = reports["oracle"]["bracket"]
+    improved_lower = reports["improved"]["bracket"][0]
+    assert improved_lower <= lower + 1e-7 and upper <= reports["improved"]["radius"] + 1e-7
+    assert reports["basic"]["radius"] >= lower - 1e-7
+
+
+@pytest.mark.parametrize("bracket", [[0.1], [0.1, "x"], [None, 0.3], [0.2, 1e999],
+                                     [0.5, 0.6], "0.1,0.3"])
+def test_validate_rejects_bad_bracket(tmp_path, bracket):
+    out = tmp_path / "b.json"
+    assert run(["ball", DATA / "example_points.csv", "--algorithm", "oracle", "-o", out]) == 0
+    report = json.loads(out.read_text())
+    report["bracket"] = bracket
+    out.write_text(json.dumps(report))
+    assert run(["validate", out]) == 1
+
+
 def test_ball_one_point(tmp_path):
     csv = tmp_path / "one.csv"
     csv.write_text("0.1,0.2,0.3\n")

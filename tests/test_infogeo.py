@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
 from qgeomcap import infogeo, states, zeroerr
@@ -15,6 +16,59 @@ from conftest import random_bloch
 
 BLOCH = Generator("neg_von_neumann")
 EUCL = Generator("squared_euclidean")
+# how far the nudged points of seb_basic / seb_improved may move a radius
+NUDGE_ALLOWANCE = 1e-7
+
+
+def _grid_enclosure(g, points, radii, centers):
+    """max_i D(p_i || c) + r_i for every row c of centers, from the closed
+    forms written out here: the test-side reference for the solvers."""
+    if g is EUCL:
+        d = centers[:, None, :] - points[None, :, :]
+        return ((d * d).sum(axis=2) + radii).max(axis=1)
+    lam = np.clip(0.5 + 0.5 * np.outer([1.0, -1.0], np.linalg.norm(points, axis=1)), 0.0, 1.0)
+    neg_s = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0).sum(axis=0)
+    rc = np.linalg.norm(centers, axis=1)
+    iso = 0.5 * np.log2((1.0 - rc * rc) / 4.0)
+    slope = np.where(rc > 1e-12, np.arctanh(rc) / (np.log(2.0) * np.maximum(rc, 1e-12)),
+                     1.0 / np.log(2.0))
+    cross = centers @ points.T
+    return (neg_s + radii - slope[:, None] * cross).max(axis=1) - iso
+
+
+def _grid_minimax(g, pset, resolution=61, refinements=2):
+    """Grid upper bound on min_c max_i D(p_i || c) + r_i: scan a cubic grid
+    over the open Bloch ball (or the points' padded bounding box), then
+    refine twice around the best centre. Returns (center, radius)."""
+    pts, rad = pset.points, pset.radii
+    dim = pts.shape[1]
+    if g is BLOCH:
+        lo, hi = np.full(dim, -1.0), np.full(dim, 1.0)
+    else:
+        span = np.maximum(pts.max(axis=0) - pts.min(axis=0), 1e-12)
+        lo, hi = pts.min(axis=0) - 0.05 * span, pts.max(axis=0) + 0.05 * span
+    best_c, best_v = None, np.inf
+    for _ in range(refinements + 1):
+        axes = [np.linspace(lo[k], hi[k], resolution) for k in range(dim)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        if g is BLOCH:
+            mesh = mesh[np.linalg.norm(mesh, axis=1) < 1.0 - 1e-9]
+        vals = np.concatenate([_grid_enclosure(g, pts, rad, mesh[k:k + 8192])
+                               for k in range(0, len(mesh), 8192)])
+        j = int(np.argmin(vals))
+        if vals[j] < best_v:
+            best_c, best_v = mesh[j].copy(), float(vals[j])
+        step = (hi - lo) / (resolution - 1)
+        lo, hi = best_c - step, best_c + step
+        if g is BLOCH:
+            lo, hi = np.clip(lo, -1.0, 1.0), np.clip(hi, -1.0, 1.0)
+    return best_c, best_v
+
+
+def _dual_value(g, pset, w):
+    """sum_i w_i (F(p_i) + r_i) - F(sum_i w_i p_i), recomputed point by point."""
+    head = sum(wi * (g.F(p) + r) for wi, p, r in zip(w, pset.points, pset.radii))
+    return head - g.F(w @ pset.points)
 
 
 def test_gradient_inverse(rng):
@@ -48,6 +102,152 @@ def test_geodesic_matches_matrix_exponential_path(rng):
         m = expm((1.0 - t) * lc + t * ls)
         m = m / np.trace(m).real
         assert np.allclose(mid, states.density_to_bloch(m), atol=1e-9)
+
+
+def test_conjugate_and_its_hessian(rng):
+    for g, draw in ((BLOCH, lambda: random_bloch(rng, 0.999)), (EUCL, lambda: rng.normal(size=3))):
+        for _ in range(20):
+            x = draw()
+            theta = g.grad(x)
+            # Fenchel-Young equality at theta = grad F(x)
+            assert g.F_star(theta) == pytest.approx(float(x @ theta) - g.F(x), abs=1e-12)
+            h = 1e-6
+            jac = np.column_stack([(g.grad_inv(theta + h * e) - g.grad_inv(theta - h * e)) / (2 * h)
+                                   for e in np.eye(3)])
+            np.testing.assert_allclose(g.hess_star(theta), jac, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(BLOCH.hess_star(np.zeros(3)), np.log(2.0) * np.eye(3))
+    assert BLOCH.F_star(np.zeros(3)) == 1.0
+    assert np.isfinite(BLOCH.F_star(np.array([2000.0, 0.0, 0.0])))
+
+
+def _cloud(rng, kind, n=10):
+    if kind == "near_pure":
+        d = rng.normal(size=(n, 3))
+        return WeightedPointSet(points=d * (rng.uniform(0.9, 0.99, n) / np.linalg.norm(d, axis=1))[:, None])
+    pts = np.array([random_bloch(rng, 0.9) for _ in range(n)])
+    if kind == "radii":
+        return WeightedPointSet(points=pts, radii=rng.uniform(0.0, 0.05, n))
+    return WeightedPointSet(points=pts)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "near_pure", "radii"])
+def test_minimax_ball_is_certified(rng, kind):
+    for _ in range(3):
+        pset = _cloud(rng, kind)
+        res = infogeo.minimax_ball(BLOCH, pset)
+        assert 0.0 <= res.gap <= infogeo.MINIMAX_GAP_TOL
+        assert res.weights.min() >= 0.0 and res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.lower == pytest.approx(_dual_value(BLOCH, pset, res.weights), abs=1e-12)
+        # the radius is the enclosure its centre actually reaches
+        enclosure = float((BLOCH.batch_div(pset.points, res.center) + pset.radii).max())
+        assert res.upper == enclosure
+        _, grid = _grid_minimax(BLOCH, pset)
+        assert res.upper <= grid + 1e-12
+        center, radius = infogeo.minimax_center_oracle(BLOCH, pset)
+        assert np.array_equal(center, res.center) and radius == res.upper
+
+
+def test_minimax_ball_two_points(rng):
+    for _ in range(10):
+        p, q = random_bloch(rng, 0.99), random_bloch(rng, 0.99)
+        rp, rq = rng.uniform(0.0, 0.05, 2)
+        _, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
+        res = infogeo.minimax_ball(BLOCH, WeightedPointSet(points=[p, q], radii=[rp, rq]))
+        assert abs(res.upper - v) <= 1e-9
+    for _ in range(5):
+        p, q = rng.normal(size=3), rng.normal(size=3)
+        res = infogeo.minimax_ball(EUCL, WeightedPointSet(points=[p, q]))
+        np.testing.assert_allclose(res.center, 0.5 * (p + q), rtol=0.0, atol=1e-9)
+        assert res.upper == pytest.approx(float((p - q) @ (p - q)) / 4.0, abs=1e-9)
+        assert res.gap <= infogeo.MINIMAX_GAP_TOL
+
+
+def test_minimax_ball_euclidean_cloud(rng):
+    pset = WeightedPointSet(points=rng.normal(size=(12, 2)), radii=rng.uniform(0.0, 0.1, 12))
+    res = infogeo.minimax_ball(EUCL, pset)
+    assert res.upper > 1.0  # so the tolerance is relative
+    assert res.gap <= infogeo.MINIMAX_GAP_TOL * res.upper
+    assert res.lower == pytest.approx(_dual_value(EUCL, pset, res.weights), abs=1e-12)
+    assert res.upper <= _grid_minimax(EUCL, pset)[1] + 1e-12
+
+
+@pytest.mark.parametrize("points, radii, center, radius", [
+    ([[0.1, 0.2, 0.3]], [0.25], [0.1, 0.2, 0.3], 0.25),
+    ([[0.1, 0.2, 0.3]] * 3, [0.0, 0.3, 0.1], [0.1, 0.2, 0.3], 0.3),
+    ([[0.0, 0.0, 1.0]] * 3, None, [0.0, 0.0, 1.0], 0.0),
+], ids=["one-point-with-radius", "duplicated-rows", "duplicated-pure-rows"])
+def test_minimax_ball_single_distinct_point(points, radii, center, radius):
+    res = infogeo.minimax_ball(BLOCH, WeightedPointSet(points=points, radii=radii))
+    assert np.array_equal(res.center, center)
+    assert res.lower == res.upper == radius
+    assert res.weights.sum() == 1.0
+
+
+def test_minimax_ball_pure_point_in_mixed_set(rng):
+    pts = np.vstack([[random_bloch(rng, 0.8) for _ in range(6)], [[0.0, 0.6, 0.8]]])
+    for pset in (WeightedPointSet(points=pts),
+                 WeightedPointSet(points=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])):
+        res = infogeo.minimax_ball(BLOCH, pset)
+        assert np.isfinite(res.upper) and res.gap <= infogeo.MINIMAX_GAP_TOL
+        assert np.linalg.norm(res.center) < 1.0 - 1e-9
+        assert res.upper <= _grid_minimax(BLOCH, pset)[1] + 1e-12
+    # two pure rows whose mixture rounds onto the sphere
+    res = infogeo.minimax_ball(BLOCH, WeightedPointSet(points=[[0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]]))
+    assert 0.0 < res.upper < 1e-8 and res.gap <= infogeo.MINIMAX_GAP_TOL
+
+
+@pytest.mark.parametrize("solve", [
+    lambda pset: infogeo.seb_basic(BLOCH, pset, 0.1),
+    lambda pset: infogeo.seb_improved(BLOCH, pset, 0.1),
+    lambda pset: infogeo.minimax_ball(BLOCH, pset),
+], ids=["basic", "improved", "minimax"])
+def test_solvers_reject_points_outside_the_bloch_ball(solve):
+    pset = WeightedPointSet(points=[[0.1, 0.0, 0.0], [0.0, 0.0, 1.0 + 1e-9], [0.6, 0.8, 0.1]])
+    with pytest.raises(ValueError, match="row 2: Bloch point outside the unit ball"):
+        solve(pset)
+
+
+def test_seb_improved_pure_seeded_start():
+    pset = WeightedPointSet(points=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    res = infogeo.minimax_ball(BLOCH, pset)
+    for seed in range(10):
+        ball = infogeo.seb_improved(BLOCH, pset, 0.05, seed=seed)
+        assert np.isfinite(ball.radius)
+        r_lo, delta = ball.history[-1]
+        assert r_lo <= res.lower + NUDGE_ALLOWANCE
+        assert res.upper <= r_lo + delta + NUDGE_ALLOWANCE
+
+
+def test_seb_solvers_on_duplicated_rows():
+    # D(p || p) rounds to -6e-17 here, which once made seb_improved's radius negative
+    p = 0.5 * np.array([0.5, 0.0, 1.0]) / np.linalg.norm([0.5, 0.0, 1.0])
+    pset = WeightedPointSet(points=[p, p])
+    for solver in (infogeo.seb_basic, infogeo.seb_improved):
+        assert solver(BLOCH, pset, 0.05).radius == 0.0
+
+
+_clouds = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                       st.floats(0.0, 0.99)), min_size=n, max_size=n),
+    st.one_of(st.none(), st.lists(st.floats(0.0, 0.2), min_size=n, max_size=n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clouds)
+def test_seb_brackets_contain_the_certified_one(cloud):
+    rows, radii = cloud
+    pts = np.array([[x, y, z] for x, y, z, _ in rows])
+    norms = np.linalg.norm(pts, axis=1)
+    pts = np.where(norms[:, None] > 1e-6, pts / np.maximum(norms, 1e-6)[:, None], 0.0)
+    pts *= np.array([r for *_, r in rows])[:, None]
+    pset = WeightedPointSet(points=pts, radii=radii)
+    res = infogeo.minimax_ball(BLOCH, pset)
+    assert res.gap <= infogeo.MINIMAX_GAP_TOL
+    ball = infogeo.seb_improved(BLOCH, pset, 0.05)
+    for r_lo, delta in ball.history:
+        assert r_lo <= res.lower + NUDGE_ALLOWANCE
+        assert res.upper <= r_lo + delta + NUDGE_ALLOWANCE
+    assert infogeo.seb_basic(BLOCH, pset, 0.05).radius >= res.lower - NUDGE_ALLOWANCE
 
 
 def test_symmetric_div(rng):

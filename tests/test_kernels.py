@@ -91,17 +91,14 @@ def test_cached_path_is_bit_identical(rng):
                               bloch.batch_div(points, center))
 
 
-@pytest.mark.parametrize("chunk", [7, 1000, infogeo.ORACLE_CHUNK])
-def test_chunked_scan_matches_one_call(rng, chunk):
-    points = np.vstack([_interior(rng, 30), _unit([1.0, 2.0, -2.0])])
-    radii = rng.uniform(0.0, 0.05, len(points))
-    centers = np.array([random_bloch(rng, 0.999) for _ in range(5000)])
-    singular = [_unit([0.3, -0.4, 0.5]), (1.0 - 1e-10) * _unit([-1.0, 0.0, 2.0])]
-    centers = np.vstack([singular, centers, np.zeros((1, 3))])
-    whole = kernels.scan_centers(points, radii, centers)
-    chunked = np.concatenate([kernels.scan_centers(points, radii, centers[k:k + chunk])
-                              for k in range(0, len(centers), chunk)])
-    assert np.array_equal(chunked, whole)
-    assert np.all(np.isposinf(whole[:2]))
-    ref = np.array([(kernels.batch_divergence(points, c) + radii).max() for c in centers[2:]])
-    np.testing.assert_allclose(whole[2:], ref, rtol=0.0, atol=TOL)
+def test_natural_coordinate_form(rng):
+    # minimax_ball scores centres as D(p || c) = F(p) + F*(theta) - <p, theta>
+    # with theta = grad F(c); it must agree with the kernels
+    bloch = infogeo.Generator("neg_von_neumann")
+    points = np.vstack([_interior(rng), np.eye(3)])
+    ent = kernels.neg_entropy(points)
+    for center in [np.zeros(3), *(random_bloch(rng, 0.999) for _ in range(10))]:
+        theta = bloch.grad(center)
+        natural = ent + bloch.F_star(theta) - points @ theta
+        np.testing.assert_allclose(natural, kernels.batch_divergence(points, center),
+                                   rtol=0.0, atol=1e-11)
