@@ -32,7 +32,7 @@ def _neg_entropy(r):
     return out
 
 
-def _neg_entropy_scalar(r):
+def neg_entropy_scalar(r):
     """_neg_entropy of one float radius, on floats (same clamps)."""
     r = min(max(r, 0.0), 1.0)
     out = 0.0
@@ -79,7 +79,7 @@ def bloch_relative_entropy(r_rho, r_sigma):
         return math.inf
     a, b_over_r = _center_coeffs(rc)
     rr = math.sqrt(float(r_rho @ r_rho))
-    return _neg_entropy_scalar(rr) - a - b_over_r * float(r_rho @ r_sigma)
+    return neg_entropy_scalar(rr) - a - b_over_r * float(r_rho @ r_sigma)
 
 
 def prepared_divergence(points, neg_ent, center):

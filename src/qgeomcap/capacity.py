@@ -1,26 +1,38 @@
 """Channel capacity estimation.
 
-HSW (classical) capacity of qubit channels via the minimax iteration on the
-channel ellipsoid; private information and coherent information through the
-complementary channel; and the single-use quantum capacity as a difference
-of two information-ball radii evaluated at the same ensemble.
+HSW (classical) capacity of qubit channels as a certified minimax
+information radius over the channel ellipsoid; private information and
+coherent information through the complementary channel; and the single-use
+quantum capacity as a difference of two information-ball radii evaluated at
+the same ensemble.
 """
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channels, infogeo, kernels, states
 
-CONVERGENCE_TOL = 1e-7
-CONVERGENCE_WINDOW = 10
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_CANDIDATES = 200
+# width of the certified HSW bracket, in bits, at which hsw_capacity stops
+HSW_GAP_TOL = 1e-7
+# column-generation rounds after which hsw_capacity returns an open bracket
+HSW_MAX_ROUNDS = 100
+# input directions of the first columns, a fibonacci_sphere grid
+HSW_START_COLUMNS = 32
+# interval splits of one sphere-oracle call
+_ORACLE_MAX_SPLITS = 500
+_LN2 = math.log(2.0)
+_BLOCH = infogeo.Generator("neg_von_neumann")
 
 
 @dataclass
 class CapacityResult:
-    """Capacity estimate with the geometric witnesses that produced it."""
+    """Capacity estimate with the geometric witnesses that produced it.
+
+    bracket, when set, is a certified [lower, upper] around the capacity.
+    """
 
     value: float
     optimal_ensemble: list = field(default_factory=list)
@@ -29,6 +41,7 @@ class CapacityResult:
     iterations: int = 0
     converged: bool = True
     ball_pair: "BallPair" = None
+    bracket: tuple = None
 
 
 @dataclass
@@ -55,167 +68,209 @@ def channel_holevo(ch, ensemble):
     return states.holevo_quantity(out)
 
 
-def _sphere_dir(angles):
-    th, ph = angles
-    return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+def _psi(q):
+    """psi(q) = F(sqrt(q)), the entropy term of an output with |r|^2 = q.
 
-
-def _polish_direction(aff, sigma, u0):
-    """Locally maximize D(N(u)||sigma) over unit input directions."""
-    from scipy.optimize import minimize
-
-    th0 = np.arccos(np.clip(u0[2], -1.0, 1.0))
-    ph0 = np.arctan2(u0[1], u0[0])
-
-    def neg(angles):
-        out = infogeo.nudge_interior(aff(_sphere_dir(angles)))[0]
-        return -kernels.bloch_relative_entropy(out, sigma)
-
-    res = minimize(neg, [th0, ph0], method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 500})
-    return _sphere_dir(res.x), -float(res.fun)
-
-
-def _polish_center(outs, ent, c0):
-    """Locally minimize max_i D(out_i || c) over centers from c0.
-
-    ent is kernels.neg_entropy(outs).
+    Its power series in q has positive coefficients, so psi is convex and
+    increasing on [0, 1].
     """
-    from scipy.optimize import minimize
-
-    def worst(c):
-        if np.linalg.norm(c) >= 1.0 - 1e-9:
-            return np.inf
-        return float(kernels.prepared_divergence(outs, ent, c).max())
-
-    res = minimize(worst, c0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    if res.fun <= worst(c0):
-        return np.asarray(res.x, dtype=float), float(res.fun)
-    return np.asarray(c0, dtype=float), worst(c0)
+    return kernels.neg_entropy_scalar(math.sqrt(min(max(q, 0.0), 1.0)))
 
 
-def _mixture_weights(outs, sigma):
-    """Nonnegative weights summing to 1 with weights @ outs ~ sigma.
+def _psi_slope(q):
+    """psi'(q) = atanh(r) / (2 r ln 2), r = sqrt(q), kept finite at purity."""
+    r = min(math.sqrt(max(q, 0.0)), 1.0 - 1e-12)
+    if r < 1e-8:
+        return 0.5 / _LN2
+    return math.atanh(r) / (2.0 * r * _LN2)
 
-    Solved as nonnegative least squares with the normalization appended as
-    a heavily weighted row; returns (weights, residual of the mixture).
+
+def _sphere_max(m, g):
+    """(bound, u) for max over |u| = 1 of sum_i m_i u_i^2 + g_i u_i.
+
+    For any mu > max m_i the Lagrangian dual of the trust-region problem
+    gives bound = mu + sum_i g_i^2 / (4 (mu - m_i)) >= the maximum. mu
+    comes from Newton's method on the secular equation |u(mu)| = 1, with
+    u_i(mu) = g_i / (2 (mu - m_i)), from the left, where 1/|u(mu)| is
+    concave and the iterates rise monotonically. In the hard case, where
+    |u| < 1 already next to the top eigenvalue, mu stays there, the top
+    term is dropped and u is filled up along that eigenvector with the sign
+    of g's component on it. u is a unit near-maximiser.
     """
-    from scipy.optimize import nnls
+    k = max(range(len(m)), key=m.__getitem__)
+    top = m[k]
+    mu = top + 1e-14 * (1.0 + abs(top))
+    terms = [(mi, gi * gi) for mi, gi in zip(m, g) if gi != 0.0]
+    n2 = sum(g2 / (4.0 * (mu - mi) ** 2) for mi, g2 in terms)
+    hard = n2 <= 1.0
+    if not hard:
+        for _ in range(100):
+            dn2 = sum(g2 / (2.0 * (mu - mi) ** 3) for mi, g2 in terms)
+            phi = n2 ** -0.5
+            step = (1.0 - phi) / (0.5 * phi * dn2 / n2)
+            if step <= 1e-15 * (1.0 + abs(mu)):
+                break
+            mu += step
+            n2 = sum(g2 / (4.0 * (mu - mi) ** 2) for mi, g2 in terms)
+    bound = mu + sum(g2 / (4.0 * (mu - mi)) for mi, g2 in terms)
+    u = [gi / (2.0 * (mu - mi)) for mi, gi in zip(m, g)]
+    if hard:
+        u[k] = 0.0
+        u[k] = math.copysign(math.sqrt(max(1.0 - sum(x * x for x in u), 0.0)), g[k])
+    norm = math.sqrt(sum(x * x for x in u))
+    return bound, [x / norm for x in u]
 
-    kappa = 1e3
-    a = np.vstack([outs.T, kappa * np.ones(outs.shape[0])])
-    b = np.concatenate([sigma, [kappa]])
-    w, _ = nnls(a, b)
-    s = w.sum()
-    if s > 0:
-        w = w / s
-    resid = float(np.linalg.norm(w @ outs - sigma))
-    return w, resid
+
+class _OutputEllipsoid:
+    """Outputs N(u) = A u + b of the pure inputs |u| = 1 of a qubit channel.
+
+    Input directions are kept in the eigenbasis V of A^T A (eigenvalues
+    lam), where q(u) = |N(u)|^2 = sum_i lam_i u_i^2 + 2 <beta, u> + |b|^2
+    with beta = V^T A^T b. [q_lo, q_hi] bounds q over the sphere.
+    """
+
+    def __init__(self, aff):
+        self.A, self.b = aff.A, aff.b
+        lam, self.V = np.linalg.eigh(self.A.T @ self.A)
+        self.lam = [float(x) for x in lam]
+        self.beta = [float(x) for x in self.V.T @ (self.A.T @ self.b)]
+        self.bb = float(self.b @ self.b)
+        hi, _ = _sphere_max(self.lam, [2.0 * x for x in self.beta])
+        lo, _ = _sphere_max([-x for x in self.lam], [-2.0 * x for x in self.beta])
+        self.q_hi = min(max(self.bb + hi, 0.0), 1.0)
+        self.q_lo = min(max(self.bb - lo, 0.0), self.q_hi)
+
+    def q(self, u):
+        return (sum(l * x * x for l, x in zip(self.lam, u))
+                + 2.0 * sum(b * x for b, x in zip(self.beta, u)) + self.bb)
+
+    def oracle(self, theta, lower):
+        """(upper, u): upper >= max over |u| = 1 of D(N(u) || c), with
+        c = grad_inv(theta), and u the input direction of the largest
+        divergence found.
+
+        D(N(u) || c) = F*(theta) + psi(q(u)) - <theta, N(u)>. On an interval
+        [a, z] of q the chord of the convex psi lies above psi, and it lies
+        below psi outside, so chord(q(u)) - <theta, N(u)> is a quadratic in u
+        whose maximum over the whole sphere, bounded by _sphere_max, bounds D
+        over the inputs with q(u) in [a, z] and stays at most max D over the
+        rest. A zero-width interval takes the tangent, which lies below psi
+        everywhere. Best-first bisection over the intervals, all kept in the
+        heap, stops when the largest bound is within HSW_GAP_TOL of lower,
+        or when the best divergence found closes half of the gap to it.
+        """
+        theta = np.asarray(theta, dtype=float)
+        base = _BLOCH.F_star(theta) - float(theta @ self.b)
+        alpha = [float(x) for x in self.V.T @ (self.A.T @ theta)]
+        best = [-math.inf, None]
+
+        def interval(a, z, psi_a, psi_z):
+            slope = (psi_z - psi_a) / (z - a) if z > a else _psi_slope(a)
+            g = [2.0 * slope * be - al for be, al in zip(self.beta, alpha)]
+            val, u = _sphere_max([slope * l for l in self.lam], g)
+            found = base + _psi(self.q(u)) - sum(al * x for al, x in zip(alpha, u))
+            if found > best[0]:
+                best[:] = found, u
+            bound = base + psi_a + slope * (self.bb - a) + val
+            return (-bound, a, z, psi_a, psi_z)
+
+        heap = [interval(self.q_lo, self.q_hi, _psi(self.q_lo), _psi(self.q_hi))]
+        for _ in range(_ORACLE_MAX_SPLITS):
+            neg, a, z, psi_a, psi_z = heap[0]
+            gap = -neg - lower
+            if gap <= HSW_GAP_TOL or best[0] - lower >= 0.5 * gap:
+                break
+            mid = 0.5 * (a + z)
+            if not a < mid < z:
+                break
+            psi_mid = _psi(mid)
+            heapq.heapreplace(heap, interval(a, mid, psi_a, psi_mid))
+            heapq.heappush(heap, interval(mid, z, psi_mid, psi_z))
+        return -heap[0][0], self.V @ np.array(best[1])
 
 
-def hsw_capacity(ch, eps=None, max_iter=DEFAULT_MAX_ITER,
-                 n_candidates=DEFAULT_CANDIDATES, polish_rounds=5):
-    """HSW capacity of a qubit channel as a minimax information radius.
+def _caratheodory(points, ent, weights):
+    """Weights on at most 4 of the points, with the same mean and no lower chi.
 
-    Alternates farthest-output selection over the channel ellipsoid with the
-    center update r_sigma <- (1 - eps_l) r_sigma + eps_l r_rho. eps=None
-    uses the harmonic schedule eps_l = 1/(l+1), which makes the center an
-    exact probability mixture of the selected outputs; a fixed eps in (0,1)
-    is also accepted. Candidate inputs are pure states on a golden-angle
-    sphere grid, refined by local search after each convergence phase.
+    chi(w) = sum_i w_i F(p_i) - F(pbar) is linear in w while the mean pbar
+    stays fixed. Each step takes a null vector v of [p_i; 1] on five support
+    points, signs it so that sum_i v_i F(p_i) >= 0, and moves the weights
+    along it until the first one reaches 0.
+    """
+    w = np.array(weights, dtype=float)
+    while np.count_nonzero(w) > 4:
+        idx = np.flatnonzero(w)
+        idx = idx[np.argsort(w[idx], kind="stable")[:5]]
+        v = np.linalg.svd(np.vstack([points[idx].T, np.ones(5)]))[2][-1]
+        if v @ ent[idx] < 0.0:
+            v = -v
+        ratios = np.full(5, np.inf)
+        ratios[v < 0.0] = w[idx][v < 0.0] / -v[v < 0.0]
+        j = int(np.argmin(ratios))
+        w[idx] = np.maximum(w[idx] + ratios[j] * v, 0.0)
+        w[idx[j]] = 0.0
+    return w / w.sum()
+
+
+def hsw_capacity(ch):
+    """HSW capacity of a qubit channel as a certified minimax information radius.
+
+    The capacity is min_c max_{|u|=1} D(N(u) || c) (Schumacher and
+    Westmoreland 2001), solved by column generation. The columns start as
+    the outputs of HSW_START_COLUMNS fibonacci_sphere directions. Each round
+    solves the finite minimax with infogeo.minimax_ball, whose weights give
+    the lower end chi(w), bounds max_u D(N(u) || c) at its centre c with
+    the sphere oracle, and adds the oracle's input direction as a column.
+    It stops when the bracket is HSW_GAP_TOL wide or after HSW_MAX_ROUNDS
+    rounds, which leaves converged False.
+
+    The ensemble is pruned to at most 4 states without lowering chi. value
+    and radius are chi of the reported ensemble, the lower end; center is
+    its output mean; bracket is [lower, upper]; iterations counts rounds.
+    A channel whose outputs all coincide has capacity [0, 0].
     """
     if ch.in_dim != 2 or ch.out_dim != 2:
-        raise ValueError("the minimax iteration is implemented for qubit channels")
-    if eps is not None and not 0.0 < eps < 1.0:
-        raise ValueError("fixed step size must lie in (0, 1)")
+        raise ValueError("the minimax solver is implemented for qubit channels")
     aff = channels.kraus_to_affine(ch)
-    dirs = list(fibonacci_sphere(n_candidates))
-    outs = infogeo.nudge_interior(np.array([aff(u) for u in dirs]))
-    # the entropy term of D(out_i || sigma) is fixed per output: compute it
-    # once, and again only for an appended polished direction
-    ent = kernels.neg_entropy(outs)
-    weights = np.zeros(len(dirs))
-    weights[0] = 1.0
-    sigma = outs[0].copy()
-
-    history = []
-    total_iters = 0
-    converged = False
-    for _ in range(polish_rounds + 1):
-        window = []
-        while total_iters < max_iter:
-            vals = kernels.prepared_divergence(outs, ent, sigma)
-            idx = int(np.argmax(vals))
-            radius = float(vals[idx])
-            total_iters += 1
-            step = eps if eps is not None else 1.0 / (total_iters + 1.0)
-            weights *= 1.0 - step
-            weights[idx] += step
-            sigma = (1.0 - step) * sigma + step * outs[idx]
-            history.append(radius)
-            window.append(radius)
-            if len(window) > CONVERGENCE_WINDOW:
-                window.pop(0)
-                if max(window) - min(window) < CONVERGENCE_TOL:
-                    converged = True
-                    break
-        # refine the center directly (the harmonic average forgets its
-        # startup transient only as 1/l, too slowly near pure outputs),
-        # then check whether a better extreme direction exists off-grid
-        sigma_new, rad_new = _polish_center(outs, ent, sigma)
-        moved = float(np.linalg.norm(sigma_new - sigma)) > 1e-10
-        sigma = sigma_new
-        # multi-start over the best grid candidates: a single start can sit
-        # on a local maximum (e.g. one pole of a degenerate ellipsoid)
-        grid_vals = kernels.prepared_divergence(outs[:n_candidates], ent[:n_candidates],
-                                                sigma)
-        starts = np.argsort(grid_vals)[-4:]
-        u_new, v_new = None, -np.inf
-        for s in starts:
-            u_s, v_s = _polish_direction(aff, sigma, dirs[int(s)])
-            if v_s > v_new:
-                u_new, v_new = u_s, v_s
-        cur = float(kernels.prepared_divergence(outs, ent, sigma).max())
-        if v_new > cur + 1e-10:
-            dirs.append(u_new)
-            out_new = infogeo.nudge_interior(aff(u_new))
-            outs = np.vstack([outs, out_new])
-            ent = np.append(ent, kernels.neg_entropy(out_new))
-            weights = np.append(weights, 0.0)
-            converged = False
-        elif not moved:
-            converged = True
+    dirs = fibonacci_sphere(HSW_START_COLUMNS)
+    outs = dirs @ aff.A.T + aff.b
+    if (outs == outs[0]).all():
+        return CapacityResult(
+            value=0.0,
+            optimal_ensemble=[(1.0, states.pure_state(_bloch_ket(dirs[0])))],
+            center=states.bloch_to_density(outs[0]),
+            radius=0.0,
+            iterations=0,
+            converged=True,
+            bracket=(0.0, 0.0),
+        )
+    ellipsoid = _OutputEllipsoid(aff)
+    upper = math.inf
+    rounds = 0
+    while True:
+        rounds += 1
+        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs))
+        up, u = ellipsoid.oracle(_BLOCH.grad(res.center), res.lower)
+        upper = min(upper, up)
+        if upper - res.lower <= HSW_GAP_TOL or rounds == HSW_MAX_ROUNDS:
             break
-        else:
-            converged = True
-
-    sigma, _ = _polish_center(outs, ent, sigma)
-    # express the center as an exact mixture of candidate outputs so the
-    # reported ensemble reproduces it; of the least-squares recovery and the
-    # raw iteration weights, keep whichever mixture encloses more tightly
-    # (the polished center can drift off a degenerate output hull)
-    w_fit, _ = _mixture_weights(outs, sigma)
-    w_iter = weights / weights.sum()
-    candidates_w = [w_fit, w_iter]
-    radii = [float(kernels.prepared_divergence(outs, ent, w @ outs).max())
-             for w in candidates_w]
-    pick = int(np.argmin(radii))
-    weights = candidates_w[pick]
-    sigma = weights @ outs
-    radius = radii[pick]
-    ensemble = [
-        (float(w), states.pure_state(_bloch_ket(u)))
-        for w, u in zip(weights, dirs)
-        if w > 1e-12
-    ]
+        dirs = np.vstack([dirs, u])
+        outs = np.vstack([outs, aff(u)])
+    ent = kernels.neg_entropy(outs)
+    weights = _caratheodory(outs, ent, res.weights)
+    keep = np.flatnonzero(weights)
+    mean = weights @ outs
+    lower = float(weights @ ent) - kernels.neg_entropy_scalar(float(np.linalg.norm(mean)))
+    upper = max(upper, lower)
     return CapacityResult(
-        value=radius,
-        optimal_ensemble=ensemble,
-        center=states.bloch_to_density(sigma),
-        radius=radius,
-        iterations=total_iters,
-        converged=converged,
+        value=lower,
+        optimal_ensemble=[(float(weights[i]), states.pure_state(_bloch_ket(dirs[i])))
+                          for i in keep],
+        center=states.bloch_to_density(mean),
+        radius=lower,
+        iterations=rounds,
+        converged=upper - lower <= HSW_GAP_TOL,
+        bracket=(lower, upper),
     )
 
 
@@ -313,7 +368,7 @@ def quantum_capacity_single_use(ch, candidates):
     )
 
 
-def qubit_candidate_states(n=DEFAULT_CANDIDATES, include_axis_family=True):
+def qubit_candidate_states(n=200, include_axis_family=True):
     """Default qubit candidate inputs: sphere-grid pure states, mixed
     z-axis states, and the maximally mixed state."""
     cands = [states.bloch_to_density(u * (1.0 - 1e-12)) for u in fibonacci_sphere(n)]

@@ -5,7 +5,8 @@ commands take --seed (default 42) and produce byte-identical output for
 identical inputs and flags. Reports are JSON with sorted keys and a
 provenance block; sweeps are CSV with '#'-prefixed provenance comments.
 
-Exit codes: 0 ok, 1 input error, 2 non-convergence, 3 resource cap.
+Exit codes: 0 ok, 1 input or usage error, 2 bracket not closed to tolerance,
+3 resource cap.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__, capacity, channels, infogeo, states, superact, zeroerr
 from .errors import ResourceCapError
+from .kernels import BACKEND
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,6 +33,8 @@ def _provenance(args, flags):
     return {
         "tool": "qgeomcap",
         "version": __version__,
+        "backend": BACKEND,
+        "numpy": np.__version__,
         "seed": getattr(args, "seed", None),
         "flags": flags,
     }
@@ -100,21 +104,35 @@ def _read_points_csv(path):
 
 def _read_inputs_csv(path):
     """Input states CSV: 3 columns = Bloch vectors, d columns = diagonal
-    states of dimension d."""
-    rows = [vals for _, vals in _numeric_rows(path)]
+    states of dimension d.
+
+    A Bloch row must lie in the unit ball, |r| <= 1 + infogeo.BLOCH_RADIUS_TOL;
+    a diagonal row must be a probability vector, with no negative entry and
+    a sum within 1e-9 of 1.
+    """
+    rows = []
+    for where, vals in _numeric_rows(path):
+        if rows and len(vals) != len(rows[0]):
+            raise ValueError(f"{where}: {len(vals)} columns, the first row has {len(rows[0])}")
+        if len(vals) == 3:
+            r = math.hypot(*vals)
+            if r > 1.0 + infogeo.BLOCH_RADIUS_TOL:
+                raise ValueError(f"{where}: Bloch vector outside the unit ball, |r| = {r:.6g}")
+        elif min(vals) < 0.0:
+            raise ValueError(f"{where}: diagonal state with a negative entry")
+        elif abs(math.fsum(vals) - 1.0) > 1e-9:
+            raise ValueError(f"{where}: diagonal state sums to {math.fsum(vals):.12g}, not 1")
+        rows.append(vals)
     if not rows:
         raise ValueError(f"no states parsed from {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows in input-state file")
-    if width == 3:
+    if len(rows[0]) == 3:
         return [states.bloch_to_density(r) for r in rows]
     return [np.diag(np.asarray(r, dtype=float)).astype(complex) for r in rows]
 
 
 def cmd_capacity(args):
     spec = _read_channel(args.channel_file)
-    flags = {"mode": args.mode, "eps": args.eps}
+    flags = {"mode": args.mode}
     if args.mode == "private" and spec.kind == "declared_capacity":
         value = capacity.private_info(spec)
         report = {
@@ -130,13 +148,14 @@ def cmd_capacity(args):
         return EXIT_OK
     ch = channels.build_channel(spec)
     if args.mode == "holevo":
-        res = capacity.hsw_capacity(ch, eps=args.eps)
+        res = capacity.hsw_capacity(ch)
         ensemble = [
             {"weight": p, "state": channels.matrix_to_pairs(s)}
             for p, s in res.optimal_ensemble
         ]
         extra = {"optimal_ensemble": ensemble,
-                 "center": channels.matrix_to_pairs(res.center)}
+                 "center": channels.matrix_to_pairs(res.center),
+                 "bracket": [float(v) for v in res.bracket]}
     elif args.mode == "quantum":
         cands = capacity.qubit_candidate_states()
         res = capacity.quantum_capacity_single_use(ch, cands)
@@ -256,8 +275,8 @@ def cmd_validate(args):
     for key in ("tool", "version", "flags"):
         if key not in prov:
             raise ValueError(f"provenance missing {key!r}")
-    if kind == "ball" and "bracket" in data:
-        _check_bracket(data["bracket"], data["radius"])
+    if "bracket" in data:
+        _check_bracket(data["bracket"], data["radius" if kind == "ball" else "value"])
     sys.stdout.write(f"ok: valid {kind} report\n")
     return EXIT_OK
 
@@ -266,17 +285,28 @@ def _finite_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _check_bracket(bracket, radius):
-    """A ball report's bracket is [lower, upper], finite, with lower <= radius."""
+def _check_bracket(bracket, value):
+    """A report's bracket is [lower, upper], finite, around its value (a
+    ball's radius or a capacity): lower <= value <= upper, to 1e-12."""
     if not (isinstance(bracket, list) and len(bracket) == 2
             and all(_finite_number(v) for v in bracket)):
         raise ValueError(f"bracket must be two finite numbers, got {bracket!r}")
-    if not (_finite_number(radius) and bracket[0] <= radius + 1e-12):
-        raise ValueError(f"bracket lower end {bracket[0]!r} above radius {radius!r}")
+    lower, upper = bracket
+    if not (_finite_number(value) and lower - 1e-12 <= value <= upper + 1e-12):
+        raise ValueError(f"value {value!r} outside its bracket [{lower!r}, {upper!r}]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit with EXIT_INPUT: argparse's
+    own status 2 would read as EXIT_NO_CONVERGENCE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qgeomcap",
         description="Information-geometric quantum channel capacity toolkit",
     )
@@ -287,7 +317,6 @@ def build_parser():
     c.add_argument("channel_file")
     c.add_argument("--mode", choices=("holevo", "quantum", "private"),
                    default="holevo")
-    c.add_argument("--eps", type=float, default=None)
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--output", "-o", default=None)
     c.set_defaults(func=cmd_capacity)

@@ -358,7 +358,8 @@ def seb_basic(g, pset, eps, seed=None):
     1/(i+1) toward it along the gradient-space geodesic. The returned radius
     is within a factor (1 + eps) of optimal. Per-point radii, when present,
     make this the enclosing ball of balls. More than MAX_BASIC_ROUNDS rounds
-    raise ResourceCapError before the first one.
+    raise ResourceCapError before the first one. A start on the kernels'
+    singular shell (a pure point) is replaced by the mixture of the points.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -374,14 +375,19 @@ def seb_basic(g, pset, eps, seed=None):
         c = pts[0].copy()
     else:
         c = pts[np.random.default_rng(seed).integers(len(pset))].copy()
+    idx, val = farthest(c)
+    if not np.isfinite(val):
+        # a pure start lies on the kernels' singular shell even after the
+        # nudge, so every other point is infinitely far: start from the mixture
+        c = pts.mean(axis=0)
+        idx, val = farthest(c)
     history = []
     for i in range(1, n_iter + 1):
-        idx, val = farthest(c)
         history.append(val)
         c = g.interpolate(c, pts[idx], 1.0 / (i + 1.0))
-    _, radius = farthest(c)
-    history.append(radius)
-    return InfoBall(center=c, radius=radius, history=history)
+        idx, val = farthest(c)
+    history.append(val)
+    return InfoBall(center=c, radius=val, history=history)
 
 
 def _touch_parameter(g, points, radii, c, s_idx, r):

@@ -5,11 +5,12 @@ implementation when the extension was not built. Both expose the same
 functions: bloch_relative_entropy and batch_divergence.
 
 neg_entropy and prepared_divergence, which score a fixed point set against
-many centers from its entropies computed once, exist only in the numpy
+many centers from its entropies computed once, and neg_entropy_scalar, the
+entropy term of one radius on Python floats, exist only in the numpy
 implementation and are used with either backend.
 """
 
-from ._kernels_py import neg_entropy, prepared_divergence
+from ._kernels_py import neg_entropy, neg_entropy_scalar, prepared_divergence
 
 try:
     from . import _kernels_cy as _impl
@@ -24,4 +25,4 @@ bloch_relative_entropy = _impl.bloch_relative_entropy
 batch_divergence = _impl.batch_divergence
 
 __all__ = ["BACKEND", "bloch_relative_entropy", "batch_divergence", "neg_entropy",
-           "prepared_divergence"]
+           "neg_entropy_scalar", "prepared_divergence"]

@@ -1,7 +1,17 @@
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgeomcap import capacity, channels, states
+from qgeomcap import capacity, channels, infogeo, kernels, states
+
+BLOCH = infogeo.Generator("neg_von_neumann")
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def _chan(kind, p=None):
@@ -54,6 +64,122 @@ def test_hsw_equals_holevo_of_reported_ensemble():
     res = capacity.hsw_capacity(ch)
     chi = capacity.channel_holevo(ch, res.optimal_ensemble)
     assert abs(chi - res.value) < 1e-4
+
+
+def _random_channel(seed, n_kraus, damp=0.0):
+    """Qubit channel from a random Stinespring isometry; damp mixes in the
+    channel that sends every input to |0>, whose outputs crowd a pure state."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
+    iso, _ = np.linalg.qr(x)
+    kraus = [math.sqrt(1.0 - damp) * iso[2 * i:2 * i + 2] for i in range(n_kraus)]
+    if damp > 0.0:
+        kraus += [math.sqrt(damp) * np.array([[1.0, 0.0], [0.0, 0.0]]),
+                  math.sqrt(damp) * np.array([[0.0, 1.0], [0.0, 0.0]])]
+    return channels.KrausChannel(kraus, 2, 2)
+
+
+def _check_hsw_result(ch, res):
+    lower, upper = res.bracket
+    assert lower <= upper
+    assert res.converged == (upper - lower <= capacity.HSW_GAP_TOL)
+    assert res.value == res.radius == lower
+    assert 1 <= len(res.optimal_ensemble) <= 4
+    weights = [w for w, _ in res.optimal_ensemble]
+    assert min(weights) > 0.0 and sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert capacity.channel_holevo(ch, res.optimal_ensemble) == pytest.approx(lower, abs=1e-9)
+    mean = states.ensemble_average([(w, channels.apply(ch, s)) for w, s in res.optimal_ensemble])
+    assert np.abs(mean - res.center).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_hsw_bracket_property(seed, n_kraus, damp):
+    ch = _random_channel(seed, n_kraus, damp)
+    _check_hsw_result(ch, capacity.hsw_capacity(ch))
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("bit_flip", 0.1), ("bit_flip", 0.127), ("phase_flip", 0.9), ("bit_phase_flip", 0.5),
+    ("depolarizing", 0.3), ("amplitude_damping", 0.1), ("amplitude_damping", 0.6),
+    ("identity", None),
+])
+def test_hsw_brackets_close_on_the_zoo(kind, p):
+    ch = _chan(kind, p)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.converged
+    if kind != "amplitude_damping":
+        exact = capacity.unital_hsw_closed_form(ch)
+        lower, upper = res.bracket
+        assert lower - 1e-9 <= exact <= upper + 1e-9
+
+
+@pytest.mark.parametrize("kind, p, value", [
+    ("amplitude_damping", 0.0, 0.0), ("depolarizing", 1.0, 0.0), ("dephasing", 1.0, 1.0),
+])
+def test_hsw_degenerate_channels(kind, p, value):
+    ch = _chan(kind, p)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.converged
+    lower, upper = res.bracket
+    assert lower - 1e-12 <= value <= upper + 1e-12
+
+
+_ORACLE_CHANNELS = (
+    [_chan(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
+     for p in (0.1, 0.5, 0.9)]
+    + [_chan("amplitude_damping", p) for p in (0.1, 0.5, 0.9)]
+    + [_random_channel(seed, 1 + seed % 4, 0.3 * (seed % 2)) for seed in range(5)]
+)
+
+
+@pytest.mark.parametrize("ch", _ORACLE_CHANNELS)
+def test_sphere_oracle_bounds_dense_directions(ch):
+    aff = channels.kraus_to_affine(ch)
+    outs = capacity.fibonacci_sphere(20_000) @ aff.A.T + aff.b
+    ellipsoid = capacity._OutputEllipsoid(aff)
+    rng = np.random.default_rng(3)
+    centers = [np.zeros(3), outs.mean(axis=0), 0.9 * outs[rng.integers(len(outs))],
+               rng.uniform(-0.4, 0.4, 3)]
+    for c in centers:
+        dense = float(kernels.batch_divergence(outs, c).max())
+        for lower in (dense - 1e-2, dense - 1e-7, 0.0):
+            upper, u = ellipsoid.oracle(BLOCH.grad(c), lower)
+            assert upper >= dense - 1e-12
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sphere_max_is_the_trust_region_value(rng):
+    dirs = capacity.fibonacci_sphere(20_000)
+    for k in range(40):
+        m = rng.normal(size=3)
+        g = rng.normal(size=3) * (0.0 if k % 10 == 0 else 1.0)
+        if k % 4 == 1:  # hard case: no pull along the top eigenvector
+            g[np.argmax(m)] = 0.0
+        if k % 4 == 2:  # repeated top eigenvalue
+            m[np.argsort(m)[-2]] = m.max()
+        bound, u = capacity._sphere_max(list(m), list(g))
+        dense = float(((dirs * dirs) @ m + dirs @ g).max())
+        at_u = float(np.asarray(u) ** 2 @ m + np.asarray(u) @ g)
+        assert at_u <= bound + 1e-12 and dense <= bound + 1e-12
+        assert bound - at_u <= 1e-9
+
+
+def test_capacity_cli_does_not_load_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from qgeomcap import cli\n"
+        f"code = cli.main(['capacity', {str(DATA / 'depolarizing.channel')!r},\n"
+        f"                 '--mode', 'holevo', '-o', {str(tmp_path / 'r.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = pathlib.Path(capacity.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_hsw_rejects_non_qubit():

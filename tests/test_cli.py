@@ -4,7 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from qgeomcap import cli
+import qgeomcap
+from qgeomcap import capacity, cli
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -30,6 +31,65 @@ def test_capacity_depolarizing_closed_form(tmp_path):
     # p = 0.5 -> 1 - H(0.25)
     h = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
     assert abs(report["value"] - (1.0 - h)) < 1e-3
+
+
+def test_capacity_holevo_bracket_and_provenance(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["capacity", DATA / "depolarizing.channel", "-o", out]) == 0
+    report = json.loads(out.read_text())
+    lower, upper = report["bracket"]
+    assert lower == report["value"] == report["radius"] <= upper
+    assert report["converged"] and upper - lower <= capacity.HSW_GAP_TOL
+    assert report["iterations"] >= 1 and len(report["optimal_ensemble"]) <= 4
+    prov = report["provenance"]
+    assert prov["backend"] == qgeomcap.BACKEND and prov["numpy"] == np.__version__
+    assert "scipy" not in prov and prov["flags"] == {"mode": "holevo"}
+    assert run(["validate", out]) == 0
+    for value in (upper + 1e-6, lower - 1e-6):
+        report["value"] = value
+        out.write_text(json.dumps(report))
+        assert run(["validate", out]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", DATA / "depolarizing.channel", "--mode", "bogus"],
+    ["capacity", DATA / "depolarizing.channel", "--eps", 0.1],
+    ["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv", "--uses", "two"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, line, rule", [
+    ("1000,0\n0,1\n", 1, "sums to 1000"),
+    ("1,0\n-0.5,1.5\n", 2, "negative entry"),
+    ("0.5,0.5\n0.3,0.3\n", 2, "sums to 0.6"),
+    ("# Bloch\n0,0,1\n0.9,0.9,0\n", 3, "outside the unit ball"),
+    ("1,0\n0,0,1\n", 2, "3 columns, the first row has 2"),
+])
+def test_zeroerr_rejects_bad_input_states(tmp_path, capsys, rows, line, rule):
+    spec = tmp_path / "id.channel"
+    spec.write_text('kind = "identity"\n')
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(rows)
+    assert run(["zeroerr", spec, inputs]) == 1
+    err = capsys.readouterr().err
+    assert f"{inputs}, line {line}:" in err and rule in err
+
+
+def test_zeroerr_accepts_valid_input_states(tmp_path):
+    spec = tmp_path / "id.channel"
+    spec.write_text('kind = "identity"\n')
+    inputs = tmp_path / "inputs.csv"
+    for rows, k in (("0,0,1\n0,0,-1\n0.6,0.8,0\n", 2), ("1,0\n0,1\n0.5,0.5\n", 2)):
+        inputs.write_text(rows)
+        out = tmp_path / "ze.json"
+        assert run(["zeroerr", spec, inputs, "-o", out]) == 0
+        assert json.loads(out.read_text())["K"] == k
 
 
 def test_capacity_erasure_quantum_zero(tmp_path):

@@ -218,6 +218,15 @@ def test_seb_improved_pure_seeded_start():
         assert res.upper <= r_lo + delta + NUDGE_ALLOWANCE
 
 
+def test_seb_basic_pure_start_has_finite_history():
+    pset = WeightedPointSet(points=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    res = infogeo.minimax_ball(BLOCH, pset)
+    for seed in (None, 0, 1, 2, 3):
+        ball = infogeo.seb_basic(BLOCH, pset, 0.05, seed=seed)
+        assert np.isfinite(ball.history).all()
+        assert ball.radius == ball.history[-1] >= res.lower - NUDGE_ALLOWANCE
+
+
 def test_seb_solvers_on_duplicated_rows():
     # D(p || p) rounds to -6e-17 here, which once made seb_improved's radius negative
     p = 0.5 * np.array([0.5, 0.0, 1.0]) / np.linalg.norm([0.5, 0.0, 1.0])

@@ -74,7 +74,7 @@ def test_singular_center(rng, shrink):
 def test_entropy_clamps_match():
     radii = [0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-12]
     batch = _kernels_py._neg_entropy(np.array(radii))
-    scalar = [_kernels_py._neg_entropy_scalar(r) for r in radii]
+    scalar = [_kernels_py.neg_entropy_scalar(r) for r in radii]
     np.testing.assert_allclose(scalar, batch, rtol=0.0, atol=TOL)
     for values in (batch, scalar):  # maximally mixed, pure, and clamped to pure
         assert values[0] == -1.0 and values[-2] == 0.0 and values[-1] == 0.0
