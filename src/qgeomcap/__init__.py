@@ -2,11 +2,11 @@
 
 Quantum relative entropy is the Bregman divergence of the negative von
 Neumann entropy, so channel capacities become radii of smallest enclosing
-information balls. The package provides the divergence kernels (compiled
-with a pure-numpy fallback), enclosing-ball solvers, HSW/coherent/private
-capacity estimators, superactivation sweeps, zero-error rates via exact
-independent sets of confusability graphs, and mu-similar k-median
-clustering with weak core-sets.
+information balls. The package provides the numpy divergence kernels,
+enclosing-ball solvers, HSW/coherent/private capacity estimators,
+superactivation sweeps, zero-error rates via exact independent sets of
+confusability graphs, and mu-similar k-median clustering with weak
+core-sets.
 """
 
 from .kernels import BACKEND

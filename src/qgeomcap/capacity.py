@@ -23,7 +23,6 @@ HSW_MAX_ROUNDS = 100
 HSW_START_COLUMNS = 32
 # interval splits of one sphere-oracle call
 _ORACLE_MAX_SPLITS = 500
-_LN2 = math.log(2.0)
 _BLOCH = infogeo.Generator("neg_von_neumann")
 
 
@@ -79,10 +78,7 @@ def _psi(q):
 
 def _psi_slope(q):
     """psi'(q) = atanh(r) / (2 r ln 2), r = sqrt(q), kept finite at purity."""
-    r = min(math.sqrt(max(q, 0.0)), 1.0 - 1e-12)
-    if r < 1e-8:
-        return 0.5 / _LN2
-    return math.atanh(r) / (2.0 * r * _LN2)
+    return 0.5 * kernels.grad_coeff(min(math.sqrt(max(q, 0.0)), 1.0 - 1e-12))
 
 
 def _sphere_max(m, g):

@@ -8,15 +8,18 @@ from a ``ChannelSpec``, which also supports externally declared capacities
 for channels whose Kraus form is not available.
 """
 
-from dataclasses import dataclass, field
-
 import ast
+import numbers
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import states
 
 COMPLETENESS_TOL = 1e-10
+# largest in_dim or out_dim a ChannelSpec may declare
+MAX_SPEC_DIM = 1024
 
 _PAULI = {
     "x": states.PAULI_X,
@@ -94,13 +97,33 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in KNOWN_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        for key in ("in_dim", "out_dim"):
+            d = getattr(self, key)
+            if d is not None and (isinstance(d, bool) or not isinstance(d, numbers.Integral)
+                                  or not 1 <= d <= MAX_SPEC_DIM):
+                raise ValueError(f"{key} must be an integer in [1, {MAX_SPEC_DIM}], got {d!r}")
+        if self.private_capacity_bits is not None:
+            self.private_capacity_bits = _real("private_capacity_bits", self.private_capacity_bits)
+        w = self.activation_window
+        if w is not None:
+            if not (isinstance(w, (list, tuple)) and len(w) == 2):
+                raise ValueError(f"activation_window must be a pair [lo, hi], got {w!r}")
+            self.activation_window = tuple(_real("activation_window", v) for v in w)
+
+
+def _real(key, value):
+    """value as a float; ValueError naming key unless it is a finite real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _p(spec, default=None):
     p = spec.params.get("p", default)
     if p is None:
         raise ValueError(f"channel kind {spec.kind!r} requires parameter p")
-    p = float(p)
+    p = _real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"parameter p={p} outside [0, 1]")
     return p
@@ -240,10 +263,13 @@ def tensor_channels(ch1, ch2):
 
 
 def _complex_matrix(nested):
-    """Matrix from nested [re, im] pairs."""
-    arr = np.asarray(nested, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("complex matrices are nested [re, im] pairs")
+    """Matrix from nested [re, im] pairs of finite reals."""
+    try:
+        arr = np.asarray(nested, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not an array of reals
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[2] != 2 or not np.isfinite(arr).all():
+        raise ValueError("kraus: complex matrices are nested [re, im] pairs of finite reals")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -270,27 +296,26 @@ def parse_channel_spec(text):
         key = key.strip()
         try:
             fields[key] = ast.literal_eval(val.strip())
-        except (ValueError, SyntaxError) as exc:
+        # TypeError: an unhashable set or dict key; MemoryError: nesting too deep
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: cannot parse value for {key}: {exc}")
     if "kind" not in fields:
         raise ValueError("channel spec missing required key 'kind'")
     kind = fields.pop("kind")
     kraus = fields.pop("kraus", None)
     if kraus is not None:
+        if not isinstance(kraus, (list, tuple)):
+            raise ValueError(f"kraus must be a list of matrices, got {kraus!r}")
         kraus = [_complex_matrix(k) for k in kraus]
-    window = fields.pop("activation_window", None)
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
-    spec = ChannelSpec(
+    return ChannelSpec(
         kind=kind,
         kraus=kraus,
         in_dim=fields.pop("in_dim", None),
         out_dim=fields.pop("out_dim", None),
         private_capacity_bits=fields.pop("private_capacity_bits", None),
-        activation_window=window,
+        activation_window=fields.pop("activation_window", None),
         params=fields,
     )
-    return spec
 
 
 def matrix_to_pairs(m):

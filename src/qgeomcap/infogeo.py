@@ -3,7 +3,7 @@ balls, a certified minimax solver, and Laguerre-lifted Delaunay structures.
 
 Two divergence families are provided. ``neg_von_neumann`` works on qubit
 Bloch vectors, where the generator F(r) = Tr(rho log2 rho) has the closed
-forms used by the compiled kernels and the Bregman divergence equals the
+forms of the kernels module and the Bregman divergence equals the
 quantum relative entropy in bits. ``squared_euclidean`` works on plain real
 vectors and recovers ||x - y||^2; it is the sanity geometry for the solvers.
 
@@ -48,23 +48,16 @@ class Generator:
         x = np.asarray(x, dtype=float)
         if self.name == "squared_euclidean":
             return float(x @ x)
-        r = min(float(np.linalg.norm(x)), 1.0)
-        out = 0.0
-        for lam in ((1.0 + r) / 2.0, (1.0 - r) / 2.0):
-            if lam > 1e-15:
-                out += lam * np.log2(lam)
-        return out
+        return kernels.neg_entropy_scalar(float(np.linalg.norm(x)))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.name == "squared_euclidean":
             return 2.0 * x
         r = float(np.linalg.norm(x))
-        if r < 1e-15:
-            return np.zeros_like(x)
         if r >= 1.0:
             raise ValueError("gradient singular at a pure state (|r| = 1)")
-        return (0.5 * np.log2((1.0 + r) / (1.0 - r)) / r) * x
+        return kernels.grad_coeff(r) * x
 
     def grad_inv(self, y):
         y = np.asarray(y, dtype=float)

@@ -82,12 +82,7 @@ def binary_entropy(p):
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p}")
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        out -= (1 - p) * np.log2(1 - p)
-    return out
+    return -kernels.neg_entropy_scalar(abs(2.0 * p - 1.0))
 
 
 def relative_entropy(rho, sigma):

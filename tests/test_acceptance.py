@@ -70,9 +70,8 @@ def test_criterion_03_product_additivity_and_bell_gap():
 
 
 def test_criterion_04_hsw_closed_forms():
-    # untimed first solve: it absorbs the one-time lazy import of
-    # scipy.optimize by the polish step, which is not part of any channel's
-    # solve and is paid here only when no earlier test imported scipy
+    # untimed first solve: a warm-up, so that the one-time costs of a first
+    # call in the process fall outside the timed solves
     capacity.hsw_capacity(_chan("depolarizing", 0.5))
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):

@@ -3,9 +3,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgeomcap
-from qgeomcap import capacity, cli
+from qgeomcap import capacity, channels, cli
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -282,3 +283,79 @@ def test_validate_rejects_bad_report(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"type": "mystery"}')
     assert run(["validate", unknown]) == 1
+
+
+@pytest.mark.parametrize("spec, key", [
+    ('kind = "depolarizing"\np = [1]', "p"),
+    ('kind = "custom_kraus"\nkraus = 1', "kraus"),
+    ('kind = "identity"\nin_dim = 0.5', "in_dim"),
+    ('kind = "identity"\nin_dim = -1', "in_dim"),
+    ('kind = "declared_capacity"\nactivation_window = {}', "activation_window"),
+    ('kind = "declared_capacity"\nprivate_capacity_bits = 1j', "private_capacity_bits"),
+])
+def test_channel_spec_wrong_type_names_key(tmp_path, capsys, spec, key):
+    path = tmp_path / "bad.channel"
+    path.write_text(spec + "\n")
+    mode = "private" if key == "private_capacity_bits" else "holevo"
+    assert run(["capacity", path, "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+# valid Kraus sets as [re, im] pairs: identity, amplitude damping 0.36, a
+# phase gate, a qubit-to-qutrit isometry and a one-dimensional channel
+_KRAUS_SETS = [[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+               [[[[1, 0], [0, 0]], [[0, 0], [0.8, 0]]], [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]]],
+               [[[[1, 0], [0, 0]], [[0, 0], [0, 1]]]],
+               [[[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]], [[[[1, 0]]]]]
+_wild = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(10**300, 10**301),
+              st.floats(-2.0, 2.0), st.sampled_from([1e999, -1e999, 1j, "", "x", b"x"]),
+              st.sampled_from(_KRAUS_SETS)),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.integers(0, 2), inner, max_size=2),
+    max_leaves=8).map(repr) | st.just("{[1]: 2}")
+_spec_values = {
+    "p": st.floats(0.0, 1.0).map(repr),
+    "kraus": st.sampled_from(_KRAUS_SETS).map(repr),
+    "in_dim": st.sampled_from(["2", "2", "1", "3"]),
+    "out_dim": st.sampled_from(["2", "2", "1", "3"]),
+    "private_capacity_bits": st.floats(0.0, 2.0).map(repr),
+    "activation_window": st.lists(st.floats(0.0, 0.01), min_size=2, max_size=2).map(repr),
+}
+
+
+@st.composite
+def _spec_file(draw):
+    """A spec of a random kind with a random subset of the keys, each with
+    a valid value or, less often, a wild one."""
+    lines = [f"kind = {draw(st.sampled_from(channels.KNOWN_KINDS + ('no_such_kind',)))!r}"]
+    for key, good in _spec_values.items():
+        pick = draw(st.integers(0, 5))  # 0: key absent, 5: wild value
+        if pick:
+            lines.append(f"{key} = {draw(_wild if pick == 5 else good)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spec_file(), st.sampled_from(["holevo", "quantum", "private"]))
+def test_capacity_never_raises_on_channel_specs(tmp_path_factory, text, mode):
+    path = tmp_path_factory.mktemp("spec") / "f.channel"
+    path.write_text(text)
+    assert run(["capacity", path, "--mode", mode, "-o", path.with_suffix(".json")]) in (0, 1, 2, 3)
+
+
+_good_row = st.tuples(st.lists(st.floats(-0.577, 0.577), min_size=3, max_size=3),
+                      st.lists(st.floats(0.0, 2.0), max_size=2)).map(lambda t: t[0] + t[1])
+_wild_row = st.lists(st.floats() | st.integers(-2, 2)
+                     | st.sampled_from(["", "x", "#", "1e999", " 0.5", "nan"]),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_good_row | _wild_row, min_size=1, max_size=8),
+       st.sampled_from(["basic", "improved", "oracle"]))
+def test_ball_never_raises_on_point_files(tmp_path_factory, rows, algorithm):
+    path = tmp_path_factory.mktemp("points") / "p.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    assert run(["ball", path, "--algorithm", algorithm, "-o", path.with_suffix(".json")]) in (0, 1, 2, 3)

@@ -6,10 +6,16 @@ bloch_relative_entropy must give the same values to 1e-12 bits, including
 at pure points, at a center at the origin and at a singular center.
 """
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qgeomcap import _kernels_py, infogeo, kernels
+from qgeomcap import capacity, infogeo, kernels, states
 
 from conftest import random_bloch
 
@@ -73,11 +79,27 @@ def test_singular_center(rng, shrink):
 
 def test_entropy_clamps_match():
     radii = [0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-12]
-    batch = _kernels_py._neg_entropy(np.array(radii))
-    scalar = [_kernels_py.neg_entropy_scalar(r) for r in radii]
+    batch = kernels._neg_entropy(np.array(radii))
+    scalar = [kernels.neg_entropy_scalar(r) for r in radii]
     np.testing.assert_allclose(scalar, batch, rtol=0.0, atol=TOL)
     for values in (batch, scalar):  # maximally mixed, pure, and clamped to pure
         assert values[0] == -1.0 and values[-2] == 0.0 and values[-1] == 0.0
+
+
+def test_qubit_formulas_have_one_implementation():
+    # Generator.F / grad, capacity._psi_slope and states.binary_entropy all
+    # evaluate the kernels' entropy term and gradient coefficient
+    bloch = infogeo.Generator("neg_von_neumann")
+    for r in [0.0, 1e-13, 1e-3, 0.3, 0.9, 1.0 - 1e-9]:
+        exact = 1.0 / math.log(2.0) if r == 0.0 else math.atanh(r) / (r * math.log(2.0))
+        assert kernels.grad_coeff(r) == pytest.approx(exact, rel=1e-12)
+        assert capacity._psi_slope(r * r) == pytest.approx(0.5 * exact, rel=1e-12)
+        x = np.array([0.0, 0.6, 0.8]) * r
+        assert np.array_equal(bloch.grad(x), kernels.grad_coeff(float(np.linalg.norm(x))) * x)
+        assert bloch.F(x) == kernels.neg_entropy_scalar(float(np.linalg.norm(x)))
+    for p in [0.0, 1e-6, 0.1, 0.25, 0.5, 0.9, 1.0]:
+        direct = -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+        assert states.binary_entropy(p) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_cached_path_is_bit_identical(rng):
@@ -102,3 +124,12 @@ def test_natural_coordinate_form(rng):
         natural = ent + bloch.F_star(theta) - points @ theta
         np.testing.assert_allclose(natural, kernels.batch_divergence(points, center),
                                    rtol=0.0, atol=1e-11)
+
+
+def test_bench_kernels_script_runs():
+    root = pathlib.Path(kernels.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+                           "--sizes", "10"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "prepared_divergence" in proc.stdout and "minimax_ball" in proc.stdout
