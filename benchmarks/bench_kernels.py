@@ -3,7 +3,9 @@
 Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
-certifies.
+certifies, then capacity.hsw_capacity on the depolarizing and flip channels
+of the HSW acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
+its column-generation rounds and the minimax_ball steps of all rounds.
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
 """
@@ -13,7 +15,13 @@ import time
 
 import numpy as np
 
-from qgeomcap import infogeo, kernels
+from qgeomcap import capacity, channels, infogeo, kernels
+
+GRID = [round(0.1 * k, 1) for k in range(1, 10)]
+HSW_CASES = ([("depolarizing", p) for p in GRID]
+             + [(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
+                for p in (0.1, 0.5, 0.9)]
+             + [("amplitude_damping", p) for p in GRID])
 
 
 def random_interior_points(n, rng):
@@ -53,6 +61,29 @@ def main():
         res = infogeo.minimax_ball(g, pset)
         t = bench(infogeo.minimax_ball, g, pset)
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
+
+    print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
+    solve = infogeo.minimax_ball
+    steps = [0]
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        steps[0] += res.steps
+        return res
+
+    infogeo.minimax_ball = counted
+    try:
+        for kind, p in HSW_CASES:
+            ch = channels.build_channel(channels.ChannelSpec(kind, {"p": p}))
+            steps[0] = 0
+            res = capacity.hsw_capacity(ch)
+            per_solve = steps[0]
+            t = bench(capacity.hsw_capacity, ch, repeats=3)
+            lo, up = res.bracket
+            print(f"{kind + ' p=' + str(p):<24}{res.iterations:>8}{per_solve:>8}"
+                  f"{t * 1e3:>10.1f}ms{up - lo:>12.2e}")
+    finally:
+        infogeo.minimax_ball = solve
 
 
 if __name__ == "__main__":

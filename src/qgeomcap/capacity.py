@@ -185,44 +185,23 @@ class _OutputEllipsoid:
         return -heap[0][0], self.V @ np.array(best[1])
 
 
-def _caratheodory(points, ent, weights):
-    """Weights on at most 4 of the points, with the same mean and no lower chi.
-
-    chi(w) = sum_i w_i F(p_i) - F(pbar) is linear in w while the mean pbar
-    stays fixed. Each step takes a null vector v of [p_i; 1] on five support
-    points, signs it so that sum_i v_i F(p_i) >= 0, and moves the weights
-    along it until the first one reaches 0.
-    """
-    w = np.array(weights, dtype=float)
-    while np.count_nonzero(w) > 4:
-        idx = np.flatnonzero(w)
-        idx = idx[np.argsort(w[idx], kind="stable")[:5]]
-        v = np.linalg.svd(np.vstack([points[idx].T, np.ones(5)]))[2][-1]
-        if v @ ent[idx] < 0.0:
-            v = -v
-        ratios = np.full(5, np.inf)
-        ratios[v < 0.0] = w[idx][v < 0.0] / -v[v < 0.0]
-        j = int(np.argmin(ratios))
-        w[idx] = np.maximum(w[idx] + ratios[j] * v, 0.0)
-        w[idx[j]] = 0.0
-    return w / w.sum()
-
-
 def hsw_capacity(ch):
     """HSW capacity of a qubit channel as a certified minimax information radius.
 
     The capacity is min_c max_{|u|=1} D(N(u) || c) (Schumacher and
     Westmoreland 2001), solved by column generation. The columns start as
     the outputs of HSW_START_COLUMNS fibonacci_sphere directions. Each round
-    solves the finite minimax with infogeo.minimax_ball, whose weights give
-    the lower end chi(w), bounds max_u D(N(u) || c) at its centre c with
-    the sphere oracle, and adds the oracle's input direction as a column.
+    solves the finite minimax with infogeo.minimax_ball, warm-started from
+    the previous round's solution, whose weights give the lower end chi(w),
+    bounds max_u D(N(u) || c) at its centre c with the sphere oracle, and
+    adds the oracle's input direction as a column.
     It stops when the bracket is HSW_GAP_TOL wide or after HSW_MAX_ROUNDS
     rounds, which leaves converged False.
 
-    The ensemble is pruned to at most 4 states without lowering chi. value
-    and radius are chi of the reported ensemble, the lower end; center is
-    its output mean; bracket is [lower, upper]; iterations counts rounds.
+    infogeo.caratheodory prunes the ensemble, without lowering chi, to
+    states with affinely independent outputs, so at most 4. value and
+    radius are chi of the reported ensemble, the lower end; center is its
+    output mean; bracket is [lower, upper]; iterations counts rounds.
     A channel whose outputs all coincide has capacity [0, 0].
     """
     if ch.in_dim != 2 or ch.out_dim != 2:
@@ -243,9 +222,10 @@ def hsw_capacity(ch):
     ellipsoid = _OutputEllipsoid(aff)
     upper = math.inf
     rounds = 0
+    res = None
     while True:
         rounds += 1
-        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs))
+        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs), warm=res)
         up, u = ellipsoid.oracle(_BLOCH.grad(res.center), res.lower)
         upper = min(upper, up)
         if upper - res.lower <= HSW_GAP_TOL or rounds == HSW_MAX_ROUNDS:
@@ -253,7 +233,7 @@ def hsw_capacity(ch):
         dirs = np.vstack([dirs, u])
         outs = np.vstack([outs, aff(u)])
     ent = kernels.neg_entropy(outs)
-    weights = _caratheodory(outs, ent, res.weights)
+    weights = infogeo.caratheodory(outs, ent, res.weights)
     keep = np.flatnonzero(weights)
     mean = weights @ outs
     lower = float(weights @ ent) - kernels.neg_entropy_scalar(float(np.linalg.norm(mean)))

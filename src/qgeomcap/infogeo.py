@@ -13,6 +13,7 @@ identical to applying matrix log/exp to the density matrices and
 renormalizing the trace, so centers always remain valid states.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,13 @@ MAX_BASIC_ROUNDS = 1_000_000
 MINIMAX_GAP_TOL = 1e-9
 # iterations of minimax_ball beyond which it returns an open bracket
 MINIMAX_MAX_STEPS = 500
+# Newton steps of one active-set finish of minimax_ball before it gives up
+_FINISH_STEPS = 8
+# the finish starts from the _FINISH_POINTS * (d + 1) largest weights
+_FINISH_POINTS = 2
+# points whose [p_i; 1] has a singular value this far below the largest are
+# affinely dependent for caratheodory and the finish
+_AFFINE_TOL = 1e-12
 # Bloch rows may overshoot the unit sphere by this much (also the CLI reader's limit)
 BLOCH_RADIUS_TOL = 1e-9
 _LN2 = np.log(2.0)
@@ -48,13 +56,13 @@ class Generator:
         x = np.asarray(x, dtype=float)
         if self.name == "squared_euclidean":
             return float(x @ x)
-        return kernels.neg_entropy_scalar(float(np.linalg.norm(x)))
+        return kernels.neg_entropy_scalar(math.sqrt(float(x @ x)))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.name == "squared_euclidean":
             return 2.0 * x
-        r = float(np.linalg.norm(x))
+        r = math.sqrt(float(x @ x))
         if r >= 1.0:
             raise ValueError("gradient singular at a pure state (|r| = 1)")
         return kernels.grad_coeff(r) * x
@@ -63,7 +71,7 @@ class Generator:
         y = np.asarray(y, dtype=float)
         if self.name == "squared_euclidean":
             return 0.5 * y
-        m = float(np.linalg.norm(y))
+        m = math.sqrt(float(y @ y))
         if m < 1e-15:
             return np.zeros_like(y)
         return (np.tanh(m * _LN2) / m) * y
@@ -77,7 +85,7 @@ class Generator:
         theta = np.asarray(theta, dtype=float)
         if self.name == "squared_euclidean":
             return float(theta @ theta) / 4.0
-        m = float(np.linalg.norm(theta))
+        m = math.sqrt(float(theta @ theta))
         return float(np.logaddexp2(m, -m))
 
     def hess_star(self, theta):
@@ -86,7 +94,7 @@ class Generator:
         eye = np.eye(theta.shape[0])
         if self.name == "squared_euclidean":
             return 0.5 * eye
-        m = float(np.linalg.norm(theta))
+        m = math.sqrt(float(theta @ theta))
         if m < 1e-15:
             return _LN2 * eye
         t = np.tanh(m * _LN2)
@@ -233,8 +241,9 @@ class MinimaxResult:
     """Certified solution of min_c max_i D(p_i || c) + r_i.
 
     upper = max_i D(p_i || center) + r_i is an enclosure actually reached;
-    lower = sum_i w_i b_i - F(sum_i w_i p_i), with b_i = F(p_i) + r_i, is
-    the dual value of the weights. So lower <= r* <= upper.
+    lower is the dual value of the weights, sum_i w_i b_i - F(sum_i w_i p_i)
+    with b_i = F(p_i) + r_i, or upper where rounding puts that above it.
+    So lower <= r* <= upper, up to the rounding of the scores.
     """
 
     center: np.ndarray
@@ -248,7 +257,129 @@ class MinimaxResult:
         return self.upper - self.lower
 
 
-def minimax_ball(g, pset):
+def _affine_dependence(points):
+    """A unit null vector v of [p_i; 1], so sum_i v_i p_i = 0 and
+    sum_i v_i = 0, or None when the points are affinely independent."""
+    _, sv, vt = np.linalg.svd(np.vstack([points.T, np.ones(len(points))]))
+    if len(points) <= points.shape[1] + 1 and sv[-1] > _AFFINE_TOL * sv[0]:
+        return None
+    return vt[-1]
+
+
+def _ratio_test(w, v):
+    """(j, step): w_j is the first weight of w + step * v to reach 0."""
+    ratios = np.full(len(v), np.inf)
+    with np.errstate(over="ignore"):  # a subnormal v_i gives an infinite ratio
+        ratios[v < 0.0] = w[v < 0.0] / -v[v < 0.0]
+    j = int(np.argmin(ratios))
+    return j, ratios[j]
+
+
+def caratheodory(points, values, weights):
+    """Weights on affinely independent points, so at most d + 1 of them,
+    with the same mean and no lower sum_i w_i values_i.
+
+    Each step takes a null vector v of [p_i; 1] on the d + 2 smallest
+    weights, or on the whole support when that is smaller but affinely
+    dependent, signs it so that <v, values> >= 0, and moves the weights
+    along it until the first one reaches 0. The mean stays fixed, so with
+    values_i = F(p_i) + r_i the dual value sum_i w_i values_i - F(mean)
+    does not fall.
+    """
+    w = np.array(weights, dtype=float)
+    k = points.shape[1] + 2
+    while True:
+        idx = np.flatnonzero(w)
+        idx = idx[np.argsort(w[idx], kind="stable")[:k]]
+        v = _affine_dependence(points[idx])
+        if v is None:
+            return w / w.sum()
+        if v @ values[idx] < 0.0:
+            v = -v
+        j, step = _ratio_test(w[idx], v)
+        w[idx] = np.maximum(w[idx] + step * v, 0.0)
+        w[idx[j]] = 0.0
+
+
+def _active_set_finish(g, pts, b, theta, w, enter, certify):
+    """Newton's method on the KKT system of a small support; True once
+    certify reports the bracket closed (or the step budget spent).
+
+    caratheodory reduces the _FINISH_POINTS * (d + 1) largest weights of w
+    to an affinely independent support S. At the minimiser every point of
+    S has the same score, F*(theta) + b_i - <p_i, theta> = t, and
+    grad F*(theta) = sum_i lam_i p_i with sum_i lam_i = 1. The Jacobian of
+    that square system does not involve lam or t, so each step solves for
+    the new theta, lam and t at once; it is nonsingular while S is affinely
+    independent. The step solves the quadratic model of the largest score
+    on S, so it descends on that score; backtracking damps it where the
+    model overshoots. Before each step the farthest point at theta (enter,
+    at the start) joins S if it is outside, and when S then is affinely
+    dependent the null vector of [p_i; 1] that raises its weight from 0
+    decides which point leaves (a ratio test); after a step that gives a
+    point lam_i < 0, that point leaves instead. Every iterate is certified
+    with the clipped lam. False after _FINISH_STEPS steps, or at a
+    singular system, a non-finite step, a step that cannot descend or a
+    centre on the singular shell.
+    """
+    d = pts.shape[1]
+    k = _FINISH_POINTS * (d + 1)
+    if len(w) > k:
+        w = w.copy()
+        w[np.argpartition(w, -k)[:-k]] = 0.0
+    w = caratheodory(pts, b, w)
+    support = list(np.flatnonzero(w))
+    lam = w[support]
+    for _ in range(_FINISH_STEPS):
+        if enter is not None and enter not in support:
+            support.append(enter)
+            v = _affine_dependence(pts[support])
+            if v is not None:
+                del support[_ratio_test(np.append(lam, 0.0), v if v[-1] >= 0.0 else -v)[0]]
+        p, bs, m = pts[support], b[support], len(support)
+
+        def merit(th):
+            return g.F_star(th) + float((bs - p @ th).max())
+
+        c = g.grad_inv(theta)
+        kkt = np.zeros((d + m + 1, d + m + 1))
+        kkt[:d, :d] = g.hess_star(theta)
+        kkt[:d, d:-1] = -p.T
+        kkt[d:-1, :d] = c - p
+        kkt[d:-1, -1] = -1.0
+        kkt[-1, d:-1] = 1.0
+        rhs = np.concatenate([-c, p @ theta - bs - g.F_star(theta), [1.0]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(sol).all():
+            return False
+        step, lam, t = sol[:d], sol[d:-1], sol[-1]
+        f = merit(theta)
+        slack = 1e-13 * (1.0 + abs(f))
+        alpha = 1.0
+        while merit(theta + alpha * step) > f - 0.25 * alpha * max(f - t, 0.0) + slack:
+            alpha *= 0.5
+            if alpha < 1e-12:
+                return False
+        theta = theta + alpha * step
+        w = np.zeros(len(pts))
+        w[support] = np.maximum(lam, 0.0)
+        idx, up, done = certify(g.grad_inv(theta), w / w.sum())
+        if done:
+            return True
+        if not np.isfinite(up):
+            return False
+        enter = idx
+        if lam.min() < 0.0:
+            j = int(np.argmin(lam))
+            del support[j]
+            lam, enter = np.delete(lam, j), None
+    return False
+
+
+def minimax_ball(g, pset, warm=None):
     """Smallest enclosing information ball of a finite set, with a bracket.
 
     In natural coordinates theta = grad F(c) the enclosure is
@@ -258,15 +389,27 @@ def minimax_ball(g, pset):
         F*(theta) + tau log sum_i exp((b_i - <p_i, theta>) / tau)
     from theta = grad F(mean of the points). tau starts at 0.1 (times the
     spread of the starting scores where that exceeds 1) and falls tenfold
-    whenever the smoothing, not the Newton solve, dominates the gap.
+    whenever the smoothing, not the Newton solve, dominates the gap. Before
+    each fall the active-set finish (_active_set_finish) tries to solve the
+    KKT system of the at most d + 1 points the softmax weights lean on,
+    which converges quadratically once that support is right; if it fails,
+    the continuation goes on from where it was.
     The softmax weights w of the smoothing are a dual point, so every
     iteration certifies
         [sum_i w_i b_i - F(sum_i w_i p_i), max_i D(p_i || c) + r_i].
     The solver stops when the bracket is MINIMAX_GAP_TOL wide (relative to
     the radius above 1, where the rounding of the scores exceeds it) or
-    after MINIMAX_MAX_STEPS iterations. A set whose rows all coincide
-    returns that point with radius max_i r_i. It uses the raw points, not
-    nudged ones: pure states are fine, since F stays finite on them.
+    after MINIMAX_MAX_STEPS iterations of either kind. The lower end is
+    reported as at most the upper one: an exact KKT solution can put the
+    dual value a rounding above the enclosure, and r* <= upper.
+
+    warm, a MinimaxResult on the first rows of pset (as column generation
+    builds them), starts with the finish from its centre and its weights
+    padded with 0; the continuation runs only if that fails.
+
+    A set whose rows all coincide returns that point with radius max_i r_i.
+    It uses the raw points, not nudged ones: pure states are fine, since F
+    stays finite on them.
     """
     pts = pset.points
     rad = pset.radii
@@ -279,6 +422,32 @@ def minimax_ball(g, pset):
     bloch = g.name == "neg_von_neumann"
     b = (kernels.neg_entropy(pts) if bloch else np.einsum("ij,ij->i", pts, pts)) + rad
     farthest = _farthest_of(g, pts, rad)
+    lower, upper, center, steps = -np.inf, np.inf, None, 0
+
+    def certify(c, w):
+        """Fold the bracket of (c, w) into the best one; (farthest index,
+        enclosure at c, whether the solver is done)."""
+        nonlocal lower, upper, center, weights, steps
+        steps += 1
+        lo = float(w @ b) - g.F(w @ pts)
+        if lo > lower:
+            lower, weights = lo, w
+        idx, up = farthest(c)
+        if up < upper:
+            upper, center = up, c
+        closed = upper < math.inf and upper - lower <= MINIMAX_GAP_TOL * max(1.0, upper)
+        return idx, up, closed or steps >= MINIMAX_MAX_STEPS
+
+    def result():
+        return MinimaxResult(center, weights, min(lower, upper), upper, steps)
+
+    # a warm centre on a pure point (the answer for one distinct row) has no theta
+    if warm is not None and not (bloch and math.sqrt(float(warm.center @ warm.center)) >= 1.0):
+        w = np.zeros(len(pset))
+        w[:len(warm.weights)] = warm.weights
+        if _active_set_finish(g, pts, b, g.grad(warm.center), w, farthest(warm.center)[0],
+                              certify):
+            return result()
 
     def smoothed(theta, tau):
         s = b - pts @ theta
@@ -296,24 +465,18 @@ def minimax_ball(g, pset):
     s = b - pts @ theta
     tau = 0.1 * max(1.0, float(s.max() - s.min()))
     f, s, w = smoothed(theta, tau)
-    lower, upper, center = -np.inf, np.inf, None
-    steps = 0
-    while steps < MINIMAX_MAX_STEPS:
-        steps += 1
+    while True:
         c = g.grad_inv(theta)
-        pbar = w @ pts
-        lo = float(w @ b) - g.F(pbar)
-        if lo > lower:
-            lower, weights = lo, w
-        _, up = farthest(c)
-        if up < upper:
-            upper, center = up, c
-        if upper - lower <= MINIMAX_GAP_TOL * max(1.0, upper):
+        idx, _, done = certify(c, w)
+        if done:
             break
         # gap = (max s - <w, s>) + D(pbar || c): smoothing plus Fenchel-Young
+        pbar = w @ pts
         smoothing = float(s.max() - w @ s)
         fenchel = g.F_star(theta) + g.F(pbar) - float(pbar @ theta)
         if fenchel <= 0.1 * smoothing:
+            if _active_set_finish(g, pts, b, theta, w, idx, certify):
+                break
             tau *= 0.1
             f, s, w = smoothed(theta, tau)
             continue
@@ -333,7 +496,7 @@ def minimax_ball(g, pset):
                 break
             alpha *= 0.5
         theta, f, s, w = trial, f_t, s_t, w_t
-    return MinimaxResult(center, weights, lower, upper, steps)
+    return result()
 
 
 def minimax_center_oracle(g, pset):

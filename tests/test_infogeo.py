@@ -171,6 +171,73 @@ def test_minimax_ball_euclidean_cloud(rng):
     assert res.upper <= _grid_minimax(EUCL, pset)[1] + 1e-12
 
 
+def _bloch_rows(rows):
+    """Bloch points with the directions (x, y, z) and radii r of rows."""
+    pts = np.array([[x, y, z] for x, y, z, _ in rows])
+    norms = np.linalg.norm(pts, axis=1)
+    pts = np.where(norms[:, None] > 1e-6, pts / np.maximum(norms, 1e-6)[:, None], 0.0)
+    return pts * np.array([r for *_, r in rows])[:, None]
+
+
+_warm_cases = st.integers(2, 14).flatmap(lambda n: st.tuples(
+    st.sampled_from(["bloch", "radii", "euclidean", "ring", "bloch_ring"]),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                       st.floats(0.0, 1.0)), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 0.1), min_size=n, max_size=n),
+    st.integers(1, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_warm_cases)
+def test_warm_started_minimax_ball(case):
+    # a warm start from the solution on the first k rows, as column
+    # generation passes it, certifies a closed bracket that overlaps the
+    # cold one; the rings put many points at the same distance (6 angles)
+    kind, rows, radii, k = case
+    g, rad = BLOCH, None
+    if kind in ("bloch", "radii"):
+        pts = _bloch_rows(rows)
+        rad = radii if kind == "radii" else None
+    elif kind == "euclidean":
+        pts = 0.5 * np.array([[x, y] for x, y, *_ in rows])
+        g, rad = EUCL, radii
+    else:
+        angle = np.array([np.floor(3.0 * (x + 1.0)) % 6 for x, *_ in rows]) * np.pi / 3.0
+        ring = (0.1 + 0.8 * rows[0][3]) * np.column_stack([np.cos(angle), np.sin(angle)])
+        if kind == "ring":
+            pts, g = ring, EUCL
+        else:
+            pts = np.column_stack([ring, np.zeros(len(ring))])
+    pset = WeightedPointSet(points=pts, radii=rad)
+    sub = WeightedPointSet(points=pts[:k], radii=None if rad is None else rad[:k])
+    cold = infogeo.minimax_ball(g, pset)
+    warm = infogeo.minimax_ball(g, pset, warm=infogeo.minimax_ball(g, sub))
+    for res in (cold, warm):
+        assert 0.0 <= res.gap <= infogeo.MINIMAX_GAP_TOL
+    assert warm.lower <= cold.upper + 1e-12 and cold.lower <= warm.upper + 1e-12
+    assert warm.weights.min() >= 0.0 and warm.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert warm.lower <= _dual_value(g, pset, warm.weights) + 1e-12
+    if not (pts == pts[0]).all():
+        enclosure = float((g.batch_div(pset.points, warm.center) + pset.radii).max())
+        assert warm.upper == max(enclosure, 0.0)
+
+
+def test_caratheodory_keeps_mean_and_dual(rng):
+    # at most d + 1 affinely independent points, the same mean, no lower
+    # <w, values>; collinear points reduce to two
+    collinear = np.outer(rng.uniform(-1.0, 1.0, 12), [0.3, -0.2, 0.5])
+    for pts in (rng.normal(size=(30, 3)), rng.normal(size=(20, 2)), collinear):
+        values = rng.normal(size=len(pts))
+        w = rng.uniform(0.0, 1.0, len(pts))
+        w /= w.sum()
+        out = infogeo.caratheodory(pts, values, w)
+        keep = np.flatnonzero(out)
+        assert len(keep) <= (2 if pts is collinear else pts.shape[1] + 1)
+        assert out.min() >= 0.0 and out.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out @ pts, w @ pts, rtol=0.0, atol=1e-12)
+        assert out @ values >= w @ values - 1e-12
+
+
 @pytest.mark.parametrize("points, radii, center, radius", [
     ([[0.1, 0.2, 0.3]], [0.25], [0.1, 0.2, 0.3], 0.25),
     ([[0.1, 0.2, 0.3]] * 3, [0.0, 0.3, 0.1], [0.1, 0.2, 0.3], 0.3),
@@ -245,11 +312,7 @@ _clouds = st.integers(2, 12).flatmap(lambda n: st.tuples(
 @given(_clouds)
 def test_seb_brackets_contain_the_certified_one(cloud):
     rows, radii = cloud
-    pts = np.array([[x, y, z] for x, y, z, _ in rows])
-    norms = np.linalg.norm(pts, axis=1)
-    pts = np.where(norms[:, None] > 1e-6, pts / np.maximum(norms, 1e-6)[:, None], 0.0)
-    pts *= np.array([r for *_, r in rows])[:, None]
-    pset = WeightedPointSet(points=pts, radii=radii)
+    pset = WeightedPointSet(points=_bloch_rows(rows), radii=radii)
     res = infogeo.minimax_ball(BLOCH, pset)
     assert res.gap <= infogeo.MINIMAX_GAP_TOL
     ball = infogeo.seb_improved(BLOCH, pset, 0.05)

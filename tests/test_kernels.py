@@ -102,6 +102,15 @@ def test_qubit_formulas_have_one_implementation():
         assert states.binary_entropy(p) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("r", [1e-12, 1e-10, 1e-8])
+def test_grad_coeff_is_exact_at_small_radius(r):
+    # a log2((1 + r) / (1 - r)) form is off by up to 8e-6 here, which
+    # capacity._psi_slope's tangent on a zero-width interval inherits
+    exact = math.atanh(r) / (r * math.log(2.0))
+    for got in (kernels.grad_coeff(r), 2.0 * capacity._psi_slope(r * r)):
+        assert abs(got - exact) <= 4 * math.ulp(exact)
+
+
 def test_cached_path_is_bit_identical(rng):
     # the ball solvers score with prepared_divergence; Generator.batch_div
     # is the reference they must match exactly
@@ -133,3 +142,4 @@ def test_bench_kernels_script_runs():
                            "--sizes", "10"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "prepared_divergence" in proc.stdout and "minimax_ball" in proc.stdout
+    assert "amplitude_damping p=0.9" in proc.stdout
