@@ -291,10 +291,13 @@ def private_info(ch, ensemble=None):
 
 def coherent_info(ch, rho):
     """I_coh(rho, N) = S(N(rho)) - S(E(rho)) with E the complementary channel."""
+    return _coherent_info(ch, channels.complementary_channel(ch), rho)
+
+
+def _coherent_info(ch, comp, rho):
+    """coherent_info with the complementary channel comp built once."""
     s_b = states.von_neumann_entropy(channels.apply(ch, rho))
-    s_e = states.von_neumann_entropy(
-        channels.apply(channels.complementary_channel(ch), rho)
-    )
+    s_e = states.von_neumann_entropy(channels.apply(comp, rho))
     return s_b - s_e
 
 
@@ -325,7 +328,7 @@ def quantum_capacity_single_use(ch, candidates):
     best_val = -np.inf
     best_rho = None
     for rho in candidates:
-        val = coherent_info(ch, rho)
+        val = _coherent_info(ch, comp, rho)
         if val > best_val:
             best_val = val
             best_rho = rho

@@ -187,7 +187,11 @@ def cmd_sweep(args):
         raise ValueError("need 0 <= pc-min < pc-max <= 1")
     if args.model:
         with open(args.model) as fh:
-            model = superact.parse_model_file(fh.read())
+            text = fh.read()
+        try:
+            model = superact.parse_model_file(text)
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from None
     else:
         model = superact.ReferenceModel()
     grid = np.linspace(args.pc_min, args.pc_max, args.steps)

@@ -1,11 +1,15 @@
 """Bregman-divergence geometry: generators, smallest enclosing information
 balls, a certified minimax solver, and Laguerre-lifted Delaunay structures.
 
-Two divergence families are provided. ``neg_von_neumann`` works on qubit
-Bloch vectors, where the generator F(r) = Tr(rho log2 rho) has the closed
-forms of the kernels module and the Bregman divergence equals the
-quantum relative entropy in bits. ``squared_euclidean`` works on plain real
-vectors and recovers ||x - y||^2; it is the sanity geometry for the solvers.
+Generator(name) returns one of two geometries behind the one protocol the
+solvers use: F, grad, grad_inv, F_star, hess_star, div, batch_div; batch_F
+and prepared_div, which score a point set against many centres with
+F(p_i) computed once; and the domain rules check_rows, interior, inside.
+NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
+the kernels' closed forms, the divergence is the quantum relative entropy
+in bits and the domain is the unit ball, singular on its pure shell.
+SquaredEuclidean works on real vectors, recovers ||x - y||^2 and has the
+no-op domain rules of R^d; it is the sanity geometry for the solvers.
 
 Gradient-space interpolation grad_inv((1-t) grad(c) + t grad(s)) is the
 geodesic used by both enclosing-ball algorithms. For qubits this path is
@@ -41,27 +45,46 @@ _LN2 = np.log(2.0)
 
 
 class Generator:
-    """Convex generator F with gradient, inverse gradient and divergence.
+    """Convex generator F of D_F(x || y) = F(x) - F(y) - <x - y, grad F(y)>;
+    Generator(name) returns the geometry of that name.
 
-    name: "neg_von_neumann" (qubit Bloch vectors, divergence in bits) or
-    "squared_euclidean" (real vectors).
+    grad_inv is the gradient of F_star; batch_div, batch_F and
+    prepared_div(points, batch_F(points), center) act on the rows of
+    points. The domain rules defined here are those of R^d.
     """
 
-    def __init__(self, name):
-        if name not in ("neg_von_neumann", "squared_euclidean"):
+    def __new__(cls, name=None):
+        if cls is Generator and name not in _GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
-        self.name = name
+        return super().__new__(_GENERATORS[name] if cls is Generator else cls)
+
+    def check_rows(self, points):
+        """Raise ValueError naming the first row outside the domain."""
+
+    def interior(self, x, amount=NUDGE):
+        """x, or x moved into the interior of the domain by at most amount."""
+        return x
+
+    def inside(self, x, margin):
+        """Whether x lies farther than margin inside the domain's boundary."""
+        return True
+
+    def interpolate(self, c, s, t):
+        """Point at parameter t on the gradient-space geodesic from c to s."""
+        gc = self.grad(np.asarray(c, dtype=float))
+        gs = self.grad(np.asarray(s, dtype=float))
+        return self.grad_inv((1.0 - t) * gc + t * gs)
+
+
+class NegVonNeumann(Generator):
+    """F(r) = Tr(rho log2 rho) on qubit Bloch vectors; divergences in bits."""
 
     def F(self, x):
         x = np.asarray(x, dtype=float)
-        if self.name == "squared_euclidean":
-            return float(x @ x)
         return kernels.neg_entropy_scalar(math.sqrt(float(x @ x)))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        if self.name == "squared_euclidean":
-            return 2.0 * x
         r = math.sqrt(float(x @ x))
         if r >= 1.0:
             raise ValueError("gradient singular at a pure state (|r| = 1)")
@@ -69,31 +92,21 @@ class Generator:
 
     def grad_inv(self, y):
         y = np.asarray(y, dtype=float)
-        if self.name == "squared_euclidean":
-            return 0.5 * y
         m = math.sqrt(float(y @ y))
         if m < 1e-15:
             return np.zeros_like(y)
         return (np.tanh(m * _LN2) / m) * y
 
     def F_star(self, theta):
-        """Convex conjugate F*(theta) = max_x <x, theta> - F(x); grad_inv is its gradient.
-
-        For qubits F*(theta) = 1 + log2 cosh(ln 2 |theta|), evaluated as
-        log2(2^|theta| + 2^-|theta|) so that it cannot overflow.
-        """
+        """F*(theta) = 1 + log2 cosh(ln 2 |theta|), evaluated as
+        log2(2^|theta| + 2^-|theta|) so that it cannot overflow."""
         theta = np.asarray(theta, dtype=float)
-        if self.name == "squared_euclidean":
-            return float(theta @ theta) / 4.0
         m = math.sqrt(float(theta @ theta))
         return float(np.logaddexp2(m, -m))
 
     def hess_star(self, theta):
-        """Hessian of F* at theta, the Jacobian of grad_inv."""
         theta = np.asarray(theta, dtype=float)
         eye = np.eye(theta.shape[0])
-        if self.name == "squared_euclidean":
-            return 0.5 * eye
         m = math.sqrt(float(theta @ theta))
         if m < 1e-15:
             return _LN2 * eye
@@ -103,28 +116,79 @@ class Generator:
         return _LN2 * (1.0 - t * t) * radial + (t / m) * (eye - radial)
 
     def div(self, x, y):
-        """Bregman divergence D_F(x || y) = F(x) - F(y) - <x - y, grad F(y)>."""
-        if self.name == "squared_euclidean":
-            d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-            return float(d @ d)
         return kernels.bloch_relative_entropy(
             np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         )
 
     def batch_div(self, points, center):
-        """D_F(p_i || center) for all rows of points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        center = np.asarray(center, dtype=float)
-        if self.name == "squared_euclidean":
-            d = points - center
-            return (d * d).sum(axis=1)
-        return kernels.batch_divergence(points, center)
+        return kernels.batch_divergence(np.atleast_2d(np.asarray(points, dtype=float)), center)
 
-    def interpolate(self, c, s, t):
-        """Point at parameter t on the gradient-space geodesic from c to s."""
-        gc = self.grad(np.asarray(c, dtype=float))
-        gs = self.grad(np.asarray(s, dtype=float))
-        return self.grad_inv((1.0 - t) * gc + t * gs)
+    def batch_F(self, points):
+        return kernels.neg_entropy(points)
+
+    def prepared_div(self, points, f, center):
+        return kernels.prepared_divergence(points, f, center)
+
+    def check_rows(self, points):
+        """Raise ValueError naming the first row outside the unit ball.
+
+        WeightedPointSet is generator-agnostic, so the solvers check this
+        themselves: F clamps such a row to |r| = 1 while <p, theta> does not,
+        which would make every divergence to it silently wrong.
+        """
+        norms = np.linalg.norm(points, axis=1)
+        bad = np.flatnonzero(norms > 1.0 + BLOCH_RADIUS_TOL)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"row {i}: Bloch point outside the unit ball, |r| = {norms[i]:.6g}")
+
+    def interior(self, x, amount=NUDGE):
+        """Shrink Bloch vectors by mixing with the maximally mixed state.
+
+        rho -> (1 - amount) rho + amount I/2 keeps eigenvalues strictly positive
+        so gradients and lifts stay finite; the perturbation is disclosed and
+        bounded by amount.
+        """
+        return (1.0 - amount) * np.asarray(x, dtype=float)
+
+    def inside(self, x, margin):
+        return math.sqrt(float(x @ x)) < 1.0 - margin
+
+
+class SquaredEuclidean(Generator):
+    """F(x) = ||x||^2 on real vectors, so D_F(x || y) = ||x - y||^2."""
+
+    def F(self, x):
+        x = np.asarray(x, dtype=float)
+        return float(x @ x)
+
+    def grad(self, x):
+        return 2.0 * np.asarray(x, dtype=float)
+
+    def grad_inv(self, y):
+        return 0.5 * np.asarray(y, dtype=float)
+
+    def F_star(self, theta):
+        return self.F(theta) / 4.0
+
+    def hess_star(self, theta):
+        return 0.5 * np.eye(np.asarray(theta).shape[0])
+
+    def div(self, x, y):
+        return self.F(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+
+    def batch_div(self, points, center):
+        d = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, dtype=float)
+        return (d * d).sum(axis=1)
+
+    def batch_F(self, points):
+        return np.einsum("ij,ij->i", points, points)
+
+    def prepared_div(self, points, f, center):
+        return self.batch_div(points, center)
+
+
+_GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
 
 
 def symmetric_div(g, x, y):
@@ -177,31 +241,18 @@ class WeightedPointSet:
         return self.points.shape[0]
 
 
-def nudge_interior(points, amount=NUDGE):
-    """Shrink Bloch vectors by mixing with the maximally mixed state.
-
-    rho -> (1 - amount) rho + amount I/2 keeps eigenvalues strictly positive
-    so gradients and lifts stay finite; the perturbation is disclosed and
-    bounded by amount.
-    """
-    return (1.0 - amount) * np.atleast_2d(np.asarray(points, dtype=float))
-
-
-def _farthest_of(g, points, radii):
+def _farthest_of(g, points, radii, f=None):
     """farthest(center) -> (index, value) of max_i D(p_i||center) + r_i.
 
-    Ties go to the lowest index. For the Bloch generator F(p_i) is computed
-    once, so each center costs one matrix-vector product
-    (kernels.prepared_divergence, the same floats as batch_div). A value
-    below 0, which only rounding at a center on every point gives, reads 0.
+    Ties go to the lowest index. F(p_i) (f, or g.batch_F(points) when it
+    is not given) is computed once, so each center costs one
+    g.prepared_div, the same floats as batch_div. A value below 0, which
+    only rounding at a center on every point gives, reads 0.
     """
-    ent = None if g.name == "squared_euclidean" else kernels.neg_entropy(points)
+    f = g.batch_F(points) if f is None else f
 
     def farthest(center):
-        if ent is None:
-            vals = g.batch_div(points, center) + radii
-        else:
-            vals = kernels.prepared_divergence(points, ent, center) + radii
+        vals = g.prepared_div(points, f, center) + radii
         idx = int(np.argmax(vals))
         return idx, max(float(vals[idx]), 0.0)
 
@@ -218,22 +269,6 @@ def _bisect(below):
         else:
             hi = mid
     return hi
-
-
-def _check_bloch(g, points):
-    """Raise ValueError naming the first Bloch row outside the unit ball.
-
-    WeightedPointSet is generator-agnostic, so the solvers check this
-    themselves: F clamps such a row to |r| = 1 while <p, theta> does not,
-    which would make every divergence to it silently wrong.
-    """
-    if g.name != "neg_von_neumann":
-        return
-    norms = np.linalg.norm(points, axis=1)
-    bad = np.flatnonzero(norms > 1.0 + BLOCH_RADIUS_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"row {i}: Bloch point outside the unit ball, |r| = {norms[i]:.6g}")
 
 
 @dataclass
@@ -413,15 +448,15 @@ def minimax_ball(g, pset, warm=None):
     """
     pts = pset.points
     rad = pset.radii
-    _check_bloch(g, pts)
+    g.check_rows(pts)
     weights = np.zeros(len(pset))
     if (pts == pts[0]).all():
         k = int(np.argmax(rad))
         weights[k] = 1.0
         return MinimaxResult(pts[0].copy(), weights, float(rad[k]), float(rad[k]), 0)
-    bloch = g.name == "neg_von_neumann"
-    b = (kernels.neg_entropy(pts) if bloch else np.einsum("ij,ij->i", pts, pts)) + rad
-    farthest = _farthest_of(g, pts, rad)
+    f = g.batch_F(pts)
+    b = f + rad
+    farthest = _farthest_of(g, pts, rad, f)
     lower, upper, center, steps = -np.inf, np.inf, None, 0
 
     def certify(c, w):
@@ -442,7 +477,7 @@ def minimax_ball(g, pset, warm=None):
         return MinimaxResult(center, weights, min(lower, upper), upper, steps)
 
     # a warm centre on a pure point (the answer for one distinct row) has no theta
-    if warm is not None and not (bloch and math.sqrt(float(warm.center @ warm.center)) >= 1.0):
+    if warm is not None and g.inside(warm.center, 0.0):
         w = np.zeros(len(pset))
         w[:len(warm.weights)] = warm.weights
         if _active_set_finish(g, pts, b, g.grad(warm.center), w, farthest(warm.center)[0],
@@ -456,10 +491,8 @@ def minimax_ball(g, pset, warm=None):
         z = float(e.sum())
         return g.F_star(theta) + top + tau * np.log(z), s, e / z
 
-    start = pts.mean(axis=0)
-    if bloch:  # the mixture of nearly coincident pure rows can round onto the sphere
-        start = nudge_interior(start, 1e-6)[0]
-    theta = g.grad(start)
+    # the mixture of nearly coincident pure rows can round onto the sphere
+    theta = g.grad(g.interior(pts.mean(axis=0), 1e-6))
     # a temperature far below the spread of the scores makes the smoothing a
     # hard max, on which Newton zigzags between the top two points
     s = b - pts @ theta
@@ -522,10 +555,8 @@ def seb_basic(g, pset, eps, seed=None):
     n_iter = int(np.ceil(1.0 / (eps * eps)))
     if n_iter > MAX_BASIC_ROUNDS:
         raise ResourceCapError(f"eps = {eps:g} needs {n_iter} rounds, cap {MAX_BASIC_ROUNDS}")
-    pts = pset.points
-    _check_bloch(g, pts)
-    if g.name == "neg_von_neumann":
-        pts = nudge_interior(pts)
+    g.check_rows(pset.points)
+    pts = g.interior(pset.points)
     farthest = _farthest_of(g, pts, pset.radii)
     if seed is None:
         c = pts[0].copy()
@@ -607,10 +638,8 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    pts = pset.points
-    _check_bloch(g, pts)
-    if g.name == "neg_von_neumann":
-        pts = nudge_interior(pts)
+    g.check_rows(pset.points)
+    pts = g.interior(pset.points)
     rad = pset.radii
     farthest = _farthest_of(g, pts, rad)
     if seed is None:
@@ -683,17 +712,6 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     return InfoBall(center=best_c, radius=best_u, history=history)
 
 
-def seb_of_balls(g, pset, eps=0.01, method="basic"):
-    """Smallest information ball enclosing balls B(p_i, r_i).
-
-    The covering condition max_i D(b_i || c) reduces to
-    max_i (D(p_i || c) + r_i), so this is the point solver with additive
-    offsets; with all r_i = 0 it coincides with the plain enclosing ball.
-    """
-    solver = seb_basic if method == "basic" else seb_improved
-    return solver(g, pset, eps)
-
-
 def laguerre_lift(g, pset):
     """Euclidean spheres equivalent to the Bregman balls of the points.
 
@@ -706,10 +724,8 @@ def laguerre_lift(g, pset):
     centers = []
     sq_radii = []
     for p in pts:
-        if g.name == "neg_von_neumann" and np.linalg.norm(p) >= 1.0 - 1e-12:
-            raise ValueError(
-                "pure state on the divergence singularity cannot be lifted"
-            )
+        if not g.inside(p, 1e-12):
+            raise ValueError("point on the gradient singularity cannot be lifted")
         gp = g.grad(p)
         centers.append(gp)
         sq_radii.append(float(gp @ gp) + 2.0 * (g.F(p) - float(p @ gp)))
@@ -724,24 +740,11 @@ def _circumcenter(g, simplex_pts):
     in grad F(c), then c = grad_inv(solution). Returns None when degenerate.
     """
     p0 = simplex_pts[0]
-    rows = []
-    rhs = []
-    for p in simplex_pts[1:]:
-        rows.append(p - p0)
-        rhs.append(g.F(p) - g.F(p0))
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    rows = simplex_pts[1:] - p0
+    rhs = np.array([g.F(p) - g.F(p0) for p in simplex_pts[1:]])
     if np.linalg.matrix_rank(rows, tol=1e-10) < rows.shape[0]:
         return None
-    # grad F(c) restricted to the affine hull; the component orthogonal to
-    # the hull is fixed by requiring c = grad_inv(y) to exist; for full
-    # dimensional simplices (d+1 points in R^d) the system is square
-    if rows.shape[0] != rows.shape[1]:
-        y, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    else:
-        y = np.linalg.solve(rows, rhs)
-    c = g.grad_inv(y)
-    return c
+    return g.grad_inv(np.linalg.solve(rows, rhs))
 
 
 def bregman_delaunay(g, pset):
@@ -756,9 +759,7 @@ def bregman_delaunay(g, pset):
     """
     from itertools import combinations
 
-    pts = pset.points
-    if g.name == "neg_von_neumann":
-        pts = nudge_interior(pts)
+    pts = g.interior(pset.points)
     n, d = pts.shape
     if n > 50:
         raise ValueError("brute-force Delaunay is limited to n <= 50")
@@ -769,18 +770,16 @@ def bregman_delaunay(g, pset):
         c = _circumcenter(g, sub)
         if c is None:
             continue
-        if g.name == "neg_von_neumann" and np.linalg.norm(c) >= 1.0 - 1e-9:
+        if not g.inside(c, 1e-9):
             continue
         rad = float(g.batch_div(sub, c).mean())
         others = [i for i in range(n) if i not in combo]
-        empty = True
         for i in others:
             di = g.div(pts[i], c)
             if di < rad - 1e-9:
-                empty = False
                 break
             if abs(di - rad) <= 1e-9:
                 degenerate = True
-        if empty:
+        else:
             simplices.append(tuple(combo))
     return simplices, degenerate

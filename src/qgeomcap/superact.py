@@ -16,6 +16,7 @@ it in as a custom Kraus spec.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,16 +181,33 @@ def superball_center_and_boundary(candidates):
 
 def parse_model_file(text):
     """ReferenceModel from a flat key/value document with keys
-    P1_horodecki, window_lo, window_hi."""
-    vals = {}
-    for raw in text.splitlines():
+    P1_horodecki, window_lo, window_hi; a missing key keeps its default.
+
+    Raises ValueError naming the line or the key for a line without "=",
+    an unknown key, a value that is not a finite real, P1 < 0, or a window
+    outside 0 <= lo < hi <= 1.
+    """
+    vals = {"P1_horodecki": 0.02, "window_lo": 0.0, "window_hi": 0.0041}
+    for num, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, v = line.partition("=")
-        vals[key.strip()] = float(v.strip())
-    p1 = vals.get("P1_horodecki", 0.02)
-    lo = vals.get("window_lo", 0.0)
-    hi = vals.get("window_hi", 0.0041)
+        key, eq, v = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"model line {num}: expected key = value, got {line!r}")
+        if key not in vals:
+            raise ValueError(f"model line {num}: unknown key {key!r}")
+        try:
+            x = float(v)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise ValueError(f"model line {num}: {key} must be a finite real, got {v!r}")
+        vals[key] = x
+    p1, lo, hi = vals["P1_horodecki"], vals["window_lo"], vals["window_hi"]
+    if p1 < 0.0:
+        raise ValueError(f"P1_horodecki must be nonnegative, got {p1!r}")
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"window_lo = {lo!r}, window_hi = {hi!r}: need 0 <= lo < hi <= 1")
     return ReferenceModel(P1_horodecki=p1, activation_window=(lo, hi),
                           r_H2_inside=0.5 * p1)

@@ -222,6 +222,23 @@ def test_amplitude_damping_coherent_positive():
     assert res.value > 0.3  # low damping keeps most of a qubit
 
 
+def test_quantum_capacity_builds_the_complementary_channel_once(monkeypatch):
+    ch = _chan("amplitude_damping", 0.8)
+    cands = capacity.qubit_candidate_states()
+    expected = max(capacity.coherent_info(ch, rho) for rho in cands)
+    calls = []
+    plain = channels.complementary_channel
+
+    def counted(c):
+        calls.append(c)
+        return plain(c)
+
+    monkeypatch.setattr(channels, "complementary_channel", counted)
+    res = capacity.quantum_capacity_single_use(ch, cands)
+    assert calls == [ch]
+    assert res.value == expected > 0.0
+
+
 def test_private_info_declared_spec():
     spec = channels.ChannelSpec("declared_capacity",
                                 private_capacity_bits=0.02,

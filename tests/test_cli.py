@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgeomcap
-from qgeomcap import capacity, channels, cli
+from qgeomcap import capacity, channels, cli, superact
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -300,6 +300,32 @@ def test_channel_spec_wrong_type_names_key(tmp_path, capsys, spec, key):
     assert run(["capacity", path, "--mode", mode]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model, names", [
+    ("P1_horodecki = nan", "line 1"),
+    ("P1_horodecki = inf", "line 1"),
+    ("window_lo = 0.0\nwindow_hi", "line 2"),
+    ("window_hi = x", "line 1"),
+    ("P1_horodeki = 0.02", "P1_horodeki"),
+    ("P1_horodecki = -0.02", "P1_horodecki"),
+    ("window_lo = 0.003\nwindow_hi = 0.001", "window_lo"),
+    ("window_hi = 1.5", "window_hi"),
+    ("window_lo = -0.1", "window_lo"),
+])
+def test_model_file_bad_line_names_it(tmp_path, capsys, model, names):
+    path = tmp_path / "bad_model.txt"
+    path.write_text(model + "\n")
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--model", path, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and str(path) in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_reference_model_file_is_the_default_model():
+    text = (DATA / "reference_model.txt").read_text()
+    assert superact.parse_model_file(text) == superact.ReferenceModel()
 
 
 # valid Kraus sets as [re, im] pairs: identity, amplitude damping 0.36, a

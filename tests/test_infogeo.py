@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
-from qgeomcap import infogeo, states, zeroerr
+from qgeomcap import infogeo, kernels, states, zeroerr
 from qgeomcap.errors import ResourceCapError
 from qgeomcap.infogeo import Generator, WeightedPointSet
 
@@ -69,6 +69,46 @@ def _dual_value(g, pset, w):
     """sum_i w_i (F(p_i) + r_i) - F(sum_i w_i p_i), recomputed point by point."""
     head = sum(wi * (g.F(p) + r) for wi, p, r in zip(w, pset.points, pset.radii))
     return head - g.F(w @ pset.points)
+
+
+def test_generator_constructor_dispatches_on_the_name():
+    assert isinstance(BLOCH, Generator) and isinstance(EUCL, Generator)
+    assert type(BLOCH) is infogeo.NegVonNeumann and type(EUCL) is infogeo.SquaredEuclidean
+    with pytest.raises(ValueError, match="unknown generator 'x'"):
+        Generator("x")
+
+
+@pytest.mark.parametrize("g, dim", [(BLOCH, 3), (EUCL, 2)], ids=["bloch", "euclidean"])
+def test_interpolate_wrapper_sees_the_seb_solvers(monkeypatch, rng, g, dim):
+    # a counting wrapper on Generator.interpolate, as the benchmark installs
+    # it, must see the geodesic steps of both solvers under both generators
+    calls = []
+    plain = Generator.interpolate
+
+    def counted(self, c, s, t):
+        calls.append(type(self))
+        return plain(self, c, s, t)
+
+    monkeypatch.setattr(Generator, "interpolate", counted)
+    pset = WeightedPointSet(points=0.8 * rng.uniform(-0.5, 0.5, size=(6, dim)))
+    for solver in (infogeo.seb_basic, infogeo.seb_improved):
+        calls.clear()
+        solver(g, pset, 0.1)
+        assert calls and set(calls) == {type(g)}
+
+
+def test_minimax_ball_evaluates_point_entropies_once(monkeypatch, rng):
+    calls = []
+    plain = kernels.neg_entropy
+
+    def counted(points):
+        calls.append(len(points))
+        return plain(points)
+
+    monkeypatch.setattr(kernels, "neg_entropy", counted)
+    pset = _cloud(rng, "radii")
+    infogeo.minimax_ball(BLOCH, pset)
+    assert calls == [len(pset)]
 
 
 def test_gradient_inverse(rng):
@@ -474,8 +514,8 @@ def test_seb_basic_round_cap():
 def test_seb_of_balls_offsets(rng):
     pts = np.array([random_bloch(rng, 0.7) for _ in range(5)])
     radii = np.full(5, 0.1)
-    with_r = infogeo.seb_of_balls(BLOCH, WeightedPointSet(points=pts, radii=radii))
-    without = infogeo.seb_of_balls(BLOCH, WeightedPointSet(points=pts))
+    with_r = infogeo.seb_basic(BLOCH, WeightedPointSet(points=pts, radii=radii), 0.01)
+    without = infogeo.seb_basic(BLOCH, WeightedPointSet(points=pts), 0.01)
     assert with_r.radius >= without.radius
 
 
