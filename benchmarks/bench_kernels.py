@@ -3,7 +3,9 @@
 Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
-certifies, then capacity.hsw_capacity on the depolarizing and flip channels
+certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds with
+its rounds, its final bracket width and how far its lower end lies below
+minimax_ball's, then capacity.hsw_capacity on the depolarizing and flip channels
 of the HSW acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
 its column-generation rounds and the minimax_ball steps of all rounds.
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from qgeomcap import capacity, channels, infogeo, kernels
 
+SEB_EPS = 0.05
 GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 HSW_CASES = ([("depolarizing", p) for p in GRID]
              + [(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
@@ -56,11 +59,21 @@ def main():
 
     print(f"\n{'n':>8}{'minimax_ball':>20}{'steps':>10}{'gap':>12}")
     g = infogeo.Generator("neg_von_neumann")
+    clouds = []
     for n in args.sizes:
         pset = infogeo.WeightedPointSet(points=random_interior_points(n, rng))
         res = infogeo.minimax_ball(g, pset)
+        clouds.append((pset, res))
         t = bench(infogeo.minimax_ball, g, pset)
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
+
+    print(f"\n{'n':>8}{'seb_improved':>20}{'rounds':>10}{'width':>12}{'below':>12}")
+    for pset, res in clouds:
+        ball = infogeo.seb_improved(g, pset, SEB_EPS)
+        t = bench(infogeo.seb_improved, g, pset, SEB_EPS, repeats=3)
+        r_lo, delta = ball.history[-1]
+        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{len(ball.history) - 1:>10}"
+              f"{delta:>12.2e}{res.lower - r_lo:>12.2e}")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
     solve = infogeo.minimax_ball

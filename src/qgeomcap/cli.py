@@ -147,6 +147,9 @@ def cmd_capacity(args):
         _dump(report, args.output)
         return EXIT_OK
     ch = channels.build_channel(spec)
+    if args.mode != "holevo" and ch.in_dim != 2:
+        raise ValueError(f"--mode {args.mode} takes qubit-input channels only; "
+                         f"this channel's input dimension is {ch.in_dim}")
     if args.mode == "holevo":
         res = capacity.hsw_capacity(ch)
         ensemble = [

@@ -594,33 +594,6 @@ def _touch_parameter(g, points, radii, c, s_idx, r):
     return _bisect(lambda t: overshoot(t) > 0.0)
 
 
-def two_point_minimax(g, p, q, rp=0.0, rq=0.0):
-    """(c, value) minimizing max(D(p||c) + rp, D(q||c) + rq) over c.
-
-    The minimizer of (1 - t) D(p||c) + t D(q||c) is the mixture
-    (1 - t) p + t q (Banerjee et al. 2005), so by minimax duality the
-    optimum lies on that segment. Along it D(p||c) rises and D(q||c) falls:
-    the optimum is an endpoint when one ball already contains the other,
-    and otherwise the t that equalizes the two terms. The value
-    lower-bounds the minimax radius of any set containing both balls.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-
-    def imbalance(t):
-        c = (1.0 - t) * p + t * q
-        return (g.div(p, c) + rp) - (g.div(q, c) + rq)
-
-    if imbalance(0.0) >= 0.0:
-        t = 0.0
-    elif imbalance(1.0) <= 0.0:
-        t = 1.0
-    else:
-        t = _bisect(lambda t: imbalance(t) < 0.0)
-    c = (1.0 - t) * p + t * q
-    return c, max(g.div(p, c) + rp, g.div(q, c) + rq)
-
-
 def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     """Enclosing-ball solver with a certified optimal-radius bracket.
 
@@ -628,13 +601,15 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     along the geodesic until it touches the farthest point; if the new
     farthest sticks out by more than 3*delta/4 grow the radius by delta/4,
     and shrink delta by 3/4 either way, until delta <= eps. That schedule
-    is a metric argument, so it runs on the length scale sqrt(D), and its
-    lower bound is additionally capped by exact two-point minimax radii
-    over the core-set points (each is a true lower bound on r*), while the
-    reported upper bound never drops below the best actual enclosure.
-    History entries (r, delta) therefore satisfy r <= r* <= r + delta.
-    A start on the kernels' singular shell (a pure point) is replaced by
-    the mixture of the points.
+    is a metric argument, so it runs on the length scale sqrt(D); it sets
+    the touch target and the stop rule, not the bracket. Every farthest
+    point joins a core set, and minimax_ball on the core (warm-started
+    from the previous, smaller core) gives a dual value: a lower bound on
+    the radius of any superset, so on r* (Badoiu & Clarkson 2003). The
+    lower end is the best such value, capped by the best enclosure
+    actually achieved, which is the upper end. History entries (r, delta)
+    therefore satisfy r <= r* <= r + delta. A start on the kernels'
+    singular shell (a pure point) is replaced by the mixture of the points.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -644,7 +619,7 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     farthest = _farthest_of(g, pts, rad)
     if seed is None:
         # start from the 1-center-in-S point: divergences to a near-pure
-        # point blow up logarithmically, which would wreck the lower bound
+        # point blow up logarithmically, which would wreck the schedule
         start = int(np.argmin([farthest(p)[1] for p in pts]))
     else:
         start = int(np.random.default_rng(seed).integers(len(pset)))
@@ -658,15 +633,15 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
 
     core = []
     cert = 0.0
+    core_ball = None
 
     def add_core(i):
-        nonlocal cert
+        nonlocal cert, core_ball
         if i in core:
             return
-        for j in core:
-            _, v = two_point_minimax(g, pts[i], pts[j], rad[i], rad[j])
-            cert = max(cert, v)
         core.append(i)
+        core_ball = minimax_ball(g, WeightedPointSet(pts[core], radii=rad[core]), warm=core_ball)
+        cert = max(cert, core_ball.lower)
 
     add_core(start)
     add_core(far_idx)
@@ -677,9 +652,9 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     gap = 0.5 * np.sqrt(d0)
 
     def bracket():
-        # lower: schedule capped by the certified pair bound; upper: best
-        # enclosure actually achieved, so r <= r* <= r + delta by construction
-        r_lo = min(ell * ell, cert)
+        # lower: the core set's dual value; upper: the best enclosure
+        # actually achieved, so r <= r* <= r + delta by construction
+        r_lo = min(cert, best_u)
         return r_lo, best_u - r_lo
 
     history = [bracket()]

@@ -8,10 +8,10 @@ the first channel's private information, and the superball radius follows
 r_super = p_C^2 r_HH + 2 p_C (1 - p_C) r_H2 with r_HH = 0.
 
 The activation window (0, 0.0041) and the inside-window radius 0.01 bits
-are external data of the reference model (the underlying four-dimensional
-channel has no published Kraus form); the sweep engine is generic over any
-model supplying these numbers, and a user with an explicit channel can plug
-it in as a custom Kraus spec.
+are external data of the reference model, not computed from the underlying
+four-dimensional channel; the sweep engine is generic over any model
+supplying these numbers, and a user with an explicit channel can plug it in
+as a custom Kraus spec.
 """
 
 import csv
@@ -156,7 +156,12 @@ def decomposition_check(rho1, rho2, sigma1=None, sigma2=None):
 
 
 def depolarizing_erasure_radius(p):
-    """Joint radius (1 - H(p/2))/2 of depolarizing(p) with 50% erasure."""
+    """(1 - h(p/2))/2: half the HSW capacity of depolarizing(p).
+
+    This is not the joint coherent information of depolarizing(p) with 50%
+    erasure at the flagged {|0>, |1>} input, which is
+    (1 - H(1 - 3p/4, p/4, p/4, p/4))/2: 0.2484 against 0.3568 at p = 0.1.
+    """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")

@@ -101,6 +101,15 @@ def test_capacity_erasure_quantum_zero(tmp_path):
     assert abs(report["value"]) < 1e-6
 
 
+@pytest.mark.parametrize("mode", ["quantum", "private"])
+def test_capacity_qubit_modes_reject_other_inputs(tmp_path, capsys, mode):
+    out = tmp_path / "report.json"
+    assert run(["capacity", DATA / "pentagon.channel", "--mode", mode, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert "qubit-input channels only" in err and "input dimension is 5" in err
+    assert not out.exists()
+
+
 def test_capacity_declared_private(tmp_path):
     spec = tmp_path / "declared.channel"
     spec.write_text('kind = "declared_capacity"\nprivate_capacity_bits = 0.02\n')

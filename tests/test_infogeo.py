@@ -187,11 +187,28 @@ def test_minimax_ball_is_certified(rng, kind):
         assert np.array_equal(center, res.center) and radius == res.upper
 
 
+def _two_point_minimax(g, p, q, rp, rq):
+    """min over c of max(D(p||c) + rp, D(q||c) + rq), by bisection on the
+    mixture segment: the minimiser of (1 - t) D(p||c) + t D(q||c) is the
+    mixture (1 - t) p + t q (Banerjee et al. 2005), so by minimax duality
+    the optimum lies on it, where D(p||c) rises and D(q||c) falls."""
+    def terms(t):
+        c = (1.0 - t) * p + t * q
+        return g.div(p, c) + rp, g.div(q, c) + rq
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        a, b = terms(mid)
+        lo, hi = (mid, hi) if a < b else (lo, mid)
+    return max(terms(hi))
+
+
 def test_minimax_ball_two_points(rng):
     for _ in range(10):
         p, q = random_bloch(rng, 0.99), random_bloch(rng, 0.99)
         rp, rq = rng.uniform(0.0, 0.05, 2)
-        _, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
+        v = _two_point_minimax(BLOCH, p, q, rp, rq)
         res = infogeo.minimax_ball(BLOCH, WeightedPointSet(points=[p, q], radii=[rp, rq]))
         assert abs(res.upper - v) <= 1e-9
     for _ in range(5):
@@ -393,17 +410,26 @@ def test_seb_basic_euclidean_two_points():
     assert abs(ball.center[0] - 1.0) < 0.05
 
 
+_TETRAHEDRON = 0.866 * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+
+
 def test_seb_improved_bracket(rng):
     eps = 0.05
-    for trial in range(5):
-        pts = np.array([random_bloch(rng, 0.9) for _ in range(5)])
+    clouds = [np.array([random_bloch(rng, 0.9) for _ in range(5)]) for _ in range(5)]
+    # sets whose core ends up holding every point the optimal ball touches,
+    # where the lower end closes
+    exact = [np.array([[0.3, 0.1, 0.0], [-0.4, 0.2, 0.5]]), 0.5 * np.eye(3), _TETRAHEDRON]
+    for pts, closes in [(pts, False) for pts in clouds] + [(pts, True) for pts in exact]:
         pset = WeightedPointSet(points=pts)
         ball = infogeo.seb_improved(BLOCH, pset, eps)
-        _, oracle = infogeo.minimax_center_oracle(BLOCH, pset)
+        res = infogeo.minimax_ball(BLOCH, pset)
+        oracle = res.upper
         for r_lo, delta in ball.history:
             assert r_lo <= oracle + 1e-3
             assert oracle <= r_lo + delta + 1e-3
         assert ball.radius <= oracle + 2.0 * eps + 1e-3
+        if closes:
+            assert abs(ball.history[-1][0] - res.lower) <= 1e-8
 
 
 def test_seb_improved_agrees_with_basic(rng):
@@ -413,69 +439,6 @@ def test_seb_improved_agrees_with_basic(rng):
     b1 = infogeo.seb_basic(BLOCH, pset, eps)
     b2 = infogeo.seb_improved(BLOCH, pset, eps)
     assert abs(b1.radius - b2.radius) <= 2.0 * eps
-
-
-def test_two_point_minimax_equalizes(rng):
-    for _ in range(10):
-        p, q = random_bloch(rng, 0.9), random_bloch(rng, 0.9)
-        c, v = infogeo.two_point_minimax(BLOCH, p, q)
-        assert abs(BLOCH.div(p, c) - BLOCH.div(q, c)) < 1e-6
-        pset = WeightedPointSet(points=np.vstack([p, q]))
-        _, oracle = infogeo.minimax_center_oracle(BLOCH, pset)
-        assert v <= oracle + 1e-6
-
-
-def test_two_point_minimax_euclidean_midpoint(rng):
-    for _ in range(5):
-        p, q = rng.normal(size=3), rng.normal(size=3)
-        c, v = infogeo.two_point_minimax(EUCL, p, q)
-        np.testing.assert_allclose(c, 0.5 * (p + q), atol=1e-12)
-        assert v == pytest.approx(float((p - q) @ (p - q)) / 4.0, abs=1e-12)
-
-
-def _geodesic_equalizer(g, p, q, rp, rq):
-    """The equalizing point on the gradient-space geodesic from p to q."""
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        c = g.interpolate(p, q, mid)
-        if g.div(p, c) + rp <= g.div(q, c) + rq:
-            lo = mid
-        else:
-            hi = mid
-    return g.interpolate(p, q, 0.5 * (lo + hi))
-
-
-def test_two_point_minimax_is_the_segment_minimum(rng):
-    def objective(c):
-        return max(BLOCH.div(p, c) + rp, BLOCH.div(q, c) + rq)
-
-    for _ in range(20):
-        p, q = random_bloch(rng, 0.99), random_bloch(rng, 0.99)
-        rp, rq = rng.uniform(0.0, 0.05, 2)
-        c, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
-        assert v == pytest.approx(objective(c), abs=1e-15)
-        on_segment = [objective((1.0 - t) * p + t * q) for t in np.linspace(0.0, 1.0, 201)]
-        assert v <= min(on_segment) + 1e-12
-        assert v <= objective(_geodesic_equalizer(BLOCH, p, q, rp, rq)) + 1e-12
-        # an interior optimum lies on the segment and equalizes the two terms
-        t = float((c - p) @ (q - p)) / float((q - p) @ (q - p))
-        assert 0.0 < t < 1.0
-        np.testing.assert_allclose(c, (1.0 - t) * p + t * q, rtol=0.0, atol=1e-12)
-        assert abs((BLOCH.div(p, c) + rp) - (BLOCH.div(q, c) + rq)) < 1e-9
-
-
-def test_two_point_minimax_contained_ball(rng):
-    for _ in range(5):
-        p, q = random_bloch(rng, 0.9), random_bloch(rng, 0.9)
-        rq = 0.01
-        rp = BLOCH.div(q, p) + rq + 0.02  # the ball at p contains the one at q
-        c, v = infogeo.two_point_minimax(BLOCH, p, q, rp, rq)
-        assert np.array_equal(c, p)
-        assert v == pytest.approx(rp, abs=1e-12)
-        c, v = infogeo.two_point_minimax(BLOCH, q, p, rq, rp)
-        assert np.array_equal(c, p)
-        assert v == pytest.approx(rp, abs=1e-12)
 
 
 def test_seb_improved_does_not_load_scipy_optimize():
