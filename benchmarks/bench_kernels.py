@@ -5,8 +5,10 @@ of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
 certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds with
 its rounds, its final bracket width and how far its lower end lies below
-minimax_ball's, then capacity.hsw_capacity on the depolarizing and flip channels
-of the HSW acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
+minimax_ball's ("below"; its closing step makes that about 0, within the
+1e-9 widths of the two brackets and the 1e-9 nudge of its points), then
+capacity.hsw_capacity on the depolarizing and flip channels of the HSW
+acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
 its column-generation rounds and the minimax_ball steps of all rounds.
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
@@ -72,7 +74,8 @@ def main():
         ball = infogeo.seb_improved(g, pset, SEB_EPS)
         t = bench(infogeo.seb_improved, g, pset, SEB_EPS, repeats=3)
         r_lo, delta = ball.history[-1]
-        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{len(ball.history) - 1:>10}"
+        # history: the start, one entry per round, the closing step
+        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{len(ball.history) - 2:>10}"
               f"{delta:>12.2e}{res.lower - r_lo:>12.2e}")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")

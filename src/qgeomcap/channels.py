@@ -40,10 +40,6 @@ KNOWN_KINDS = (
     "custom_kraus",
 )
 
-UNITAL_KINDS = ("identity", "bit_flip", "phase_flip", "bit_phase_flip",
-                "depolarizing", "dephasing")
-
-
 @dataclass
 class KrausChannel:
     """CPTP map rho -> sum_i K_i rho K_i^dag."""

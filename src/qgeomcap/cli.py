@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: capacity, sweep, zeroerr, ball, validate. All randomized
-commands take --seed (default 42) and produce byte-identical output for
-identical inputs and flags. Reports are JSON with sorted keys and a
-provenance block; sweeps are CSV with '#'-prefixed provenance comments.
+Subcommands: capacity, sweep, zeroerr, ball, validate. ball, the one
+randomized command, takes --seed (default 42). Every command produces
+byte-identical output for identical inputs and flags. Reports are JSON
+with sorted keys and a provenance block; sweeps are CSV with
+'#'-prefixed provenance comments.
 
 Exit codes: 0 ok, 1 input or usage error, 2 bracket not closed to tolerance,
 3 resource cap.
@@ -159,18 +160,16 @@ def cmd_capacity(args):
         extra = {"optimal_ensemble": ensemble,
                  "center": channels.matrix_to_pairs(res.center),
                  "bracket": [float(v) for v in res.bracket]}
-    elif args.mode == "quantum":
-        cands = capacity.qubit_candidate_states()
-        res = capacity.quantum_capacity_single_use(ch, cands)
-        extra = {"r_AB": res.ball_pair.r_AB, "r_AE": res.ball_pair.r_AE,
-                 "r_coh": res.ball_pair.r_coh}
-    elif args.mode == "private":
-        cands = capacity.qubit_candidate_states()
-        res = capacity.quantum_capacity_single_use(ch, cands)
-        value = capacity.private_info(ch, res.optimal_ensemble)
-        res.value = value
-        extra = {"note": "single-ensemble private information at the "
-                         "coherent-information maximizer"}
+    else:
+        res = capacity.quantum_capacity_single_use(ch, capacity.qubit_candidate_states())
+        pair = res.ball_pair
+        if args.mode == "quantum":
+            extra = {"r_AB": pair.r_AB, "r_AE": pair.r_AE, "r_coh": pair.r_coh}
+        else:
+            # X_AB - X_AE of the maximizer's eigen-ensemble, unclamped
+            extra = {"value": pair.r_coh,
+                     "note": "single-ensemble private information at the "
+                             "coherent-information maximizer"}
     report = {
         "type": "capacity",
         "mode": args.mode,
@@ -324,7 +323,6 @@ def build_parser():
     c.add_argument("channel_file")
     c.add_argument("--mode", choices=("holevo", "quantum", "private"),
                    default="holevo")
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--output", "-o", default=None)
     c.set_defaults(func=cmd_capacity)
 
@@ -333,7 +331,6 @@ def build_parser():
     s.add_argument("--pc-min", type=float, default=0.0)
     s.add_argument("--pc-max", type=float, default=0.1)
     s.add_argument("--steps", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.add_argument("--output", "-o", default=None)
     s.set_defaults(func=cmd_sweep)
 
@@ -343,7 +340,6 @@ def build_parser():
     z.add_argument("--uses", type=int, default=1)
     z.add_argument("--epr", action="store_true")
     z.add_argument("--dot", default=None, help="write confusability graph DOT")
-    z.add_argument("--seed", type=int, default=DEFAULT_SEED)
     z.add_argument("--output", "-o", default=None)
     z.set_defaults(func=cmd_zeroerr)
 

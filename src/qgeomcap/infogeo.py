@@ -2,9 +2,12 @@
 balls, a certified minimax solver, and Laguerre-lifted Delaunay structures.
 
 Generator(name) returns one of two geometries behind the one protocol the
-solvers use: F, grad, grad_inv, F_star, hess_star, div, batch_div; batch_F
-and prepared_div, which score a point set against many centres with
-F(p_i) computed once; and the domain rules check_rows, interior, inside.
+solvers use. Each geometry provides the primitives F, grad, grad_inv,
+F_star, hess_star, batch_F and prepared_div (which scores a point set
+against many centres with F(p_i) computed once) and the domain rules
+check_rows, interior, inside. The base class derives the rest from them:
+batch_div(points, c) is prepared_div(points, batch_F(points), c), div(x, y)
+is its one row, and interpolate is the geodesic below.
 NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
 the kernels' closed forms, the divergence is the quantum relative entropy
 in bits and the domain is the unit ball, singular on its pure shell.
@@ -48,9 +51,10 @@ class Generator:
     """Convex generator F of D_F(x || y) = F(x) - F(y) - <x - y, grad F(y)>;
     Generator(name) returns the geometry of that name.
 
-    grad_inv is the gradient of F_star; batch_div, batch_F and
+    grad_inv is the gradient of F_star; batch_F and
     prepared_div(points, batch_F(points), center) act on the rows of
-    points. The domain rules defined here are those of R^d.
+    points; div, batch_div and interpolate are derived from them here.
+    The domain rules defined here are those of R^d.
     """
 
     def __new__(cls, name=None):
@@ -68,6 +72,15 @@ class Generator:
     def inside(self, x, margin):
         """Whether x lies farther than margin inside the domain's boundary."""
         return True
+
+    def batch_div(self, points, center):
+        """D(p_i || center) for each row of points."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.prepared_div(points, self.batch_F(points), center)
+
+    def div(self, x, y):
+        """D(x || y): the one row of batch_div([x], y)."""
+        return float(self.batch_div(x, y)[0])
 
     def interpolate(self, c, s, t):
         """Point at parameter t on the gradient-space geodesic from c to s."""
@@ -114,14 +127,6 @@ class NegVonNeumann(Generator):
         u = theta / m
         radial = np.outer(u, u)
         return _LN2 * (1.0 - t * t) * radial + (t / m) * (eye - radial)
-
-    def div(self, x, y):
-        return kernels.bloch_relative_entropy(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        )
-
-    def batch_div(self, points, center):
-        return kernels.batch_divergence(np.atleast_2d(np.asarray(points, dtype=float)), center)
 
     def batch_F(self, points):
         return kernels.neg_entropy(points)
@@ -174,18 +179,12 @@ class SquaredEuclidean(Generator):
     def hess_star(self, theta):
         return 0.5 * np.eye(np.asarray(theta).shape[0])
 
-    def div(self, x, y):
-        return self.F(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-
-    def batch_div(self, points, center):
-        d = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, dtype=float)
-        return (d * d).sum(axis=1)
-
     def batch_F(self, points):
         return np.einsum("ij,ij->i", points, points)
 
     def prepared_div(self, points, f, center):
-        return self.batch_div(points, center)
+        d = points - np.asarray(center, dtype=float)
+        return (d * d).sum(axis=1)
 
 
 _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
@@ -577,16 +576,28 @@ def seb_basic(g, pset, eps, seed=None):
     return InfoBall(center=c, radius=val, history=history)
 
 
+def _touch_score(g, c, s, excess):
+    """t -> D(s || c(t)) + excess on the geodesic c(t) = g.interpolate(c, s, t).
+
+    The geodesic is a straight line in natural coordinates,
+    theta_t = (1 - t) grad(c) + t grad(s), and there
+    D(s || c(t)) = F(s) + F*(theta_t) - <s, theta_t>, so after grad(c),
+    grad(s) and F(s) each score costs one F* and no grad_inv.
+    """
+    th_c, th_s = g.grad(c), g.grad(s)
+    base = g.F(s) + excess
+
+    def score(t):
+        th = (1.0 - t) * th_c + t * th_s
+        return base + g.F_star(th) - float(s @ th)
+
+    return score
+
+
 def _touch_parameter(g, points, radii, c, s_idx, r):
     """Step t on the geodesic from c toward points[s_idx] at which the ball
     of radius r touches that point, i.e. D(s||c(t)) + r_s = r, by bisection."""
-    s = points[s_idx]
-    r_s = radii[s_idx]
-
-    def overshoot(t):
-        ct = g.interpolate(c, s, t)
-        return g.div(s, ct) + r_s - r
-
+    overshoot = _touch_score(g, c, points[s_idx], radii[s_idx] - r)
     if overshoot(0.0) <= 0.0:
         return 0.0
     if overshoot(1.0) > 0.0:
@@ -608,7 +619,12 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
     the radius of any superset, so on r* (Badoiu & Clarkson 2003). The
     lower end is the best such value, capped by the best enclosure
     actually achieved, which is the upper end. History entries (r, delta)
-    therefore satisfy r <= r* <= r + delta. A start on the kernels'
+    therefore satisfy r <= r* <= r + delta: one for the start, one per
+    round, and a last one after the closing step. That step adds the
+    farthest point at the core's minimax centre to the core until that
+    point is already in the core or the bracket is MINIMAX_GAP_TOL *
+    max(1, r) wide; where that centre encloses the points more tightly it
+    becomes the reported centre and radius. A start on the kernels'
     singular shell (a pure point) is replaced by the mixture of the points.
     """
     if not 0.0 < eps < 1.0:
@@ -680,10 +696,16 @@ def seb_improved(g, pset, eps, seed=None, max_rounds=None):
             gap *= 0.75
         history.append(bracket())
         rounds += 1
-    _, final = farthest(c)
-    if final < best_u:
-        best_u = final
-        best_c = c.copy()
+    # close the bracket: the farthest point at the core's own minimax centre
+    # joins the core until it is already there or the bracket is closed
+    while True:
+        idx, val = farthest(core_ball.center)
+        if val < best_u:
+            best_u, best_c = val, core_ball.center
+        if idx in core or best_u - cert <= MINIMAX_GAP_TOL * max(1.0, best_u):
+            break
+        add_core(idx)
+    history.append(bracket())
     return InfoBall(center=best_c, radius=best_u, history=history)
 
 

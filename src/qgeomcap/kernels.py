@@ -8,6 +8,9 @@ in the Bloch coordinates. In the Bregman form
 D(p || c) = F(p) - a(c) - b(c)/|c| <p, c> the term F(p) depends on the
 point alone, so a caller that scores a fixed point set against many centers
 computes it once with neg_entropy and passes it to prepared_divergence.
+prepared_divergence is the one implementation of the divergence and of
+its singular-centre rule; every other Bloch divergence in the package
+calls it.
 """
 
 import math
@@ -64,26 +67,6 @@ def _center_coeffs(rc):
     """
     rc = float(rc)
     return 0.5 * math.log2((1.0 - rc * rc) / 4.0), grad_coeff(rc)
-
-
-def bloch_relative_entropy(r_rho, r_sigma):
-    """D(rho || sigma) in bits from Bloch vectors.
-
-    Returns +inf for a singular (pure) center unless both states coincide.
-    Only the dot products use numpy; the rest is on Python floats, because
-    the ball solvers call it on single 3-vectors.
-    """
-    r_rho = np.asarray(r_rho, dtype=float)
-    r_sigma = np.asarray(r_sigma, dtype=float)
-    rc = math.sqrt(float(r_sigma @ r_sigma))
-    if rc >= _SINGULAR_CENTER:
-        diff = r_rho - r_sigma
-        if math.sqrt(float(diff @ diff)) <= 1e-9:
-            return 0.0
-        return math.inf
-    a, b_over_r = _center_coeffs(rc)
-    rr = math.sqrt(float(r_rho @ r_rho))
-    return neg_entropy_scalar(rr) - a - b_over_r * float(r_rho @ r_sigma)
 
 
 def prepared_divergence(points, neg_ent, center):

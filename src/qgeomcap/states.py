@@ -119,9 +119,7 @@ def relative_entropy_bloch(r_rho, r_sigma):
     for r in (r_rho, r_sigma):
         if float(np.dot(r, r)) > 1.0 + 1e-9:
             raise ValueError("Bloch vector outside the unit ball")
-    return kernels.bloch_relative_entropy(
-        np.asarray(r_rho, dtype=float), np.asarray(r_sigma, dtype=float)
-    )
+    return float(kernels.batch_divergence(np.atleast_2d(r_rho), r_sigma)[0])
 
 
 def tensor(rho_a, rho_b):

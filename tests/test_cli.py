@@ -45,6 +45,7 @@ def test_capacity_holevo_bracket_and_provenance(tmp_path):
     prov = report["provenance"]
     assert prov["backend"] == qgeomcap.BACKEND and prov["numpy"] == np.__version__
     assert "scipy" not in prov and prov["flags"] == {"mode": "holevo"}
+    assert prov["seed"] is None  # only ball is randomized
     assert run(["validate", out]) == 0
     for value in (upper + 1e-6, lower - 1e-6):
         report["value"] = value
@@ -57,6 +58,10 @@ def test_capacity_holevo_bracket_and_provenance(tmp_path):
     ["capacity", DATA / "depolarizing.channel", "--eps", 0.1],
     ["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv", "--uses", "two"],
     ["frobnicate"],
+    # ball is the one randomized command, so only it takes --seed
+    ["capacity", DATA / "depolarizing.channel", "--seed", 1],
+    ["sweep", "--seed", 1],
+    ["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv", "--seed", 1],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:

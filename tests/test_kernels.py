@@ -1,9 +1,12 @@
-"""The divergence kernels agree with each other.
+"""The divergence kernels and the geometry protocol agree with each other.
 
-batch_divergence is the reference. The cached-entropy path
-(prepared_divergence with neg_entropy computed once) and the scalar
-bloch_relative_entropy must give the same values to 1e-12 bits, including
-at pure points, at a center at the origin and at a singular center.
+prepared_divergence is the one implementation of the Bloch divergence.
+batch_divergence is the reference, and the cached-entropy path
+(prepared_divergence with neg_entropy computed once) must give the same
+values to 1e-12 bits, including at pure points, at a center at the origin
+and at a singular center. Each geometry's derived div and batch_div match
+its prepared_div bit for bit, and the natural-coordinate score of
+seb_improved's touch step matches the divergence along the geodesic.
 """
 
 import math
@@ -30,11 +33,9 @@ def _unit(v):
 def _assert_paths_agree(points, center):
     ref = kernels.batch_divergence(points, center)
     cached = kernels.prepared_divergence(points, kernels.neg_entropy(points), center)
-    scalar = np.array([kernels.bloch_relative_entropy(p, center) for p in points])
-    for got in (cached, scalar):
-        assert np.array_equal(np.isinf(got), np.isinf(ref))
-        fin = np.isfinite(ref)
-        np.testing.assert_allclose(got[fin], ref[fin], rtol=0.0, atol=TOL)
+    assert np.array_equal(np.isinf(cached), np.isinf(ref))
+    fin = np.isfinite(ref)
+    np.testing.assert_allclose(cached[fin], ref[fin], rtol=0.0, atol=TOL)
     return ref
 
 
@@ -133,6 +134,34 @@ def test_natural_coordinate_form(rng):
         natural = ent + bloch.F_star(theta) - points @ theta
         np.testing.assert_allclose(natural, kernels.batch_divergence(points, center),
                                    rtol=0.0, atol=1e-11)
+
+
+_GEOMETRIES = [(infogeo.Generator("neg_von_neumann"), 0.99),
+               (infogeo.Generator("squared_euclidean"), 2.0)]
+
+
+@pytest.mark.parametrize("g, scale", _GEOMETRIES, ids=["bloch", "euclidean"])
+def test_derived_divergences_are_prepared_div(rng, g, scale):
+    # div and batch_div are derived once on the base class from prepared_div
+    pts = np.array([random_bloch(rng, 0.99) for _ in range(20)]) * scale
+    for y in pts[:5]:
+        for x in pts:
+            one = x[None, :]
+            prepared = g.prepared_div(one, g.batch_F(one), y)[0]
+            assert g.div(x, y) == g.batch_div([x], y)[0] == prepared
+
+
+@pytest.mark.parametrize("g, scale", _GEOMETRIES, ids=["bloch", "euclidean"])
+def test_touch_score_is_the_geodesic_divergence(rng, g, scale):
+    # seb_improved scores its touch step in natural coordinates; the score
+    # is D(s || c(t)) + r_s - r on the geodesic that interpolate walks
+    for _ in range(20):
+        c, s = (random_bloch(rng, 0.99) * scale for _ in range(2))
+        r_s, r = rng.uniform(0.0, 0.05), rng.uniform(0.0, 1.0)
+        score = infogeo._touch_score(g, c, s, r_s - r)
+        for t in (0.0, 0.25, 1.0):
+            direct = g.div(s, g.interpolate(c, s, t)) + r_s - r
+            assert abs(score(t) - direct) <= 1e-12
 
 
 def test_bench_kernels_script_runs():
