@@ -9,7 +9,9 @@ minimax_ball's ("below"; its closing step makes that about 0, within the
 1e-9 widths of the two brackets and the 1e-9 nudge of its points), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
-its column-generation rounds and the minimax_ball steps of all rounds.
+its column-generation rounds and the minimax_ball steps of all rounds, and
+last capacity.quantum_capacity_single_use on qubit_candidate_states(): its
+time per channel of the qubit-input zoo (QUANTUM_ZOO).
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
 """
@@ -27,6 +29,9 @@ HSW_CASES = ([("depolarizing", p) for p in GRID]
              + [(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
                 for p in (0.1, 0.5, 0.9)]
              + [("amplitude_damping", p) for p in GRID])
+QUANTUM_ZOO = [(kind, 0.3) for kind in ("identity", "bit_flip", "phase_flip", "bit_phase_flip",
+                                        "depolarizing", "amplitude_damping", "dephasing",
+                                        "erasure")]
 
 
 def random_interior_points(n, rng):
@@ -100,6 +105,18 @@ def main():
                   f"{t * 1e3:>10.1f}ms{up - lo:>12.2e}")
     finally:
         infogeo.minimax_ball = solve
+
+    cands = capacity.qubit_candidate_states()
+    zoo = [channels.build_channel(channels.ChannelSpec(kind, {"p": p})) for kind, p in QUANTUM_ZOO]
+
+    def quantum_zoo():
+        for ch in zoo:
+            capacity.quantum_capacity_single_use(ch, cands)
+
+    t = bench(quantum_zoo, repeats=3) / len(zoo)
+    print(f"\n{'quantum_capacity_single_use':<30}{'candidates':>12}{'channels':>10}"
+          f"{'per channel':>14}")
+    print(f"{'qubit-input zoo, p=0.3':<30}{len(cands):>12}{len(zoo):>10}{t * 1e3:>12.2f}ms")
 
 
 if __name__ == "__main__":

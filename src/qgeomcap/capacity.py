@@ -63,8 +63,8 @@ def fibonacci_sphere(n):
 
 def channel_holevo(ch, ensemble):
     """Holevo quantity of the output ensemble {p_i, N(rho_i)}."""
-    out = [(p, channels.apply(ch, rho)) for p, rho in ensemble]
-    return states.holevo_quantity(out)
+    probs, rhos = zip(*ensemble)
+    return states.holevo_quantity(zip(probs, channels.apply(ch, np.array(rhos))))
 
 
 def _psi(q):
@@ -290,15 +290,11 @@ def private_info(ch, ensemble=None):
 
 
 def coherent_info(ch, rho):
-    """I_coh(rho, N) = S(N(rho)) - S(E(rho)) with E the complementary channel."""
-    return _coherent_info(ch, channels.complementary_channel(ch), rho)
-
-
-def _coherent_info(ch, comp, rho):
-    """coherent_info with the complementary channel comp built once."""
-    s_b = states.von_neumann_entropy(channels.apply(ch, rho))
-    s_e = states.von_neumann_entropy(channels.apply(comp, rho))
-    return s_b - s_e
+    """I_coh(rho, N) = S(N(rho)) - S(E(rho)) with E the complementary channel;
+    a stack of inputs (..., d, d) gives an array."""
+    comp = channels.complementary_channel(ch)
+    return (states.von_neumann_entropy(channels.apply(ch, rho))
+            - states.von_neumann_entropy(channels.apply(comp, rho)))
 
 
 def _pure_decomposition(rho):
@@ -321,38 +317,33 @@ def quantum_capacity_single_use(ch, candidates):
     r_coh = r_AB - r_AE equals the coherent information. The capacity
     estimate is max(0, best coherent information), a lower bound on Q^(1).
     """
-    candidates = list(candidates)
-    if not candidates:
+    rhos = np.array(list(candidates), dtype=complex)
+    if not len(rhos):
         raise ValueError("empty candidate set")
     comp = channels.complementary_channel(ch)
-    best_val = -np.inf
-    best_rho = None
-    for rho in candidates:
-        val = _coherent_info(ch, comp, rho)
-        if val > best_val:
-            best_val = val
-            best_rho = rho
-    ens = _pure_decomposition(best_rho)
+    outs = channels.apply(ch, rhos)
+    vals = states.von_neumann_entropy(outs) - states.von_neumann_entropy(channels.apply(comp, rhos))
+    best = int(np.argmax(vals))
+    best_val = float(vals[best])
+    ens = _pure_decomposition(rhos[best])
     r_ab = channel_holevo(ch, ens)
     r_ae = channel_holevo(comp, ens)
     pair = BallPair(r_AB=r_ab, r_AE=r_ae, r_coh=r_ab - r_ae)
     return CapacityResult(
         value=max(best_val, 0.0),
         optimal_ensemble=ens,
-        center=channels.apply(ch, best_rho),
+        center=outs[best],
         radius=max(best_val, 0.0),
-        iterations=len(candidates),
+        iterations=len(rhos),
         converged=True,
         ball_pair=pair,
     )
 
 
 def qubit_candidate_states(n=200, include_axis_family=True):
-    """Default qubit candidate inputs: sphere-grid pure states, mixed
-    z-axis states, and the maximally mixed state."""
-    cands = [states.bloch_to_density(u * (1.0 - 1e-12)) for u in fibonacci_sphere(n)]
-    if include_axis_family:
-        for z in np.linspace(-0.99, 0.99, 67):
-            cands.append(states.bloch_to_density([0.0, 0.0, z]))
-    cands.append(np.eye(2, dtype=complex) / 2.0)
-    return cands
+    """Default qubit candidate inputs as one stack (m, 2, 2): sphere-grid
+    pure states, mixed z-axis states, and the maximally mixed state."""
+    axis = np.zeros((67 if include_axis_family else 0, 3))
+    axis[:, 2] = np.linspace(-0.99, 0.99, len(axis))
+    return states.bloch_to_density(np.vstack([fibonacci_sphere(n) * (1.0 - 1e-12), axis,
+                                              np.zeros((1, 3))]))

@@ -42,21 +42,27 @@ KNOWN_KINDS = (
 
 @dataclass
 class KrausChannel:
-    """CPTP map rho -> sum_i K_i rho K_i^dag."""
+    """CPTP map rho -> sum_i K_i rho K_i^dag.
 
-    kraus: list
+    kraus holds the K_i stacked as one complex array of shape
+    (k, out_dim, in_dim); any sequence of (out_dim, in_dim) matrices is
+    accepted.
+    """
+
+    kraus: np.ndarray
     in_dim: int
     out_dim: int
 
     def __post_init__(self):
-        self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
-        for k in self.kraus:
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
+        for k in ops:
             if k.shape != (self.out_dim, self.in_dim):
                 raise ValueError(
                     f"Kraus operator shape {k.shape}, expected "
                     f"({self.out_dim}, {self.in_dim})"
                 )
-        comp = sum(k.conj().T @ k for k in self.kraus)
+        self.kraus = np.array(ops, dtype=complex).reshape(-1, self.out_dim, self.in_dim)
+        comp = np.einsum("kji,kjl->il", self.kraus.conj(), self.kraus)
         if np.abs(comp - np.eye(self.in_dim)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum K^dag K = I violated")
 
@@ -173,9 +179,8 @@ def build_channel(spec):
     if kind == "custom_kraus":
         if not spec.kraus:
             raise ValueError("custom_kraus requires explicit Kraus operators")
-        ops = [np.asarray(k, dtype=complex) for k in spec.kraus]
-        out_dim, in_dim = ops[0].shape
-        return KrausChannel(ops, in_dim, out_dim)
+        out_dim, in_dim = np.shape(spec.kraus[0])
+        return KrausChannel(spec.kraus, in_dim, out_dim)
     if kind == "declared_capacity":
         raise ValueError(
             "declared_capacity carries scalar capacities only; "
@@ -185,16 +190,14 @@ def build_channel(spec):
 
 
 def apply(ch, rho):
-    """N(rho) = sum_i K_i rho K_i^dag."""
+    """N(rho) = sum_i K_i rho K_i^dag, for one state or a stack (..., d, d)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.in_dim, ch.in_dim):
+    if rho.shape[-2:] != (ch.in_dim, ch.in_dim):
         raise ValueError(
-            f"state dim {rho.shape[0]} does not match channel input {ch.in_dim}"
+            f"state dim {rho.shape[-1]} does not match channel input {ch.in_dim}"
         )
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    k = ch.kraus
+    return (k @ rho[..., None, :, :] @ k.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
 def complementary_channel(ch):
@@ -202,16 +205,10 @@ def complementary_channel(ch):
 
     With Kraus operators K_i the environment state has matrix elements
     E(rho)_ij = Tr(K_i rho K_j^dag); the returned channel has one output
-    dimension per Kraus operator.
+    dimension per Kraus operator, and its m-th Kraus operator stacks the
+    m-th rows of the K_i.
     """
-    k = len(ch.kraus)
-    comp = []
-    for m in range(ch.out_dim):
-        op = np.zeros((k, ch.in_dim), dtype=complex)
-        for i, ki in enumerate(ch.kraus):
-            op[i, :] = ki[m, :]
-        comp.append(op)
-    return KrausChannel(comp, ch.in_dim, k)
+    return KrausChannel(ch.kraus.transpose(1, 0, 2), ch.in_dim, len(ch.kraus))
 
 
 def isometric_extension(ch):
@@ -221,26 +218,16 @@ def isometric_extension(ch):
     output U rho U^dag reduces to N(rho) on the system and to the
     complementary output on the environment.
     """
-    k = len(ch.kraus)
-    u = np.zeros((ch.out_dim * k, ch.in_dim), dtype=complex)
-    for i, ki in enumerate(ch.kraus):
-        env = np.zeros(k, dtype=complex)
-        env[i] = 1.0
-        u += np.kron(ki, env.reshape(k, 1))
-    return u
+    return ch.kraus.transpose(1, 0, 2).reshape(-1, ch.in_dim)
 
 
 def kraus_to_affine(ch):
     """BlochAffineMap of a qubit channel (2 -> 2 only)."""
     if ch.in_dim != 2 or ch.out_dim != 2:
         raise ValueError("affine Bloch form requires a qubit-to-qubit channel")
-    basis = [np.eye(3)[:, i] for i in range(3)]
-    b = states.density_to_bloch(apply(ch, states.bloch_to_density([0, 0, 0])))
-    cols = [
-        states.density_to_bloch(apply(ch, states.bloch_to_density(e))) - b
-        for e in basis
-    ]
-    return BlochAffineMap(np.column_stack(cols), b)
+    # outputs of the centre and of the three axis points of the Bloch ball
+    outs = states.density_to_bloch(apply(ch, states.bloch_to_density(np.eye(4, 3, -1))))
+    return BlochAffineMap(np.ascontiguousarray((outs[1:] - outs[0]).T), outs[0])
 
 
 def cp_check_eta(eta):
@@ -254,8 +241,9 @@ def cp_check_eta(eta):
 
 def tensor_channels(ch1, ch2):
     """Parallel composition N1 (x) N2 with pairwise Kronecker Kraus."""
-    ops = [np.kron(k1, k2) for k1 in ch1.kraus for k2 in ch2.kraus]
-    return KrausChannel(ops, ch1.in_dim * ch2.in_dim, ch1.out_dim * ch2.out_dim)
+    ops = np.einsum("iac,jbd->ijabcd", ch1.kraus, ch2.kraus)
+    in_dim, out_dim = ch1.in_dim * ch2.in_dim, ch1.out_dim * ch2.out_dim
+    return KrausChannel(ops.reshape(-1, out_dim, in_dim), in_dim, out_dim)
 
 
 def _complex_matrix(nested):

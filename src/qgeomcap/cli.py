@@ -82,19 +82,25 @@ def _numeric_rows(path):
             yield where, vals
 
 
+def _check_bloch(where, r):
+    """states.check_bloch on one row, its message prefixed with where."""
+    try:
+        states.check_bloch(r)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _read_points_csv(path):
     """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii).
 
     Every point needs 3 columns and must lie in the Bloch ball,
-    |(x, y, z)| <= 1 + infogeo.BLOCH_RADIUS_TOL.
+    |(x, y, z)| <= 1 + states.BLOCH_RADIUS_TOL.
     """
     pts, wts, rads = [], [], []
     for where, vals in _numeric_rows(path):
         if len(vals) < 3:
             raise ValueError(f"{where}: points need at least 3 columns, got {len(vals)}")
-        r = math.hypot(*vals[:3])
-        if r > 1.0 + infogeo.BLOCH_RADIUS_TOL:
-            raise ValueError(f"{where}: Bloch point outside the unit ball, |r| = {r:.6g}")
+        _check_bloch(where, vals[:3])
         pts.append(vals[:3])
         wts.append(vals[3] if len(vals) > 3 else 1.0)
         rads.append(vals[4] if len(vals) > 4 else 0.0)
@@ -107,7 +113,7 @@ def _read_inputs_csv(path):
     """Input states CSV: 3 columns = Bloch vectors, d columns = diagonal
     states of dimension d.
 
-    A Bloch row must lie in the unit ball, |r| <= 1 + infogeo.BLOCH_RADIUS_TOL;
+    A Bloch row must lie in the unit ball, |r| <= 1 + states.BLOCH_RADIUS_TOL;
     a diagonal row must be a probability vector, with no negative entry and
     a sum within 1e-9 of 1.
     """
@@ -116,9 +122,7 @@ def _read_inputs_csv(path):
         if rows and len(vals) != len(rows[0]):
             raise ValueError(f"{where}: {len(vals)} columns, the first row has {len(rows[0])}")
         if len(vals) == 3:
-            r = math.hypot(*vals)
-            if r > 1.0 + infogeo.BLOCH_RADIUS_TOL:
-                raise ValueError(f"{where}: Bloch vector outside the unit ball, |r| = {r:.6g}")
+            _check_bloch(where, vals)
         elif min(vals) < 0.0:
             raise ValueError(f"{where}: diagonal state with a negative entry")
         elif abs(math.fsum(vals) - 1.0) > 1e-9:
@@ -127,7 +131,7 @@ def _read_inputs_csv(path):
     if not rows:
         raise ValueError(f"no states parsed from {path}")
     if len(rows[0]) == 3:
-        return [states.bloch_to_density(r) for r in rows]
+        return states.bloch_to_density(rows)
     return [np.diag(np.asarray(r, dtype=float)).astype(complex) for r in rows]
 
 

@@ -13,6 +13,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
+# Bloch vectors may overshoot the unit sphere by this much
+BLOCH_RADIUS_TOL = 1e-9
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -46,35 +48,58 @@ def check_density_matrix(rho, tol=HERMITICITY_TOL):
     return rho
 
 
+def check_bloch(r):
+    """r as a float array of Bloch vectors (..., 3).
+
+    Raises ValueError when a vector lies outside the unit ball,
+    |r| > 1 + BLOCH_RADIUS_TOL; for a stack the message names the first
+    such row.
+    """
+    r = np.asarray(r, dtype=float)
+    norms = np.hypot.reduce(r, axis=-1)
+    bad = np.flatnonzero(norms > 1.0 + BLOCH_RADIUS_TOL)
+    if bad.size:
+        i = int(bad[0])
+        row = f"row {i}: " if r.ndim > 1 else ""
+        raise ValueError(f"{row}Bloch point outside the unit ball, |r| = {norms.flat[i]:.6g}")
+    return r
+
+
 def bloch_to_density(r):
-    """Qubit state (I + r . sigma)/2 from a Bloch vector."""
-    x, y, z = (float(v) for v in r)
-    if x * x + y * y + z * z > 1.0 + 1e-12:
-        raise ValueError("Bloch vector outside the unit ball")
-    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
+    """Qubit state (I + r . sigma)/2 from a Bloch vector, or a stack of
+    them from a stack (..., 3)."""
+    x, y, z = np.moveaxis(check_bloch(r), -1, 0)
+    rho = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
+    return 0.5 * np.moveaxis(rho, (0, 1), (-2, -1))
 
 
 def density_to_bloch(rho):
-    """Bloch vector (x, y, z) of a qubit density matrix."""
+    """Bloch vector (x, y, z) of a qubit density matrix, or a stack of them
+    from a stack (..., 2, 2)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError("density_to_bloch requires a qubit (2x2) state")
-    x = float(np.real(rho[0, 1] + rho[1, 0]))
-    y = float(np.real(1j * (rho[0, 1] - rho[1, 0])))
-    z = float(np.real(rho[0, 0] - rho[1, 1]))
-    return np.array([x, y, z])
+    x = np.real(rho[..., 0, 1] + rho[..., 1, 0])
+    y = np.real(1j * (rho[..., 0, 1] - rho[..., 1, 0]))
+    z = np.real(rho[..., 0, 0] - rho[..., 1, 1])
+    return np.stack([x, y, z], axis=-1)
 
 
 def _clamped_eigh(rho):
     evals, evecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    return np.clip(evals.real, 0.0, 1.0), evecs
+    return np.clip(evals, 0.0, 1.0), evecs
 
 
 def von_neumann_entropy(rho):
-    """S(rho) = -sum lambda_i log2 lambda_i, with 0 log 0 := 0."""
+    """S(rho) = -sum lambda_i log2 lambda_i, with 0 log 0 := 0.
+
+    A stack (..., d, d) gives an array of entropies from one eigh call.
+    """
     evals, _ = _clamped_eigh(rho)
-    evals = evals[evals > EIG_FLOOR]
-    return float(-(evals * np.log2(evals)).sum())
+    # eigenvalues below the floor count as 0 and contribute 1 log 1 = 0
+    evals = np.where(evals > EIG_FLOOR, evals, 1.0)
+    s = -(evals * np.log2(evals)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def binary_entropy(p):
@@ -96,7 +121,6 @@ def relative_entropy(rho, sigma):
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    evr, vr = _clamped_eigh(rho)
     evs, vs = _clamped_eigh(sigma)
     # support check: weight of rho on the kernel of sigma
     kernel = evs <= EIG_FLOOR
@@ -105,20 +129,14 @@ def relative_entropy(rho, sigma):
         weight = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, rho, vk)))
         if weight > SUPPORT_TOL:
             return np.inf
-    term_rho = 0.0
-    mask = evr > EIG_FLOOR
-    if mask.any():
-        term_rho = float((evr[mask] * np.log2(evr[mask])).sum())
     log_sigma = (vs * np.log2(np.maximum(evs, EIG_FLOOR))) @ vs.conj().T
     term_cross = float(np.real(np.trace(rho @ log_sigma)))
-    return term_rho - term_cross
+    return -von_neumann_entropy(rho) - term_cross
 
 
 def relative_entropy_bloch(r_rho, r_sigma):
     """Closed-form qubit relative entropy on Bloch vectors, bits."""
-    for r in (r_rho, r_sigma):
-        if float(np.dot(r, r)) > 1.0 + 1e-9:
-            raise ValueError("Bloch vector outside the unit ball")
+    r_rho, r_sigma = check_bloch(r_rho), check_bloch(r_sigma)
     return float(kernels.batch_divergence(np.atleast_2d(r_rho), r_sigma)[0])
 
 
@@ -157,17 +175,24 @@ def fidelity(rho, sigma):
     return float(np.sqrt(ev_inner).sum() ** 2)
 
 
-def ensemble_average(ensemble):
-    """sigma = sum_i p_i rho_i of an ensemble [(p_i, rho_i), ...]."""
-    probs = np.array([p for p, _ in ensemble], dtype=float)
+def _unzip(ensemble):
+    """(probabilities, stacked states) of an ensemble [(p_i, rho_i), ...];
+    raises ValueError unless the probabilities sum to 1."""
+    probs, rhos = zip(*ensemble)
+    probs = np.array(probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    return sum(p * np.asarray(rho, dtype=complex) for p, rho in ensemble)
+    return probs, np.array(rhos, dtype=complex)
+
+
+def ensemble_average(ensemble):
+    """sigma = sum_i p_i rho_i of an ensemble [(p_i, rho_i), ...]."""
+    probs, rhos = _unzip(ensemble)
+    return (probs[:, None, None] * rhos).sum(axis=0)
 
 
 def holevo_quantity(ensemble):
     """chi = S(sum p_i rho_i) - sum p_i S(rho_i), bits."""
-    avg = ensemble_average(ensemble)
-    return von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(rho) for p, rho in ensemble
-    )
+    probs, rhos = _unzip(ensemble)
+    avg = (probs[:, None, None] * rhos).sum(axis=0)
+    return von_neumann_entropy(avg) - float((probs * von_neumann_entropy(rhos)).sum())

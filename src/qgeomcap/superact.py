@@ -17,11 +17,11 @@ as a custom Kraus spec.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, states
+from . import states
 
 
 @dataclass
@@ -30,38 +30,18 @@ class ReferenceModel:
 
     P1_horodecki: float = 0.02
     activation_window: tuple = (0.0, 0.0041)
-    r_H2_inside: float = 0.01
 
-    def __post_init__(self):
-        expected = 0.5 * self.P1_horodecki
-        if abs(self.r_H2_inside - expected) > 1e-12:
-            raise ValueError(
-                f"r_H2_inside must equal P1/2 = {expected}, got {self.r_H2_inside}"
-            )
-
-
-@dataclass
-class JointConstruction:
-    """Convex combination of two flagged channel branches."""
-
-    p_C: float
-    ch1: channels.ChannelSpec = None
-    ch2: channels.ChannelSpec = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_C <= 1.0:
-            raise ValueError(f"p_C must lie in [0, 1], got {self.p_C}")
+    @property
+    def r_H2_inside(self):
+        """Inside-window pairwise radius, the joint capacity P1/2."""
+        return superactivation_value(self.P1_horodecki)
 
 
 @dataclass
 class SweepResult:
-    """Rows of (p_C, r_H2, r_super) plus the grid metadata."""
+    """Rows of (p_C, r_H2, r_super)."""
 
     rows: list
-    grid_lo: float
-    grid_hi: float
-    step: float
-    model: ReferenceModel = field(default_factory=ReferenceModel)
 
     def to_csv(self):
         buf = io.StringIO()
@@ -92,15 +72,16 @@ def r_h2(p_C, model):
     return model.r_H2_inside if lo < p_C < hi else 0.0
 
 
-def joint_radius(construction, model=None):
-    """(r_H2, r_super) of the joint construction at its p_C.
+def joint_radius(p_C, model=None):
+    """(r_H2, r_super) of the joint construction that selects the first
+    channel with probability p_C.
 
     r_super = 2 p_C (1 - p_C) r_H2; the like-branch term p_C^2 r_HH
     vanishes because the first channel alone has zero quantum capacity.
     """
     if model is None:
         model = ReferenceModel()
-    p = construction.p_C if isinstance(construction, JointConstruction) else float(construction)
+    p = float(p_C)
     rh = r_h2(p, model)
     return rh, 2.0 * p * (1.0 - p) * rh
 
@@ -114,13 +95,7 @@ def sweep(grid, model=None):
         raise ValueError("empty sweep grid")
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("sweep grid must lie in [0, 1]")
-    rows = []
-    for p in grid:
-        rh, rs = joint_radius(JointConstruction(p_C=float(p)), model)
-        rows.append((float(p), rh, rs))
-    step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
-    return SweepResult(rows=rows, grid_lo=float(grid[0]), grid_hi=float(grid[-1]),
-                       step=step, model=model)
+    return SweepResult(rows=[(float(p), *joint_radius(p, model)) for p in grid])
 
 
 def detected_window(result, tol=0.0):
@@ -178,7 +153,7 @@ def superball_center_and_boundary(candidates):
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
-    ent = [states.von_neumann_entropy(c) for c in candidates]
+    ent = states.von_neumann_entropy(np.array(candidates, dtype=complex))
     center = candidates[int(np.argmax(ent))]
     boundary = candidates[int(np.argmin(ent))]
     return center, boundary
@@ -214,5 +189,4 @@ def parse_model_file(text):
         raise ValueError(f"P1_horodecki must be nonnegative, got {p1!r}")
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"window_lo = {lo!r}, window_hi = {hi!r}: need 0 <= lo < hi <= 1")
-    return ReferenceModel(P1_horodecki=p1, activation_window=(lo, hi),
-                          r_H2_inside=0.5 * p1)
+    return ReferenceModel(P1_horodecki=p1, activation_window=(lo, hi))

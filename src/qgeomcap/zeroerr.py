@@ -80,10 +80,11 @@ class ZeroErrorResult:
 
 
 def output_overlap(ch, rho_i, rho_j):
-    """Tr(N(rho_i) N(rho_j)), the distinguishability obstruction."""
-    out_i = channels.apply(ch, rho_i)
-    out_j = channels.apply(ch, rho_j)
-    return float(np.real(np.trace(out_i @ out_j)))
+    """Tr(N(rho_i) N(rho_j)), the distinguishability obstruction; two stacks
+    of states give the overlaps of their rows."""
+    out_i, out_j = channels.apply(ch, np.array([rho_i, rho_j], dtype=complex))
+    overlap = np.real(np.einsum("...ab,...ba->...", out_i, out_j))
+    return float(overlap) if overlap.ndim == 0 else overlap
 
 
 def codewords_non_adjacent(ch, w1, w2, tol=ADJACENCY_TOL):
@@ -94,10 +95,7 @@ def codewords_non_adjacent(ch, w1, w2, tol=ADJACENCY_TOL):
     """
     if len(w1) != len(w2):
         raise ValueError("codewords must have equal length")
-    prod = 1.0
-    for a, b in zip(w1, w2):
-        prod *= output_overlap(ch, a, b)
-    return prod <= tol
+    return bool(np.prod(output_overlap(ch, w1, w2)) <= tol)
 
 
 def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
@@ -110,8 +108,8 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     to zero, so later factors above 1 (unnormalised inputs) cannot revive
     it. The power is formed a chunk of about 1 MB of rows at a time.
     """
-    inputs = list(inputs)
-    if not inputs:
+    inputs = np.array(list(inputs), dtype=complex)
+    if not len(inputs):
         raise ValueError("empty input set")
     if n_uses < 1:
         raise ValueError(f"the number of channel uses (--uses) must be >= 1, got {n_uses}")
@@ -121,7 +119,7 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
         raise ResourceCapError(
             f"{n_vertices} codeword vertices exceed the cap of {MAX_VERTICES}"
         )
-    outs = np.array([channels.apply(ch, rho) for rho in inputs])
+    outs = channels.apply(ch, inputs)
     table = np.real(np.einsum("iab,jba->ij", outs, outs))
     place = m ** np.arange(n_uses - 1, -1, -1)
     chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
@@ -269,13 +267,10 @@ def pentagon_channel():
     diagonal inputs |i><i| the confusability graph is the 5-cycle. Kraus
     operators are sqrt(P(out|in)) |out><in|.
     """
-    kraus = []
-    for i in range(5):
-        for out in (i, (i + 1) % 5):
-            op = np.zeros((5, 5), dtype=complex)
-            op[out, i] = np.sqrt(0.5)
-            kraus.append(op)
-    return channels.KrausChannel(kraus, 5, 5)
+    kraus = np.zeros((5, 2, 5, 5), dtype=complex)
+    i = np.arange(5)
+    kraus[i, 0, i, i] = kraus[i, 1, (i + 1) % 5, i] = np.sqrt(0.5)
+    return channels.KrausChannel(kraus.reshape(10, 5, 5), 5, 5)
 
 
 def pentagon_inputs():

@@ -72,6 +72,43 @@ def test_complementary_matches_isometry_oracle(rng):
             assert np.abs(sys - channels.apply(ch, rho)).max() < 1e-9
 
 
+@pytest.mark.parametrize("kind,params", QUBIT_KINDS + [("erasure", {"p": 0.3})])
+def test_apply_on_a_stack_equals_one_state_calls(kind, params, rng):
+    ch = channels.build_channel(channels.ChannelSpec(kind, params))
+    rhos = np.array([random_density(rng) for _ in range(6)])
+    outs = channels.apply(ch, rhos.reshape(2, 3, 2, 2))
+    assert outs.shape == (2, 3, ch.out_dim, ch.out_dim)
+    for out, rho in zip(outs.reshape(6, ch.out_dim, ch.out_dim), rhos):
+        assert np.array_equal(out, channels.apply(ch, rho))
+        # the per-operator loop, summed in the same order
+        assert np.array_equal(out, sum(k @ rho @ k.conj().T for k in ch.kraus))
+    assert ch.kraus.shape == (len(ch.kraus), ch.out_dim, ch.in_dim)
+
+
+def test_kraus_array_forms_match_the_operator_loops():
+    ch = channels.build_channel(channels.ChannelSpec("erasure", {"p": 0.3}))
+    ch2 = channels.build_channel(channels.ChannelSpec("depolarizing", {"p": 0.2}))
+    k = len(ch.kraus)
+    comp = [np.array([ki[m] for ki in ch.kraus]) for m in range(ch.out_dim)]
+    assert np.array_equal(channels.complementary_channel(ch).kraus, comp)
+    iso = sum(np.kron(ki, np.eye(k)[:, [i]]) for i, ki in enumerate(ch.kraus))
+    assert np.array_equal(channels.isometric_extension(ch), iso)
+    ops = [np.kron(a, b) for a in ch.kraus for b in ch2.kraus]
+    assert np.array_equal(channels.tensor_channels(ch, ch2).kraus, ops)
+
+
+def test_tensor_channels_on_product_states(rng):
+    ch1 = channels.build_channel(channels.ChannelSpec("amplitude_damping", {"p": 0.3}))
+    ch2 = channels.build_channel(channels.ChannelSpec("erasure", {"p": 0.4}))
+    joint = channels.tensor_channels(ch1, ch2)
+    assert joint.kraus.shape == (6, 6, 4)
+    pairs = [(random_density(rng), random_density(rng)) for _ in range(5)]
+    outs = channels.apply(joint, np.array([states.tensor(a, b) for a, b in pairs]))
+    for out, (a, b) in zip(outs, pairs):
+        want = states.tensor(channels.apply(ch1, a), channels.apply(ch2, b))
+        assert np.abs(out - want).max() < 1e-14
+
+
 def test_erasure_channel_flags():
     ch = channels.build_channel(channels.ChannelSpec("erasure", {"p": 0.5}))
     rho = states.pure_state(np.array([1.0, 0.0]))

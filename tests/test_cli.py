@@ -98,6 +98,30 @@ def test_zeroerr_accepts_valid_input_states(tmp_path):
         assert json.loads(out.read_text())["K"] == k
 
 
+def test_zeroerr_bloch_rows_follow_the_one_radius_rule(tmp_path, capsys):
+    spec = tmp_path / "id.channel"
+    spec.write_text('kind = "identity"\n')
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("0,0,-1\n0,0,1.0000000005\n")
+    assert run(["zeroerr", spec, inputs, "-o", tmp_path / "ze.json"]) == 0
+    inputs.write_text("0,0,-1\n0,0,1.000000002\n")
+    assert run(["zeroerr", spec, inputs, "-o", tmp_path / "ze.json"]) == 1
+    assert f"{inputs}, line 2: Bloch point outside the unit ball" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["holevo", "quantum", "private"])
+@pytest.mark.parametrize("channel", sorted(p.name for p in DATA.glob("*.channel")))
+def test_capacity_on_every_data_channel(tmp_path, capsys, channel, mode):
+    out = tmp_path / "report.json"
+    code = run(["capacity", DATA / channel, "--mode", mode, "-o", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if out.exists():
+        assert run(["validate", out]) == 0
+    else:
+        assert code == 1
+
+
 def test_capacity_erasure_quantum_zero(tmp_path):
     out = tmp_path / "report.json"
     assert run(["capacity", DATA / "erasure.channel", "--mode", "quantum",

@@ -12,6 +12,7 @@ seb_improved's touch step matches the divergence along the geodesic.
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -172,3 +173,5 @@ def test_bench_kernels_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "prepared_divergence" in proc.stdout and "minimax_ball" in proc.stdout
     assert "amplitude_damping p=0.9" in proc.stdout
+    assert "quantum_capacity_single_use" in proc.stdout
+    assert re.search(r"^qubit-input zoo, p=0\.3 +268 +8 +\d+\.\d+ms$", proc.stdout, re.M)

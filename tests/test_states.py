@@ -95,6 +95,43 @@ def test_fidelity_pure_states(rng):
         assert abs(f - abs(np.vdot(a, b)) ** 2) < 1e-7
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_entropy_on_a_stack_equals_one_state_calls(dim, rng):
+    rhos = [random_density(rng, dim) for _ in range(5)]
+    rhos.append(states.pure_state(np.eye(dim)[0]))
+    ents = states.von_neumann_entropy(np.array(rhos))
+    assert ents.shape == (6,)
+    for s, rho in zip(ents, rhos):
+        assert s == states.von_neumann_entropy(rho)
+        # the masked one-state formula
+        ev = np.clip(np.linalg.eigh(rho)[0], 0.0, 1.0)
+        ev = ev[ev > states.EIG_FLOOR]
+        assert s == -(ev * np.log2(ev)).sum()
+    assert isinstance(states.von_neumann_entropy(rhos[0]), float)
+
+
+def test_bloch_maps_on_stacks(rng):
+    rs = np.array([random_bloch(rng) for _ in range(4)])
+    rhos = states.bloch_to_density(rs)
+    assert rhos.shape == (4, 2, 2)
+    for rho, r in zip(rhos, rs):
+        assert np.array_equal(rho, states.bloch_to_density(r))
+    assert np.array_equal(states.density_to_bloch(rhos),
+                          [states.density_to_bloch(rho) for rho in rhos])
+
+
+def test_one_bloch_radius_rule():
+    inside, outside = [0.0, 0.0, 1.0 + 5e-10], [0.0, 0.0, 1.0 + 2e-9]
+    states.bloch_to_density(inside)
+    assert states.relative_entropy_bloch(inside, [0.0, 0.0, 0.0]) > 0.0
+    for check in (states.bloch_to_density,
+                  lambda r: states.relative_entropy_bloch(r, [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            check(outside)
+    with pytest.raises(ValueError, match="row 1: Bloch point outside"):
+        states.check_bloch([inside, outside])
+
+
 def test_holevo_quantity_orthogonal_pure_ensemble():
     ens = [(0.5, states.pure_state(np.array([1.0, 0.0]))),
            (0.5, states.pure_state(np.array([0.0, 1.0])))]

@@ -8,8 +8,10 @@ from conftest import random_density
 
 def test_reference_model_invariant():
     m = superact.ReferenceModel()
-    assert m.r_H2_inside == pytest.approx(0.5 * m.P1_horodecki)
-    with pytest.raises(ValueError):
+    assert m.r_H2_inside == superact.superactivation_value(m.P1_horodecki) == 0.01
+    # r_H2_inside is derived from P1, so no model can carry another value
+    assert superact.ReferenceModel(P1_horodecki=0.04).r_H2_inside == 0.02
+    with pytest.raises(TypeError):
         superact.ReferenceModel(P1_horodecki=0.02, r_H2_inside=0.02)
 
 
@@ -31,7 +33,7 @@ def test_r_h2_window_is_open():
 def test_joint_radius_formula():
     m = superact.ReferenceModel()
     p = 0.003
-    rh, rs = superact.joint_radius(superact.JointConstruction(p_C=p), m)
+    rh, rs = superact.joint_radius(p, m)
     assert rh == 0.01
     assert rs == pytest.approx(2.0 * p * (1.0 - p) * 0.01, abs=1e-15)
 
