@@ -115,7 +115,7 @@ def _read_inputs_csv(path):
 
     A Bloch row must lie in the unit ball, |r| <= 1 + states.BLOCH_RADIUS_TOL;
     a diagonal row must be a probability vector, with no negative entry and
-    a sum within 1e-9 of 1.
+    a sum within zeroerr.TRACE_TOL = 1e-9 of 1.
     """
     rows = []
     for where, vals in _numeric_rows(path):
@@ -125,7 +125,7 @@ def _read_inputs_csv(path):
             _check_bloch(where, vals)
         elif min(vals) < 0.0:
             raise ValueError(f"{where}: diagonal state with a negative entry")
-        elif abs(math.fsum(vals) - 1.0) > 1e-9:
+        elif abs(math.fsum(vals) - 1.0) > zeroerr.TRACE_TOL:
             raise ValueError(f"{where}: diagonal state sums to {math.fsum(vals):.12g}, not 1")
         rows.append(vals)
     if not rows:
@@ -155,6 +155,9 @@ def cmd_capacity(args):
     if args.mode != "holevo" and ch.in_dim != 2:
         raise ValueError(f"--mode {args.mode} takes qubit-input channels only; "
                          f"this channel's input dimension is {ch.in_dim}")
+    if args.mode == "holevo" and (ch.in_dim, ch.out_dim) != (2, 2):
+        raise ValueError(f"--mode holevo takes qubit-to-qubit channels only; this channel's "
+                         f"input dimension is {ch.in_dim} and output dimension is {ch.out_dim}")
     if args.mode == "holevo":
         res = capacity.hsw_capacity(ch)
         ensemble = [

@@ -9,8 +9,10 @@ check_rows, interior, inside. The base class derives the rest from them:
 batch_div(points, c) is prepared_div(points, batch_F(points), c), div(x, y)
 is its one row, and interpolate is the geodesic below.
 NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
-the kernels' closed forms, the divergence is the quantum relative entropy
-in bits and the domain is the unit ball, singular on its pure shell.
+the kernels' closed forms, and the divergence, the quantum relative entropy
+in bits, is F(p) + F*(theta) - <p, theta> at theta = grad F(c). The domain
+is the unit ball, whose pure shell lies at |theta| = infinity: a centre
+with |c| >= 1 scores +inf on every row, the one shell rule.
 SquaredEuclidean works on real vectors, recovers ||x - y||^2 and has the
 no-op domain rules of R^d; it is the sanity geometry for the solvers.
 
@@ -109,11 +111,9 @@ class NegVonNeumann(Generator):
         return (np.tanh(m * _LN2) / m) * y
 
     def F_star(self, theta):
-        """F*(theta) = 1 + log2 cosh(ln 2 |theta|), evaluated as
-        log2(2^|theta| + 2^-|theta|) so that it cannot overflow."""
+        """F*(theta) = 1 + log2 cosh(ln 2 |theta|) (kernels.neg_entropy_star)."""
         theta = np.asarray(theta, dtype=float)
-        m = math.sqrt(float(theta @ theta))
-        return float(np.logaddexp2(m, -m))
+        return kernels.neg_entropy_star(math.sqrt(float(theta @ theta)))
 
     def hess_star(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -253,6 +253,15 @@ def _farthest_of(g, points, radii, f=None):
     return farthest
 
 
+def _coincident_ball(pset):
+    """(that point, max_i r_i), every ball solver's answer when all rows of
+    pset coincide (raw, not nudged: F is finite on a pure state), else None."""
+    pts = pset.points
+    if (pts != pts[0]).any():
+        return None
+    return pts[0].copy(), float(pset.radii.max())
+
+
 def _bisect(below):
     """Upper end of [0, 1] after 60 halvings toward where below(t) turns false."""
     lo, hi = 0.0, 1.0
@@ -349,7 +358,7 @@ def _active_set_finish(g, pts, b, theta, w, enter, certify):
     point lam_i < 0, that point leaves instead. Every iterate is certified
     with the clipped lam. False after _FINISH_STEPS steps, or at a
     singular system, a non-finite step, a step that cannot descend or a
-    centre on the singular shell.
+    centre on the pure-state shell.
     """
     d = pts.shape[1]
     k = _FINISH_POINTS * (d + 1)
@@ -435,19 +444,15 @@ def minimax_ball(g, pset, warm=None):
     warm, a MinimaxResult on the first rows of pset (as column generation
     builds them), starts with the finish from its centre and its weights
     padded with 0; the continuation runs only if that fails.
-
-    A set whose rows all coincide returns that point with radius max_i r_i.
-    It uses the raw points, not nudged ones: pure states are fine, since F
-    stays finite on them.
     """
     pts = pset.points
     rad = pset.radii
     g.check_rows(pts)
     weights = np.zeros(len(pset))
-    if (pts == pts[0]).all():
-        k = int(np.argmax(rad))
-        weights[k] = 1.0
-        return MinimaxResult(pts[0].copy(), weights, float(rad[k]), float(rad[k]), 0)
+    ball = _coincident_ball(pset)
+    if ball is not None:
+        weights[np.argmax(rad)] = 1.0
+        return MinimaxResult(ball[0], weights, ball[1], ball[1], 0)
     f = g.batch_F(pts)
     b = f + rad
     farthest = _farthest_of(g, pts, rad, f)
@@ -545,8 +550,7 @@ def seb_basic(g, pset, eps, seed=None):
     eps = 0.05. seb_improved and minimax_ball give a certified bracket.
     Per-point radii, when present, make this the enclosing ball of balls.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
-    first one. A start on the kernels' singular shell (a pure point) is
-    replaced by the mixture of the points.
+    first one.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -554,6 +558,9 @@ def seb_basic(g, pset, eps, seed=None):
     if n_iter > MAX_BASIC_ROUNDS:
         raise ResourceCapError(f"eps = {eps:g} needs {n_iter} rounds, cap {MAX_BASIC_ROUNDS}")
     g.check_rows(pset.points)
+    ball = _coincident_ball(pset)
+    if ball is not None:
+        return InfoBall(*ball, history=[ball[1]])
     pts = g.interior(pset.points)
     farthest = _farthest_of(g, pts, pset.radii)
     if seed is None:
@@ -561,11 +568,6 @@ def seb_basic(g, pset, eps, seed=None):
     else:
         c = pts[np.random.default_rng(seed).integers(len(pset))].copy()
     idx, val = farthest(c)
-    if not np.isfinite(val):
-        # a pure start lies on the kernels' singular shell even after the
-        # nudge, so every other point is infinitely far: start from the mixture
-        c = pts.mean(axis=0)
-        idx, val = farthest(c)
     history = []
     for i in range(1, n_iter + 1):
         history.append(val)
@@ -623,12 +625,14 @@ def seb_improved(g, pset, eps, seed=None):
     farthest point at the core's minimax centre to the core until that
     point is already in the core or the bracket is MINIMAX_GAP_TOL *
     max(1, r) wide; where that centre encloses the points more tightly it
-    becomes the reported centre and radius. A start on the kernels'
-    singular shell (a pure point) is replaced by the mixture of the points.
+    becomes the reported centre and radius.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     g.check_rows(pset.points)
+    ball = _coincident_ball(pset)
+    if ball is not None:
+        return InfoBall(*ball, history=[(ball[1], 0.0)])
     pts = g.interior(pset.points)
     rad = pset.radii
     farthest = _farthest_of(g, pts, rad)
@@ -640,11 +644,6 @@ def seb_improved(g, pset, eps, seed=None):
         start = int(np.random.default_rng(seed).integers(len(pset)))
     c = pts[start].copy()
     far_idx, d0 = farthest(c)
-    if not np.isfinite(d0):
-        # a pure start lies on the kernels' singular shell even after the
-        # nudge, so every other point is infinitely far: start from the mixture
-        c = pts.mean(axis=0)
-        far_idx, d0 = farthest(c)
 
     core = []
     cert = 0.0

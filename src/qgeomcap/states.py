@@ -135,7 +135,12 @@ def relative_entropy(rho, sigma):
 
 
 def relative_entropy_bloch(r_rho, r_sigma):
-    """Closed-form qubit relative entropy on Bloch vectors, bits."""
+    """Closed-form qubit relative entropy on Bloch vectors, bits.
+
+    A pure sigma (|r_sigma| >= 1) gives +inf, whatever rho is: the kernels'
+    one shell rule. relative_entropy applies the support rule instead, which
+    gives D(rho || sigma) = 0 for rho = sigma pure.
+    """
     r_rho, r_sigma = check_bloch(r_rho), check_bloch(r_sigma)
     return float(kernels.batch_divergence(np.atleast_2d(r_rho), r_sigma)[0])
 

@@ -18,6 +18,8 @@ from . import channels
 from .errors import ResourceCapError
 
 ADJACENCY_TOL = 1e-9
+# how far the trace of an input state may differ from 1
+TRACE_TOL = 1e-9
 MAX_VERTICES = 10_000
 # branch-and-bound nodes per maximum-independent-set search; pentagon^3
 # (125 vertices, K = 10) needs about 0.72 million
@@ -105,12 +107,18 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     so the adjacency is the n_uses-th Kronecker power of the |inputs| x
     |inputs| overlap table, multiplied left to right and thresholded: a
     product > tol is an edge. A partial product that falls to <= tol is set
-    to zero, so later factors above 1 (unnormalised inputs) cannot revive
-    it. The power is formed a chunk of about 1 MB of rows at a time.
+    to zero. The power is formed a chunk of about 1 MB of rows at a time.
+    An input whose trace differs from 1 by more than TRACE_TOL raises
+    ValueError naming its index: the overlaps of unnormalised inputs can
+    exceed 1, which would make the edges depend on the order of the factors.
     """
     inputs = np.array(list(inputs), dtype=complex)
     if not len(inputs):
         raise ValueError("empty input set")
+    traces = np.real(np.trace(inputs, axis1=1, axis2=2))
+    bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"input {bad[0]} has trace {traces[bad[0]]:.12g}, not 1")
     if n_uses < 1:
         raise ValueError(f"the number of channel uses (--uses) must be >= 1, got {n_uses}")
     m = len(inputs)

@@ -130,12 +130,21 @@ def test_capacity_erasure_quantum_zero(tmp_path):
     assert abs(report["value"]) < 1e-6
 
 
-@pytest.mark.parametrize("mode", ["quantum", "private"])
-def test_capacity_qubit_modes_reject_other_inputs(tmp_path, capsys, mode):
+@pytest.mark.parametrize("channel, mode, message", [
+    pytest.param("pentagon", "quantum", "qubit-input channels only; this channel's "
+                 "input dimension is 5", id="quantum"),
+    pytest.param("pentagon", "private", "qubit-input channels only; this channel's "
+                 "input dimension is 5", id="private"),
+    pytest.param("pentagon", "holevo", "qubit-to-qubit channels only; this channel's "
+                 "input dimension is 5 and output dimension is 5", id="holevo-pentagon"),
+    pytest.param("erasure", "holevo", "qubit-to-qubit channels only; this channel's "
+                 "input dimension is 2 and output dimension is 3", id="holevo-erasure"),
+])
+def test_capacity_qubit_modes_reject_other_inputs(tmp_path, capsys, channel, mode, message):
     out = tmp_path / "report.json"
-    assert run(["capacity", DATA / "pentagon.channel", "--mode", mode, "-o", out]) == 1
+    assert run(["capacity", DATA / f"{channel}.channel", "--mode", mode, "-o", out]) == 1
     err = capsys.readouterr().err
-    assert "qubit-input channels only" in err and "input dimension is 5" in err
+    assert f"--mode {mode} takes {message}" in err
     assert not out.exists()
 
 

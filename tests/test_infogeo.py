@@ -320,6 +320,55 @@ def test_minimax_ball_pure_point_in_mixed_set(rng):
     assert 0.0 < res.upper < 1e-8 and res.gap <= infogeo.MINIMAX_GAP_TOL
 
 
+def _enclosure_50_digits(points, radii, center):
+    """max_i D(p_i || center) + r_i at 50 digits, from the closed forms and
+    the floats as given; F clamps |p| at 1, as the kernels do."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(float(v)) for v in center]
+        rc = mpmath.sqrt(sum(v * v for v in c))
+        iso = mpmath.log((1 - rc * rc) / 4, 2) / 2
+        slope = mpmath.atanh(rc) / (rc * mpmath.log(2)) if rc else 1 / mpmath.log(2)
+        worst = -mpmath.inf
+        for p, r in zip(points, radii):
+            p = [mpmath.mpf(float(v)) for v in p]
+            rp = min(mpmath.sqrt(sum(v * v for v in p)), 1)
+            neg_s = sum(lam * mpmath.log(lam, 2) for lam in ((1 + rp) / 2, (1 - rp) / 2) if lam)
+            cross = sum(a * b for a, b in zip(p, c))
+            worst = max(worst, neg_s - iso - slope * cross + mpmath.mpf(float(r)))
+        return worst
+
+
+def _near_shell_sets(rng):
+    def unit(v):
+        return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+    sets = [[[0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 0.0, 1.0], unit([0.0, 1e-4, 1.0])],
+            [unit([0.0, 1e-5, 1.0]), [0.0, 0.0, 1.0], unit([1e-5, 0.0, 1.0])]]
+    for gap in (1e-3, 1e-6, 1e-9, 1e-12):
+        sets.append([unit(rng.normal(size=3)) * (1.0 - gap) for _ in range(5)])
+        sets.append([[0.0, 0.0, 1.0 - gap], unit([1e-7, 0.0, 1.0]) * (1.0 - gap), [0.0, 0.3, 0.2]])
+    for _ in range(3):
+        d, e = unit(rng.normal(size=3)), unit(rng.normal(size=3))
+        sets.append([d, unit(d + 1e-8 * e), unit(d - 1e-8 * e) * (1.0 - 1e-12)])
+        gaps = 10.0 ** rng.uniform(-12.0, -3.0, 4)
+        sets.append([unit(rng.normal(size=3)) * (1.0 - g) for g in np.append(gaps, [0.0] * 4)])
+    return sets
+
+
+def test_minimax_upper_is_the_enclosure_at_its_center(rng):
+    # pure, near-pure and near-coincident pure rows: the certified upper end
+    # is the enclosure at the reported centre, to 1e-14 at 50 digits
+    for rows in _near_shell_sets(rng):
+        pset = WeightedPointSet(points=rows)
+        res = infogeo.minimax_ball(BLOCH, pset)
+        exact = _enclosure_50_digits(pset.points, pset.radii, res.center)
+        assert abs(res.upper - float(exact)) <= 1e-14, rows
+
+
 @pytest.mark.parametrize("solve", [
     lambda pset: infogeo.seb_basic(BLOCH, pset, 0.1),
     lambda pset: infogeo.seb_improved(BLOCH, pset, 0.1),
@@ -357,6 +406,15 @@ def test_seb_solvers_on_duplicated_rows():
     pset = WeightedPointSet(points=[p, p])
     for solver in (infogeo.seb_basic, infogeo.seb_improved):
         assert solver(BLOCH, pset, 0.05).radius == 0.0
+
+
+def test_ball_solvers_share_the_coincident_rows_rule():
+    # that point, raw rather than nudged, with the largest radius
+    pset = WeightedPointSet(points=[[0.0, 0.0, 1.0]] * 3, radii=[0.0, 0.3, 0.1])
+    res = infogeo.minimax_ball(BLOCH, pset)
+    for ball in (infogeo.seb_basic(BLOCH, pset, 0.1), infogeo.seb_improved(BLOCH, pset, 0.1)):
+        assert np.array_equal(ball.center, res.center) and ball.radius == res.upper == 0.3
+        assert ball.history[-1] in (0.3, (0.3, 0.0))
 
 
 _clouds = st.integers(2, 12).flatmap(lambda n: st.tuples(

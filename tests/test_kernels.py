@@ -4,7 +4,9 @@ prepared_divergence is the one implementation of the Bloch divergence.
 batch_divergence is the reference, and the cached-entropy path
 (prepared_divergence with neg_entropy computed once) must give the same
 values to 1e-12 bits, including at pure points, at a center at the origin
-and at a singular center. Each geometry's derived div and batch_div match
+and at a center on the pure-state shell. Near that shell the
+natural-coordinate form scores D(p || p) and pure rows against nearby
+centres to 1e-14 bits. Each geometry's derived div and batch_div match
 its prepared_div bit for bit, and the natural-coordinate score of
 seb_improved's touch step matches the divergence along the geodesic.
 """
@@ -69,14 +71,45 @@ def test_center_at_origin(rng):
 
 @pytest.mark.parametrize("shrink", [0.0, 1e-10])
 def test_singular_center(rng, shrink):
-    center = (1.0 - shrink) * _unit([0.3, -0.4, 0.5])
-    points = np.vstack([_interior(rng, 10), _unit([0.3, -0.4, 0.5]), center,
-                        -center])
+    # the one shell rule: |c| >= 1 has no theta, so every row scores +inf,
+    # the row that coincides with c included; just inside, all are finite
+    # and the coinciding row scores 0
+    shell = np.array([0.0, 0.6, 0.8])
+    center = (1.0 - shrink) * shell
+    points = np.vstack([_interior(rng, 10), shell, -shell, [1.0, 0.0, 0.0], center])
     ref = _assert_paths_agree(points, center)
-    on_center = np.linalg.norm(points - center, axis=1) <= 1e-9
-    assert on_center.sum() == 2
-    assert np.all(ref[on_center] == 0.0)
-    assert np.all(np.isposinf(ref[~on_center]))
+    if shrink == 0.0:
+        assert np.all(np.isposinf(ref))
+    else:
+        assert np.all(np.isfinite(ref)) and abs(ref[-1]) <= 1e-14
+
+
+def _near_shell(rng, n):
+    """n unit directions and n gaps log-uniform in [1e-12, 1e-3]."""
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1)[:, None], 10.0 ** rng.uniform(-12.0, -3.0, n)
+
+
+def test_self_divergence_near_the_shell(rng):
+    # F*(theta) and <p, theta> cancel here at |theta| <= 21, where an ulp is 3.6e-15
+    dirs, gaps = _near_shell(rng, 10_000)
+    points = dirs * (1.0 - gaps)[:, None]
+    ent = kernels.neg_entropy(points)
+    worst = max(abs(float(kernels.prepared_divergence(points[i:i + 1], ent[i:i + 1], p)[0]))
+                for i, p in enumerate(points))
+    assert worst <= 1e-14
+
+
+def test_pure_rows_against_near_shell_centers(rng):
+    # D(p || c) = -log2((1 + |c|) / 2) for a pure p and c = (1 - delta) p
+    dirs, deltas = _near_shell(rng, 10_000)
+    ent = kernels.neg_entropy(dirs)
+    worst = 0.0
+    for i, (p, delta) in enumerate(zip(dirs, deltas)):
+        c = (1.0 - delta) * p
+        got = float(kernels.prepared_divergence(dirs[i:i + 1], ent[i:i + 1], c)[0])
+        worst = max(worst, abs(got + math.log2((1.0 + np.linalg.norm(c)) / 2.0)))
+    assert worst <= 1e-14
 
 
 def test_entropy_clamps_match():

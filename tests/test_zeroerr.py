@@ -135,10 +135,6 @@ def _build_cases():
         cases.append(pytest.param(ch, _diagonal_inputs(ch.in_dim), 2, id=f"random{k}-n2"))
     grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(50)]
     cases.append(pytest.param(_chan("amplitude_damping", 0.3), grid, 1, id="qubit-grid50"))
-    # unnormalised inputs: overlaps far above 1 follow a partial product
-    # that is already <= tol, so the left-to-right early exit matters
-    cases.append(pytest.param(_shared_output_channel(1e-8), _diagonal_inputs(2, scale=1e3), 3,
-                              id="unnormalised-n3"))
     return cases
 
 
@@ -147,6 +143,21 @@ def test_build_matches_pairwise_reference(ch, inputs, n_uses):
     g = zeroerr.build_confusability_graph(ch, inputs, n_uses)
     assert g.vertex_count == len(inputs) ** n_uses
     assert g.edges == seed_graph_edges(ch, inputs, n_uses)
+
+
+def test_build_rejects_unnormalised_inputs():
+    # overlaps of unnormalised inputs can exceed 1, which would make the
+    # edges depend on the order of the factors
+    ch = _shared_output_channel(1e-8)
+    with pytest.raises(ValueError, match="input 0 has trace 1000, not 1"):
+        zeroerr.build_confusability_graph(ch, _diagonal_inputs(2, scale=1e3), 3)
+    # the CLI reader's rule: a trace within 1e-9 of 1 passes
+    inputs = _diagonal_inputs(2)
+    inputs[1] = inputs[1] * (1.0 + 5e-10)
+    assert zeroerr.build_confusability_graph(ch, inputs, 1).vertex_count == 2
+    inputs[1] = _diagonal_inputs(2)[1] * (1.0 + 2e-9)
+    with pytest.raises(ValueError, match="input 1 has trace 1.000000002, not 1"):
+        zeroerr.build_confusability_graph(ch, inputs, 1)
 
 
 def test_adjacency_tol_rule():
