@@ -6,22 +6,27 @@ infogeo.minimax_ball on clouds of the same sizes with the bracket width it
 certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds with
 its rounds, its final bracket width and how far its lower end lies below
 minimax_ball's ("below"; its closing step makes that about 0, within the
-1e-9 widths of the two brackets and the 1e-9 nudge of its points), then
+1e-9 widths of the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
-its column-generation rounds and the minimax_ball steps of all rounds, and
-last capacity.quantum_capacity_single_use on qubit_candidate_states(): its
-time per channel of the qubit-input zoo (QUANTUM_ZOO).
+its column-generation rounds and the minimax_ball steps of all rounds, then
+capacity.quantum_capacity_single_use on qubit_candidate_states(): its
+time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
+zeroerr.zero_error_rate on pentagon n = 2 and on the 1 000-vertex complete
+graph of depolarizing(0.5) on fibonacci_sphere(10) * 0.999, n = 3: the
+time of build_confusability_graph, of max_independent_set, and the
+tracemalloc peak of one zero_error_rate call.
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
-from qgeomcap import capacity, channels, infogeo, kernels
+from qgeomcap import capacity, channels, infogeo, kernels, states, zeroerr
 
 SEB_EPS = 0.05
 GRID = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -117,6 +122,23 @@ def main():
     print(f"\n{'quantum_capacity_single_use':<30}{'candidates':>12}{'channels':>10}"
           f"{'per channel':>14}")
     print(f"{'qubit-input zoo, p=0.3':<30}{len(cands):>12}{len(zoo):>10}{t * 1e3:>12.2f}ms")
+
+    depolarizing = channels.build_channel(channels.ChannelSpec("depolarizing", {"p": 0.5}))
+    grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(10)]
+    cases = [("pentagon n=2", zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 2),
+             ("depolarizing p=0.5 grid10 n=3", depolarizing, grid, 3)]
+    print(f"\n{'zero_error_rate':<32}{'vertices':>10}{'K':>6}{'build':>12}{'search':>12}"
+          f"{'peak':>12}")
+    for name, ch, inputs, n_uses in cases:
+        graph = zeroerr.build_confusability_graph(ch, inputs, n_uses)
+        build = bench(zeroerr.build_confusability_graph, ch, inputs, n_uses, repeats=3)
+        search = bench(zeroerr.max_independent_set, graph, repeats=3)
+        tracemalloc.start()
+        k = zeroerr.zero_error_rate(ch, inputs, n_uses).K
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{name:<32}{graph.vertex_count:>10}{k:>6}{build * 1e3:>10.2f}ms"
+              f"{search * 1e3:>10.2f}ms{peak / 2**20:>9.2f}MiB")
 
 
 if __name__ == "__main__":

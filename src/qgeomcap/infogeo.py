@@ -549,6 +549,9 @@ def seb_basic(g, pset, eps, seed=None):
     (|r| <= 0.9); near the shell the radius can be 1.23 times optimal at
     eps = 0.05. seb_improved and minimax_ball give a certified bracket.
     Per-point radii, when present, make this the enclosing ball of balls.
+    The farthest points and the radius are scored on the rows as given; the
+    rows moved inwards by NUDGE (g.interior), whose gradients are finite,
+    serve only as the start centre and the geodesic targets.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
     first one.
     """
@@ -562,7 +565,7 @@ def seb_basic(g, pset, eps, seed=None):
     if ball is not None:
         return InfoBall(*ball, history=[ball[1]])
     pts = g.interior(pset.points)
-    farthest = _farthest_of(g, pts, pset.radii)
+    farthest = _farthest_of(g, pset.points, pset.radii)
     if seed is None:
         c = pts[0].copy()
     else:
@@ -625,7 +628,10 @@ def seb_improved(g, pset, eps, seed=None):
     farthest point at the core's minimax centre to the core until that
     point is already in the core or the bracket is MINIMAX_GAP_TOL *
     max(1, r) wide; where that centre encloses the points more tightly it
-    becomes the reported centre and radius.
+    becomes the reported centre and radius. The farthest points, the
+    radius and the core set's minimax_ball take the rows as given, so the
+    bracket is about them; the rows moved inwards by NUDGE (g.interior)
+    serve only as start centres and as the targets of the touch step.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -635,7 +641,7 @@ def seb_improved(g, pset, eps, seed=None):
         return InfoBall(*ball, history=[(ball[1], 0.0)])
     pts = g.interior(pset.points)
     rad = pset.radii
-    farthest = _farthest_of(g, pts, rad)
+    farthest = _farthest_of(g, pset.points, rad)
     if seed is None:
         # start from the 1-center-in-S point: divergences to a near-pure
         # point blow up logarithmically, which would wreck the schedule
@@ -654,7 +660,8 @@ def seb_improved(g, pset, eps, seed=None):
         if i in core:
             return
         core.append(i)
-        core_ball = minimax_ball(g, WeightedPointSet(pts[core], radii=rad[core]), warm=core_ball)
+        core_ball = minimax_ball(g, WeightedPointSet(pset.points[core], radii=rad[core]),
+                                 warm=core_ball)
         cert = max(cert, core_ball.lower)
 
     add_core(start)

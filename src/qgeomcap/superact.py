@@ -130,19 +130,6 @@ def decomposition_check(rho1, rho2, sigma1=None, sigma2=None):
     return lhs, rhs
 
 
-def depolarizing_erasure_radius(p):
-    """(1 - h(p/2))/2: half the HSW capacity of depolarizing(p).
-
-    This is not the joint coherent information of depolarizing(p) with 50%
-    erasure at the flagged {|0>, |1>} input, which is
-    (1 - H(1 - 3p/4, p/4, p/4, p/4))/2: 0.2484 against 0.3568 at p = 0.1.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return 0.5 * (1.0 - states.binary_entropy(p / 2.0))
-
-
 def superball_center_and_boundary(candidates):
     """(center, boundary) picked by entropy extremes.
 

@@ -1,16 +1,18 @@
 """Zero-error capacity analysis and similarity-based clustering.
 
 Two codewords can be confused iff the trace overlap of their channel
-outputs is nonzero; the confusability graph collects those collisions and
-the zero-error rate is the exact maximum independent set of the graph on
-n-tuples of inputs. The clustering half of the module works on a
+outputs is nonzero; the confusability graph collects those collisions in
+one boolean adjacency matrix, which the graph build writes and the search
+reads, and the zero-error rate is the exact maximum independent set of the
+graph on n-tuples of inputs. The clustering half of the module works on a
 mu-similar domain (componentwise-bounded diagonal state vectors) where the
 generalized relative entropy is sandwiched between scaled Mahalanobis
 forms, enabling k-median approximation with weak core-sets.
 """
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,32 +34,41 @@ _CHUNK_BYTES = 1 << 20
 # confusability graphs and zero-error rates
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfusabilityGraph:
-    """Undirected graph of mutually confusable codewords.
+    """Undirected graph of mutually confusable codewords, held as its
+    adjacency matrix: a symmetric boolean (n, n) array, False on the diagonal.
 
-    Edges are stored once each as (a, b) with a < b. Edges given in the
-    other orientation are normalised into a new set; an edge that is a
-    self-loop or leaves range(vertex_count) raises ValueError.
+    edges, the set of pairs (a, b) with a < b, is built from the matrix the
+    first time it is read.
     """
 
-    vertex_count: int
-    edges: set
+    adjacency: np.ndarray
     labels: list = None
 
-    def __post_init__(self):
-        n = self.vertex_count
-        if isinstance(self.edges, set) and all(0 <= a < b < n for a, b in self.edges):
-            return
-        clean = set()
-        for edge in self.edges:
+    @classmethod
+    def from_edges(cls, vertex_count, edges, labels=None):
+        """Graph on range(vertex_count) whose edges are the given pairs, in
+        either orientation; a self-loop or an edge that leaves the range
+        raises ValueError naming it."""
+        adjacency = np.zeros((vertex_count, vertex_count), dtype=bool)
+        for edge in edges:
             a, b = edge
             if a == b:
                 raise ValueError(f"confusability graphs have no self-loops: {edge}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge {edge} leaves the vertex range 0..{n - 1}")
-            clean.add((min(a, b), max(a, b)))
-        self.edges = clean
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+                raise ValueError(f"edge {edge} leaves the vertex range 0..{vertex_count - 1}")
+            adjacency[a, b] = adjacency[b, a] = True
+        return cls(adjacency, labels)
+
+    @property
+    def vertex_count(self):
+        return len(self.adjacency)
+
+    @functools.cached_property
+    def edges(self):
+        a, b = np.nonzero(np.triu(self.adjacency, 1))
+        return set(zip(a.tolist(), b.tolist()))
 
     def to_dot(self, name="confusability"):
         lines = [f"graph {name} {{"]
@@ -89,17 +100,6 @@ def output_overlap(ch, rho_i, rho_j):
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def codewords_non_adjacent(ch, w1, w2, tol=ADJACENCY_TOL):
-    """True iff the product of per-position output overlaps vanishes.
-
-    One perfectly distinguishable position suffices for the whole pair of
-    codewords (product factorization of the joint overlap).
-    """
-    if len(w1) != len(w2):
-        raise ValueError("codewords must have equal length")
-    return bool(np.prod(output_overlap(ch, w1, w2)) <= tol)
-
-
 def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     """Graph on all n_uses-tuples of inputs; edge = confusable pair.
 
@@ -107,7 +107,9 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     so the adjacency is the n_uses-th Kronecker power of the |inputs| x
     |inputs| overlap table, multiplied left to right and thresholded: a
     product > tol is an edge. A partial product that falls to <= tol is set
-    to zero. The power is formed a chunk of about 1 MB of rows at a time.
+    to zero. The power is formed a chunk of about 1 MB of rows at a time,
+    and each chunk's rows go straight into the adjacency matrix, which
+    takes n^2 bytes for n vertices.
     An input whose trace differs from 1 by more than TRACE_TOL raises
     ValueError naming its index: the overlaps of unnormalised inputs can
     exceed 1, which would make the edges depend on the order of the factors.
@@ -131,21 +133,22 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     table = np.real(np.einsum("iab,jba->ij", outs, outs))
     place = m ** np.arange(n_uses - 1, -1, -1)
     chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
-    edges = set()
+    adjacency = np.zeros((n_vertices, n_vertices), dtype=bool)
     for start in range(0, n_vertices, chunk):
-        rows = np.arange(start, min(start + chunk, n_vertices))
+        stop = min(start + chunk, n_vertices)
+        rows = np.arange(start, stop)
         digits = rows[:, None] // place % m
         prod = np.ones((len(rows), 1))
         for k in range(n_uses):
             prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(rows), -1)
             prod[prod <= tol] = 0.0
-        a, b = np.nonzero(prod > tol)
-        a += start
-        upper = b > a
-        edges.update(zip(a[upper].tolist(), b[upper].tolist()))
+        # row a decides the pair (a, b > a); the matrix mirrors it
+        upper = (prod > tol) & (np.arange(n_vertices) > rows[:, None])
+        adjacency[start:stop] |= upper
+        adjacency[:, start:stop] |= upper.T
     labels = ["".join(str(i) for i in v)
               for v in itertools.product(range(m), repeat=n_uses)]
-    return ConfusabilityGraph(vertex_count=n_vertices, edges=edges, labels=labels)
+    return ConfusabilityGraph(adjacency, labels)
 
 
 def _clique_cover(cands, adj, kmin):
@@ -177,29 +180,22 @@ def max_independent_set(graph):
     """Exact maximum independent set: a maximum-clique search on the complement.
 
     Bitset branch and bound after Tomita & Seki 2003 (MCQ) and San Segundo
-    et al. 2011 (BBMC). Vertices are renumbered by ascending degree, the
-    greedy independent set in that order is the first incumbent, a greedy
-    colouring bound is recomputed at every node, and the vertex of the
-    highest class is branched on first. The search keeps an explicit
+    et al. 2011 (BBMC). Vertices are renumbered by ascending degree (row
+    sums of the adjacency matrix, ties by index), each renumbered row is
+    packed into one int bitset, the greedy independent set in that order
+    is the first incumbent, a greedy colouring bound is recomputed at
+    every node, and the vertex of the highest class is branched on first. The search keeps an explicit
     stack, so its depth is bounded by K rather than by the recursion limit.
     More than MAX_BRANCH_NODES branches raise ResourceCapError.
     """
     n = graph.vertex_count
     if n > MAX_VERTICES:
         raise ResourceCapError("graph exceeds the vertex cap")
-    degree = [0] * n
-    for a, b in graph.edges:
-        degree[a] += 1
-        degree[b] += 1
-    vertex = sorted(range(n), key=degree.__getitem__)
-    rank = [0] * n
-    for i, v in enumerate(vertex):
-        rank[v] = i
-    adj = [0] * n
-    for a, b in graph.edges:
-        ra, rb = rank[a], rank[b]
-        adj[ra] |= 1 << rb
-        adj[rb] |= 1 << ra
+    vertex = np.argsort(graph.adjacency.sum(axis=1), kind="stable")
+    # row i of the renumbered matrix as an int whose bit j is its column j
+    packed = np.packbits(graph.adjacency[np.ix_(vertex, vertex)], axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    adj = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n)]
 
     # incumbent: greedy in the renumbered (ascending-degree) order
     full = (1 << n) - 1
@@ -237,12 +233,10 @@ def max_independent_set(graph):
         if sub_order:
             stack.append([chosen | bit, size + 1, sub, sub_order, sub_bounds])
 
-    witness = sorted(vertex[i] for i in range(n) if best_set >> i & 1)
+    witness = sorted(vertex[[i for i in range(n) if best_set >> i & 1]].tolist())
     # paranoia: the witness must be pairwise non-adjacent in the input graph
-    members = set(witness)
-    for a, b in graph.edges:
-        if a in members and b in members:
-            raise AssertionError("independent-set witness touches an edge")
+    if graph.adjacency[np.ix_(witness, witness)].any():
+        raise AssertionError("independent-set witness touches an edge")
     return best_size, witness
 
 

@@ -87,14 +87,6 @@ def test_decomposition_bell_gap():
     assert abs(lhs2 - rhs2) < 1e-9  # product states close the gap
 
 
-def test_depolarizing_erasure_radius():
-    assert superact.depolarizing_erasure_radius(0.0) == pytest.approx(0.5)
-    v = superact.depolarizing_erasure_radius(0.3)
-    assert v == pytest.approx(0.5 * (1.0 - states.binary_entropy(0.15)))
-    with pytest.raises(ValueError):
-        superact.depolarizing_erasure_radius(1.2)
-
-
 def test_superball_center_and_boundary():
     mixed = np.eye(2) / 2.0
     pure = states.pure_state(np.array([1.0, 0.0]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def strong_product(g1, g2):
         if same_or_adj_1 and same_or_adj_2:
             a, b = u1 * n2 + v1, u2 * n2 + v2
             edges.add((min(a, b), max(a, b)))
-    return ConfusabilityGraph(vertex_count=g1.vertex_count * n2, edges=edges)
+    return ConfusabilityGraph.from_edges(g1.vertex_count * n2, edges)
 
 
 def test_pentagon_single_use():
@@ -194,7 +195,7 @@ def milp_mis(graph):
 def _random_graph(rng, n, density):
     edges = {(a, b) for a, b in itertools.combinations(range(n), 2)
              if rng.uniform() < density}
-    return ConfusabilityGraph(vertex_count=n, edges=edges)
+    return ConfusabilityGraph.from_edges(n, edges)
 
 
 def _assert_independent(graph, k, witness):
@@ -222,18 +223,18 @@ def test_max_independent_set_matches_milp(rng):
 
 
 def test_max_independent_set_edgeless_complete_and_deep():
-    k, witness = zeroerr.max_independent_set(ConfusabilityGraph(vertex_count=1500, edges=set()))
+    k, witness = zeroerr.max_independent_set(ConfusabilityGraph.from_edges(1500, set()))
     assert k == 1500 and witness == list(range(1500))
     # 250 copies of a 6-vertex graph on which the greedy start finds 3 of
     # alpha = 4: the search goes 1000 levels deep
     copy = [(0, 4), (1, 3), (1, 5), (3, 4), (4, 5)]
     union = {(a + 6 * c, b + 6 * c) for c in range(250) for a, b in copy}
-    g = ConfusabilityGraph(vertex_count=1500, edges=union)
+    g = ConfusabilityGraph.from_edges(1500, union)
     k, witness = zeroerr.max_independent_set(g)
     assert k == 1000
     _assert_independent(g, k, witness)
     complete = set(itertools.combinations(range(200), 2))
-    k, witness = zeroerr.max_independent_set(ConfusabilityGraph(vertex_count=200, edges=complete))
+    k, witness = zeroerr.max_independent_set(ConfusabilityGraph.from_edges(200, complete))
     assert k == 1 and len(witness) == 1
 
 
@@ -269,6 +270,21 @@ def test_depolarizing_zero_error_is_zero(p):
     assert res.rate_bits == 0.0
 
 
+def test_complete_graph_is_one_matrix():
+    # 1 000 codewords that are all confusable: about 500 000 edges, held as
+    # one 1 MB boolean matrix rather than as a container of pairs
+    grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(10)]
+    ch = _chan("depolarizing", 0.5)
+    tracemalloc.start()
+    try:
+        res = zeroerr.zero_error_rate(ch, grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.K == 1
+    assert peak <= 8 * 2**20
+
+
 def test_epr_normalization_halves_rate():
     ch = zeroerr.pentagon_channel()
     ins = zeroerr.pentagon_inputs()
@@ -292,17 +308,8 @@ def test_vertex_cap_enforced():
         zeroerr.build_confusability_graph(ch, zeroerr.pentagon_inputs(), 6)
 
 
-def test_codewords_non_adjacent_product_rule():
-    ch = zeroerr.pentagon_channel()
-    ins = zeroerr.pentagon_inputs()
-    # (0,0) vs (1,1): both positions confusable -> adjacent
-    assert not zeroerr.codewords_non_adjacent(ch, [ins[0], ins[0]], [ins[1], ins[1]])
-    # (0,0) vs (2,2): first position non-adjacent kills the product
-    assert zeroerr.codewords_non_adjacent(ch, [ins[0], ins[0]], [ins[2], ins[2]])
-
-
 def test_dot_export():
-    g = ConfusabilityGraph(vertex_count=3, edges={(0, 1)}, labels=["a", "b", "c"])
+    g = ConfusabilityGraph.from_edges(3, {(0, 1)}, labels=["a", "b", "c"])
     dot = g.to_dot()
     assert dot.startswith("graph")
     assert "0 -- 1;" in dot
@@ -311,20 +318,19 @@ def test_dot_export():
 
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
-        ConfusabilityGraph(vertex_count=2, edges={(1, 1)})
+        ConfusabilityGraph.from_edges(2, {(1, 1)})
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 2), (0, 3)])
 def test_out_of_range_edge_rejected(edge):
     with pytest.raises(ValueError, match=str(edge).replace("(", r"\(").replace(")", r"\)")):
-        ConfusabilityGraph(vertex_count=3, edges={(0, 1), edge})
+        ConfusabilityGraph.from_edges(3, {(0, 1), edge})
 
 
 def test_edges_normalised_once():
     edges = {(0, 1), (1, 2)}
-    assert ConfusabilityGraph(vertex_count=3, edges=edges).edges is edges
-    assert ConfusabilityGraph(vertex_count=3, edges={(1, 0), (2, 1)}).edges == edges
-    assert ConfusabilityGraph(vertex_count=3, edges=[(1, 0), (0, 1)]).edges == {(0, 1)}
+    assert ConfusabilityGraph.from_edges(3, {(1, 0), (2, 1)}).edges == edges
+    assert ConfusabilityGraph.from_edges(3, [(1, 0), (0, 1)]).edges == {(0, 1)}
 
 
 # ---------------------------------------------------------------------------
