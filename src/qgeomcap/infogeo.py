@@ -1,11 +1,11 @@
 """Bregman-divergence geometry: generators, smallest enclosing information
-balls, a certified minimax solver, and Laguerre-lifted Delaunay structures.
+balls and a certified minimax solver.
 
 Generator(name) returns one of two geometries behind the one protocol the
 solvers use. Each geometry provides the primitives F, grad, grad_inv,
 F_star, hess_star, batch_F and prepared_div (which scores a point set
 against many centres with F(p_i) computed once) and the domain rules
-check_rows, interior, inside. The base class derives the rest from them:
+check_rows and interior. The base class derives the rest from them:
 batch_div(points, c) is prepared_div(points, batch_F(points), c), div(x, y)
 is its one row, and interpolate is the geodesic below.
 NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
@@ -44,6 +44,9 @@ _FINISH_POINTS = 2
 # points whose [p_i; 1] has a singular value this far below the largest are
 # affinely dependent for caratheodory and the finish
 _AFFINE_TOL = 1e-12
+# minimax_ball lowers its dual value by this many times the rounding unit of
+# the terms it cancels, so that it stays below the rounded enclosures
+_DUAL_SLACK = 8.0 * float(np.finfo(float).eps)
 _LN2 = np.log(2.0)
 
 
@@ -54,7 +57,9 @@ class Generator:
     grad_inv is the gradient of F_star; batch_F and
     prepared_div(points, batch_F(points), center) act on the rows of
     points; div, batch_div and interpolate are derived from them here.
-    The domain rules defined here are those of R^d.
+    The domain rules check_rows and interior defined here are those of R^d.
+    A centre on the domain's boundary has no grad; prepared_div scores it
+    +inf on every row, which is how the solvers recognise it.
     """
 
     def __new__(cls, name=None):
@@ -68,10 +73,6 @@ class Generator:
     def interior(self, x, amount=NUDGE):
         """x, or x moved into the interior of the domain by at most amount."""
         return x
-
-    def inside(self, x, margin):
-        """Whether x lies farther than margin inside the domain's boundary."""
-        return True
 
     def batch_div(self, points, center):
         """D(p_i || center) for each row of points."""
@@ -146,13 +147,10 @@ class NegVonNeumann(Generator):
         """Shrink Bloch vectors by mixing with the maximally mixed state.
 
         rho -> (1 - amount) rho + amount I/2 keeps eigenvalues strictly positive
-        so gradients and lifts stay finite; the perturbation is disclosed and
+        so gradients stay finite; the perturbation is disclosed and
         bounded by amount.
         """
         return (1.0 - amount) * np.asarray(x, dtype=float)
-
-    def inside(self, x, margin):
-        return math.sqrt(float(x @ x)) < 1.0 - margin
 
 
 class SquaredEuclidean(Generator):
@@ -183,11 +181,6 @@ class SquaredEuclidean(Generator):
 
 
 _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
-
-
-def symmetric_div(g, x, y):
-    """(D(x||y) + D(y||x)) / 2."""
-    return 0.5 * (g.div(x, y) + g.div(y, x))
 
 
 @dataclass
@@ -280,8 +273,9 @@ class MinimaxResult:
 
     upper = max_i D(p_i || center) + r_i is an enclosure actually reached;
     lower is the dual value of the weights, sum_i w_i b_i - F(sum_i w_i p_i)
-    with b_i = F(p_i) + r_i, or upper where rounding puts that above it.
-    So lower <= r* <= upper, up to the rounding of the scores.
+    with b_i = F(p_i) + r_i, less an allowance for its rounding (see
+    minimax_ball), and at most upper. So lower <= r* <= upper, with the
+    rounding of the scores allowed for.
     """
 
     center: np.ndarray
@@ -404,7 +398,7 @@ def _active_set_finish(g, pts, b, theta, w, enter, certify):
         theta = theta + alpha * step
         w = np.zeros(len(pts))
         w[support] = np.maximum(lam, 0.0)
-        idx, up, done = certify(g.grad_inv(theta), w / w.sum())
+        idx, up, done = certify(theta, w / w.sum())
         if done:
             return True
         if not np.isfinite(up):
@@ -434,7 +428,10 @@ def minimax_ball(g, pset, warm=None):
     the continuation goes on from where it was.
     The softmax weights w of the smoothing are a dual point, so every
     iteration certifies
-        [sum_i w_i b_i - F(sum_i w_i p_i), max_i D(p_i || c) + r_i].
+        [sum_i w_i b_i - F(sum_i w_i p_i), max_i D(p_i || c) + r_i],
+    whose lower end is lowered by a few rounding units of the terms that the
+    dual value and the enclosure cancel (certify), so that it stays below
+    the enclosure the rounded scores give at any centre near the optimum.
     The solver stops when the bracket is MINIMAX_GAP_TOL wide (relative to
     the radius above 1, where the rounding of the scores exceeds it) or
     after MINIMAX_MAX_STEPS iterations of either kind. The lower end is
@@ -443,7 +440,8 @@ def minimax_ball(g, pset, warm=None):
 
     warm, a MinimaxResult on the first rows of pset (as column generation
     builds them), starts with the finish from its centre and its weights
-    padded with 0; the continuation runs only if that fails.
+    padded with 0, unless that centre scores +inf (a pure point); the
+    continuation runs only if that fails.
     """
     pts = pset.points
     rad = pset.radii
@@ -456,14 +454,25 @@ def minimax_ball(g, pset, warm=None):
     f = g.batch_F(pts)
     b = f + rad
     farthest = _farthest_of(g, pts, rad, f)
+    p_max = math.sqrt(float(np.einsum("ij,ij->i", pts, pts).max()))
     lower, upper, center, steps = -np.inf, np.inf, None, 0
 
-    def certify(c, w):
-        """Fold the bracket of (c, w) into the best one; (farthest index,
-        enclosure at c, whether the solver is done)."""
+    def certify(theta, w):
+        """Fold the bracket of (c = grad_inv(theta), w) into the best one;
+        (farthest index, enclosure at c, whether the solver is done).
+
+        The dual value cancels terms of size |b_i| and |F(pbar)|, and an
+        enclosure near theta terms of size |F*(theta)| and |<p_i, theta>|;
+        the lower end is _DUAL_SLACK times their sum below the dual value
+        (and at least 0), so that rounding does not lift it above an enclosure
+        scored near the optimum."""
         nonlocal lower, upper, center, weights, steps
         steps += 1
-        lo = float(w @ b) - g.F(w @ pts)
+        c = g.grad_inv(theta)
+        head, mix = float(w @ b), float(g.F(w @ pts))
+        scale = (float(w @ np.abs(b)) + abs(mix) + abs(float(g.F_star(theta)))
+                 + math.sqrt(float(theta @ theta)) * p_max)
+        lo = max(head - mix - _DUAL_SLACK * scale, 0.0)
         if lo > lower:
             lower, weights = lo, w
         idx, up = farthest(c)
@@ -475,13 +484,15 @@ def minimax_ball(g, pset, warm=None):
     def result():
         return MinimaxResult(center, weights, min(lower, upper), upper, steps)
 
-    # a warm centre on a pure point (the answer for one distinct row) has no theta
-    if warm is not None and g.inside(warm.center, 0.0):
-        w = np.zeros(len(pset))
-        w[:len(warm.weights)] = warm.weights
-        if _active_set_finish(g, pts, b, g.grad(warm.center), w, farthest(warm.center)[0],
-                              certify):
-            return result()
+    if warm is not None:
+        # a warm centre on a pure point (the answer for one distinct row) has
+        # no theta, and the shell rule scores it +inf
+        idx, up = farthest(warm.center)
+        if math.isfinite(up):
+            w = np.zeros(len(pset))
+            w[:len(warm.weights)] = warm.weights
+            if _active_set_finish(g, pts, b, g.grad(warm.center), w, idx, certify):
+                return result()
 
     def smoothed(theta, tau):
         s = b - pts @ theta
@@ -498,10 +509,10 @@ def minimax_ball(g, pset, warm=None):
     tau = 0.1 * max(1.0, float(s.max() - s.min()))
     f, s, w = smoothed(theta, tau)
     while True:
-        c = g.grad_inv(theta)
-        idx, _, done = certify(c, w)
+        idx, _, done = certify(theta, w)
         if done:
             break
+        c = g.grad_inv(theta)
         # gap = (max s - <w, s>) + D(pbar || c): smoothing plus Fenchel-Young
         pbar = w @ pts
         smoothing = float(s.max() - w @ s)
@@ -711,76 +722,3 @@ def seb_improved(g, pset, eps, seed=None):
         add_core(idx)
     history.append(bracket())
     return InfoBall(center=best_c, radius=best_u, history=history)
-
-
-def laguerre_lift(g, pset):
-    """Euclidean spheres equivalent to the Bregman balls of the points.
-
-    Each point lifts to a sphere centered at grad F(p_i) with squared
-    radius <p'_i, p'_i> + 2 (F(p_i) - <p_i, p'_i>) where p'_i = grad F(p_i);
-    Laguerre (power) distances to these spheres reproduce the divergences.
-    Pure qubit states sit on the gradient singularity and are rejected.
-    """
-    pts = pset.points
-    centers = []
-    sq_radii = []
-    for p in pts:
-        if not g.inside(p, 1e-12):
-            raise ValueError("point on the gradient singularity cannot be lifted")
-        gp = g.grad(p)
-        centers.append(gp)
-        sq_radii.append(float(gp @ gp) + 2.0 * (g.F(p) - float(p @ gp)))
-    return np.array(centers), np.array(sq_radii)
-
-
-def _circumcenter(g, simplex_pts):
-    """Bregman circumcenter of d+1 points in dimension d.
-
-    Solves the linear system expressing equal divergence to all vertices in
-    the lifted coordinates: D(p||c) = D(q||c) reduces to a condition linear
-    in grad F(c), then c = grad_inv(solution). Returns None when degenerate.
-    """
-    p0 = simplex_pts[0]
-    rows = simplex_pts[1:] - p0
-    rhs = np.array([g.F(p) - g.F(p0) for p in simplex_pts[1:]])
-    if np.linalg.matrix_rank(rows, tol=1e-10) < rows.shape[0]:
-        return None
-    return g.grad_inv(np.linalg.solve(rows, rhs))
-
-
-def bregman_delaunay(g, pset):
-    """Delaunay simplices under the generator's divergence, brute force.
-
-    Enumerates all (d+1)-subsets, computes the Bregman circumcenter, and
-    keeps simplices whose circumball is empty of other points (left-sided
-    divergence). Intended for small n (the empty-ball check is exact).
-    Returns (simplices, degenerate_flag); degenerate_flag is True when some
-    circumball has another point exactly on its boundary (co-circular
-    input), in which case the triangulation is not unique.
-    """
-    from itertools import combinations
-
-    pts = g.interior(pset.points)
-    n, d = pts.shape
-    if n > 50:
-        raise ValueError("brute-force Delaunay is limited to n <= 50")
-    simplices = []
-    degenerate = False
-    for combo in combinations(range(n), d + 1):
-        sub = pts[list(combo)]
-        c = _circumcenter(g, sub)
-        if c is None:
-            continue
-        if not g.inside(c, 1e-9):
-            continue
-        rad = float(g.batch_div(sub, c).mean())
-        others = [i for i in range(n) if i not in combo]
-        for i in others:
-            di = g.div(pts[i], c)
-            if di < rad - 1e-9:
-                break
-            if abs(di - rad) <= 1e-9:
-                degenerate = True
-        else:
-            simplices.append(tuple(combo))
-    return simplices, degenerate

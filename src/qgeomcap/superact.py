@@ -98,11 +98,6 @@ def sweep(grid, model=None):
     return SweepResult(rows=[(float(p), *joint_radius(p, model)) for p in grid])
 
 
-def detected_window(result, tol=0.0):
-    """p_C values of the sweep whose r_super exceeds tol."""
-    return [p for p, _, rs in result.rows if rs > tol]
-
-
 def decomposition_check(rho1, rho2, sigma1=None, sigma2=None):
     """(lhs, rhs) of the product decomposition of relative entropy.
 
@@ -128,22 +123,6 @@ def decomposition_check(rho1, rho2, sigma1=None, sigma2=None):
                                   states.tensor(sigma1, sigma2))
     rhs = states.relative_entropy(rho1, sigma1) + states.relative_entropy(rho2, sigma2)
     return lhs, rhs
-
-
-def superball_center_and_boundary(candidates):
-    """(center, boundary) picked by entropy extremes.
-
-    center: the maximum-entropy candidate (the most mixed, hence the best
-    averaging point); boundary: the minimum-entropy candidate (the most
-    extreme state of the ball). Ties resolve to the lowest index.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate list")
-    ent = states.von_neumann_entropy(np.array(candidates, dtype=complex))
-    center = candidates[int(np.argmax(ent))]
-    boundary = candidates[int(np.argmin(ent))]
-    return center, boundary
 
 
 def parse_model_file(text):

@@ -26,7 +26,8 @@ MAX_VERTICES = 10_000
 # branch-and-bound nodes per maximum-independent-set search; pentagon^3
 # (125 vertices, K = 10) needs about 0.72 million
 MAX_BRANCH_NODES = 10_000_000
-# bytes of one row chunk of the n-use overlap products
+# bytes of one row chunk of the n-use overlap products and of the packed
+# adjacency
 _CHUNK_BYTES = 1 << 20
 
 
@@ -182,20 +183,28 @@ def max_independent_set(graph):
     Bitset branch and bound after Tomita & Seki 2003 (MCQ) and San Segundo
     et al. 2011 (BBMC). Vertices are renumbered by ascending degree (row
     sums of the adjacency matrix, ties by index), each renumbered row is
-    packed into one int bitset, the greedy independent set in that order
+    packed into one int bitset (gathered a chunk of rows at a time, so no
+    second n x n matrix is held), the greedy independent set in that order
     is the first incumbent, a greedy colouring bound is recomputed at
-    every node, and the vertex of the highest class is branched on first. The search keeps an explicit
-    stack, so its depth is bounded by K rather than by the recursion limit.
+    every node, and the vertex of the highest class is branched on first.
+    The search keeps an explicit stack, so its depth is bounded by K
+    rather than by the recursion limit.
     More than MAX_BRANCH_NODES branches raise ResourceCapError.
     """
     n = graph.vertex_count
     if n > MAX_VERTICES:
         raise ResourceCapError("graph exceeds the vertex cap")
     vertex = np.argsort(graph.adjacency.sum(axis=1), kind="stable")
-    # row i of the renumbered matrix as an int whose bit j is its column j
-    packed = np.packbits(graph.adjacency[np.ix_(vertex, vertex)], axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    adj = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n)]
+    # row i of the renumbered matrix as an int whose bit j is its column j,
+    # gathered and packed a chunk of about 1 MB of rows at a time
+    chunk = max(1, _CHUNK_BYTES // max(n, 1))
+    adj = []
+    for start in range(0, n, chunk):
+        rows = graph.adjacency[np.ix_(vertex[start:start + chunk], vertex)]
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        width, raw = packed.shape[1], packed.tobytes()
+        adj += [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+                for i in range(len(packed))]
 
     # incumbent: greedy in the renumbered (ascending-degree) order
     full = (1 << n) - 1
@@ -308,12 +317,6 @@ class MuSimilarDomain:
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
         return bool((x >= self.lam - tol).all() and (x <= self.gam + tol).all())
-
-    def check_inside(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if (pts < self.lam - 1e-12).any() or (pts > self.gam + 1e-12).any():
-            raise ValueError("points leave the [lam, gam] similarity box")
-        return pts
 
     def div(self, x, y):
         """Generalized relative entropy sum x ln(x/y) - x + y, nats."""
@@ -473,74 +476,3 @@ def kmedian_oracle(dom, s_in, k):
         if e < best[0]:
             best = (e, c)
     return best[1], best[0]
-
-
-def cl_superball(dom, s_in, weights, k, eps=0.2, delta=0.2, seed=0,
-                 sample_cap=128, slice_cap=3):
-    """Recursive sampled-centroid k-median solver on a mu-similar domain.
-
-    Candidate centers are weighted centroids of contiguous slices of a
-    shuffled sample multiset; each candidate branches into finding the
-    remaining medians, and a parallel branch discards the half of the
-    weight closest to the current centers. The best-error candidate wins.
-    The theoretical sample sizes 96k^2/(eps^2 mu delta) and 3/(eps mu delta)
-    are capped for desk-scale inputs (disclosed parameters); small slices
-    are essential in practice, since a short run of a shuffled sample can
-    land entirely inside one cluster while long slices average clusters.
-    """
-    s_in = np.atleast_2d(np.asarray(s_in, dtype=float))
-    dom.check_inside(s_in)
-    n = s_in.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
-    rng = np.random.default_rng(seed)
-    mu = dom.mu
-    m_sample = int(min(np.ceil(96.0 * k * k / (eps * eps * mu * delta)), sample_cap))
-    m_slice = int(min(np.ceil(3.0 / (eps * mu * delta)), slice_cap))
-    m_slice = max(m_slice, 1)
-
-    def error_of(pts, wts, centers):
-        if len(centers) == 0:
-            return np.inf
-        return kmedian_error(dom, pts, np.vstack(centers), wts)
-
-    def recurse(pts, wts, m_remaining, found):
-        if m_remaining == 0:
-            return list(found)
-        if m_remaining >= pts.shape[0]:
-            return list(found) + [p for p in pts]
-        total_w = wts.sum()
-        probs = wts / total_w
-        idx = rng.choice(pts.shape[0], size=min(m_sample, max(pts.shape[0], 1)),
-                         p=probs)
-        sample = pts[idx]
-        perm = rng.permutation(sample.shape[0])
-        sample = sample[perm]
-        candidates = []
-        for start in range(0, sample.shape[0] - m_slice + 1, m_slice):
-            candidates.append(sample[start:start + m_slice].mean(axis=0))
-        if not candidates:
-            candidates.append(sample.mean(axis=0))
-        best_c, best_e = None, np.inf
-        for c in candidates:
-            sol = recurse(pts, wts, m_remaining - 1, list(found) + [c])
-            e = error_of(s_in, weights, sol)
-            if e < best_e:
-                best_c, best_e = sol, e
-        # discard the half of the weight closest to the current centers
-        if found and pts.shape[0] > 1:
-            d = dom.div_matrix(pts, np.vstack(found)).min(axis=1)
-            order = np.argsort(d)
-            cum = np.cumsum(wts[order])
-            cut = int(np.searchsorted(cum, total_w / 2.0)) + 1
-            keep = order[cut:]
-            if keep.size > 0:
-                sol = recurse(pts[keep], wts[keep], m_remaining, list(found))
-                e = error_of(s_in, weights, sol)
-                if e < best_e:
-                    best_c, best_e = sol, e
-        return best_c
-
-    sol = recurse(s_in, weights, k, [])
-    return np.vstack(sol[:k]) if len(sol) >= k else np.vstack(sol)

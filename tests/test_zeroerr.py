@@ -285,6 +285,21 @@ def test_complete_graph_is_one_matrix():
     assert peak <= 8 * 2**20
 
 
+def test_search_packs_rows_in_chunks():
+    # the renumbered rows of a 4 000-vertex complete graph are packed a
+    # chunk at a time: no second n x n boolean matrix (n^2 bytes) is held
+    n = 4000
+    graph = ConfusabilityGraph(~np.eye(n, dtype=bool))
+    tracemalloc.start()
+    try:
+        k, witness = zeroerr.max_independent_set(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 1 and len(witness) == 1
+    assert peak < n * n / 2
+
+
 def test_epr_normalization_halves_rate():
     ch = zeroerr.pentagon_channel()
     ins = zeroerr.pentagon_inputs()
@@ -424,31 +439,6 @@ def test_weak_coreset_error_sandwich(rng):
         if not (1.0 - eps) * opt_e <= e_cs <= (1.0 + eps) * opt_e:
             bad += 1
     assert bad <= 1
-
-
-def test_cl_superball_two_clusters(rng):
-    dom = MuSimilarDomain(0.1, 0.5)
-    pts = np.vstack([rng.uniform(0.12, 0.2, (6, 3)),
-                     rng.uniform(0.4, 0.48, (6, 3))])
-    _, opt_e = zeroerr.kmedian_oracle(dom, pts, 2)
-    sol = zeroerr.cl_superball(dom, pts, None, 2, seed=0)
-    err = zeroerr.kmedian_error(dom, pts, sol)
-    assert sol.shape == (2, 3)
-    assert err <= 2.0 * opt_e
-
-
-def test_cl_superball_deterministic(rng):
-    dom = MuSimilarDomain(0.1, 0.5)
-    pts = rng.uniform(0.1, 0.5, (15, 3))
-    s1 = zeroerr.cl_superball(dom, pts, None, 2, seed=3)
-    s2 = zeroerr.cl_superball(dom, pts, None, 2, seed=3)
-    assert np.array_equal(s1, s2)
-
-
-def test_cl_superball_rejects_outside_domain(rng):
-    dom = MuSimilarDomain(0.1, 0.5)
-    with pytest.raises(ValueError):
-        zeroerr.cl_superball(dom, np.full((4, 3), 0.9), None, 2)
 
 
 def test_kmedian_error_weighted(rng):
