@@ -3,8 +3,10 @@
 Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
-certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds with
-its rounds, its final bracket width and how far its lower end lies below
+certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds:
+its time with the default 1-centre-in-S start and with seed=0 (a random
+row as start centre), so that the start rule's share shows, then its
+rounds, its final bracket width and how far its lower end lies below
 minimax_ball's ("below"; its closing step makes that about 0, within the
 1e-9 widths of the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
@@ -79,14 +81,16 @@ def main():
         t = bench(infogeo.minimax_ball, g, pset)
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
 
-    print(f"\n{'n':>8}{'seb_improved':>20}{'rounds':>10}{'width':>12}{'below':>12}")
+    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'rounds':>10}{'width':>12}"
+          f"{'below':>12}")
     for pset, res in clouds:
         ball = infogeo.seb_improved(g, pset, SEB_EPS)
         t = bench(infogeo.seb_improved, g, pset, SEB_EPS, repeats=3)
+        t_seeded = bench(infogeo.seb_improved, g, pset, SEB_EPS, 0, repeats=3)
         r_lo, delta = ball.history[-1]
         # history: the start, one entry per round, the closing step
-        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{len(ball.history) - 2:>10}"
-              f"{delta:>12.2e}{res.lower - r_lo:>12.2e}")
+        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{t_seeded * 1e3:>10.3f}ms"
+              f"{len(ball.history) - 2:>10}{delta:>12.2e}{res.lower - r_lo:>12.2e}")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
     solve = infogeo.minimax_ball

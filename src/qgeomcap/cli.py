@@ -94,13 +94,17 @@ def _read_points_csv(path):
     """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii).
 
     Every point needs 3 columns and must lie in the Bloch ball,
-    |(x, y, z)| <= 1 + states.BLOCH_RADIUS_TOL.
+    |(x, y, z)| <= 1 + states.BLOCH_RADIUS_TOL; a weight w or ball radius r
+    must be nonnegative.
     """
     pts, wts, rads = [], [], []
     for where, vals in _numeric_rows(path):
         if len(vals) < 3:
             raise ValueError(f"{where}: points need at least 3 columns, got {len(vals)}")
         _check_bloch(where, vals[:3])
+        for name, v in zip(("weight", "ball radius"), vals[3:5]):
+            if v < 0.0:
+                raise ValueError(f"{where}: {name} must be nonnegative, got {v:g}")
         pts.append(vals[:3])
         wts.append(vals[3] if len(vals) > 3 else 1.0)
         rads.append(vals[4] if len(vals) > 4 else 0.0)
@@ -194,6 +198,8 @@ def cmd_capacity(args):
 def cmd_sweep(args):
     if not 0.0 <= args.pc_min < args.pc_max <= 1.0:
         raise ValueError("need 0 <= pc-min < pc-max <= 1")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.model:
         with open(args.model) as fh:
             text = fh.read()

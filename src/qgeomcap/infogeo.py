@@ -3,11 +3,12 @@ balls and a certified minimax solver.
 
 Generator(name) returns one of two geometries behind the one protocol the
 solvers use. Each geometry provides the primitives F, grad, grad_inv,
-F_star, hess_star, batch_F and prepared_div (which scores a point set
-against many centres with F(p_i) computed once) and the domain rules
-check_rows and interior. The base class derives the rest from them:
-batch_div(points, c) is prepared_div(points, batch_F(points), c), div(x, y)
-is its one row, and interpolate is the geodesic below.
+F_star, hess_star, batch_F, prepared_div (which scores a point set
+against many centres with F(p_i) computed once) and natural (theta and
+F*(theta) of many centres at once, which bound those scores) and the
+domain rules check_rows and interior. The base class derives the rest
+from them: batch_div(points, c) is prepared_div(points, batch_F(points), c),
+div(x, y) is its one row, and interpolate is the geodesic below.
 NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
 the kernels' closed forms, and the divergence, the quantum relative entropy
 in bits, is F(p) + F*(theta) - <p, theta> at theta = grad F(c). The domain
@@ -44,8 +45,9 @@ _FINISH_POINTS = 2
 # points whose [p_i; 1] has a singular value this far below the largest are
 # affinely dependent for caratheodory and the finish
 _AFFINE_TOL = 1e-12
-# minimax_ball lowers its dual value by this many times the rounding unit of
-# the terms it cancels, so that it stays below the rounded enclosures
+# minimax_ball lowers its dual value, and seb_improved's start its bounds on
+# scores, by this many times the rounding unit of the terms they cancel, so
+# that they stay below the rounded enclosures
 _DUAL_SLACK = 8.0 * float(np.finfo(float).eps)
 _LN2 = np.log(2.0)
 
@@ -56,7 +58,12 @@ class Generator:
 
     grad_inv is the gradient of F_star; batch_F and
     prepared_div(points, batch_F(points), center) act on the rows of
-    points; div, batch_div and interpolate are derived from them here.
+    points, and natural(centers) -> (theta, f_star, spread) on the rows of
+    centers: theta_j = grad F(c_j), f_star_j = F*(theta_j) and a weight
+    spread_j >= 0 such that prepared_div's score of a row p at c_j lies
+    within _DUAL_SLACK (|F(p)| + |f_star_j| + spread_j (1 + |p|)) of
+    F(p) + f_star_j - <p, theta_j>, or f_star_j = +inf where it scores
+    +inf. div, batch_div and interpolate are derived from them here.
     The domain rules check_rows and interior defined here are those of R^d.
     A centre on the domain's boundary has no grad; prepared_div scores it
     +inf on every row, which is how the solvers recognise it.
@@ -133,6 +140,9 @@ class NegVonNeumann(Generator):
     def prepared_div(self, points, f, center):
         return kernels.prepared_divergence(points, f, center)
 
+    def natural(self, centers):
+        return kernels.natural_parameters(centers)
+
     def check_rows(self, points):
         """Raise ValueError naming the first row outside the unit ball
         (states.check_bloch).
@@ -179,17 +189,29 @@ class SquaredEuclidean(Generator):
         d = points - np.asarray(center, dtype=float)
         return (d * d).sum(axis=1)
 
+    def natural(self, centers):
+        """theta = 2c, F*(theta) = |c|^2 and spread |theta|: the score
+        |p - c|^2 and |p|^2 + |c|^2 - <p, 2c> round apart by a few units of
+        |p|^2 + |c|^2 + 2 |p| |c|."""
+        centers = np.asarray(centers, dtype=float)
+        theta = 2.0 * centers
+        return theta, self.batch_F(centers), np.linalg.norm(theta, axis=1)
+
 
 _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
 
 
 @dataclass
 class InfoBall:
-    """Left-sided information ball {x : D(x || center) <= radius}."""
+    """Left-sided information ball {x : D(x || center) <= radius}.
+
+    history is seb_basic's enclosure before and after each round, a float64
+    array ending at radius, or seb_improved's list of (r, delta) brackets.
+    """
 
     center: np.ndarray
     radius: float
-    history: list = field(default_factory=list)
+    history: np.ndarray | list = field(default_factory=list)
 
     def __post_init__(self):
         if self.radius < 0:
@@ -574,7 +596,7 @@ def seb_basic(g, pset, eps, seed=None):
     g.check_rows(pset.points)
     ball = _coincident_ball(pset)
     if ball is not None:
-        return InfoBall(*ball, history=[ball[1]])
+        return InfoBall(*ball, history=np.array([ball[1]]))
     pts = g.interior(pset.points)
     farthest = _farthest_of(g, pset.points, pset.radii)
     if seed is None:
@@ -582,12 +604,12 @@ def seb_basic(g, pset, eps, seed=None):
     else:
         c = pts[np.random.default_rng(seed).integers(len(pset))].copy()
     idx, val = farthest(c)
-    history = []
+    history = np.empty(n_iter + 1)
+    history[0] = val
     for i in range(1, n_iter + 1):
-        history.append(val)
         c = g.interpolate(c, pts[idx], 1.0 / (i + 1.0))
         idx, val = farthest(c)
-    history.append(val)
+        history[i] = val
     return InfoBall(center=c, radius=val, history=history)
 
 
@@ -620,6 +642,44 @@ def _touch_parameter(g, points, radii, c, s_idx, r):
     return _bisect(lambda t: overshoot(t) > 0.0)
 
 
+def _one_center_start(g, points, f, radii, centers, farthest):
+    """int(np.argmin([farthest(c)[1] for c in centers])), found exactly with
+    few farthest calls: the row of centers that encloses points (whose
+    F(p_k) is f) most tightly, lowest index on ties.
+
+    With (theta_j, F*_j) = g.natural(centers), every row k gives the lower
+    bound F(p_k) + r_k + F*_j - <p_k, theta_j> on farthest(c_j), less
+    _DUAL_SLACK times the terms it and the score cancel (Generator), so that
+    it stays below the rounded score. The search scores the unscored centre
+    with the smallest bound, folds the bounds of its farthest row into all
+    bounds, and stops once every unscored bound exceeds the best score. A
+    centre on the shell scores +inf and is never scored; if every centre
+    is on it, the start is row 0. The worst case is one farthest call per
+    centre, as without the bounds.
+    """
+    theta, f_star, spread = g.natural(centers)
+    live = np.flatnonzero(np.isfinite(f_star))
+    if live.size == 0:
+        return 0
+    theta, f_star, spread = theta[live], f_star[live], spread[live]
+    size = np.abs(f_star)
+    lower = np.full(live.size, -np.inf)  # +inf once scored
+    best, start = math.inf, 0
+    while True:
+        j = int(np.argmin(lower))
+        if lower[j] > best or lower[j] == np.inf:  # all pruned or scored
+            return start
+        lower[j] = np.inf
+        k, val = farthest(centers[live[j]])
+        if val < best or (val == best and live[j] < start):
+            best, start = val, int(live[j])
+        p = points[k]
+        slack = _DUAL_SLACK * (abs(f[k]) + radii[k] + size
+                               + spread * (1.0 + math.sqrt(float(p @ p))))
+        # fmax: a NaN bound, from a NaN row, rules nothing out
+        np.fmax(lower, f[k] + radii[k] + f_star - theta @ p - slack, out=lower)
+
+
 def seb_improved(g, pset, eps, seed=None):
     """Enclosing-ball solver with a certified optimal-radius bracket.
 
@@ -643,6 +703,12 @@ def seb_improved(g, pset, eps, seed=None):
     radius and the core set's minimax_ball take the rows as given, so the
     bracket is about them; the rows moved inwards by NUDGE (g.interior)
     serve only as start centres and as the targets of the touch step.
+    With seed=None the start is the 1-centre-in-S row, the nudged row whose
+    farthest score is smallest, lowest index on ties. _one_center_start
+    finds it exactly from lower bounds on those scores, scoring only the
+    rows the bounds cannot rule out: 6 of 5 000 on a uniform Bloch cloud,
+    about 80 on a near-pure one, and every row in the worst case. A seed
+    starts from a random row instead.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -652,11 +718,12 @@ def seb_improved(g, pset, eps, seed=None):
         return InfoBall(*ball, history=[(ball[1], 0.0)])
     pts = g.interior(pset.points)
     rad = pset.radii
-    farthest = _farthest_of(g, pset.points, rad)
+    f = g.batch_F(pset.points)
+    farthest = _farthest_of(g, pset.points, rad, f)
     if seed is None:
         # start from the 1-center-in-S point: divergences to a near-pure
         # point blow up logarithmically, which would wreck the schedule
-        start = int(np.argmin([farthest(p)[1] for p in pts]))
+        start = _one_center_start(g, pset.points, f, rad, pts, farthest)
     else:
         start = int(np.random.default_rng(seed).integers(len(pset)))
     c = pts[start].copy()

@@ -11,7 +11,9 @@ centre with |c| >= 1 scores +inf on every row. F(p) depends on the point
 alone, so a caller that scores a fixed point set against many centres
 computes it once with neg_entropy and passes it to prepared_divergence,
 the one implementation of the divergence; every other Bloch divergence in
-the package calls it.
+the package calls it. natural_parameters gives theta and F*(theta) of many
+centres at once, from which a caller bounds those scores without making
+them.
 """
 
 import math
@@ -80,6 +82,33 @@ def prepared_divergence(points, neg_ent, center):
     b = grad_coeff(rc)
     # theta = b center, so |theta| = b rc and <p, theta> = b <p, center>
     return neg_ent + neg_entropy_star(b * rc) - b * (points @ center)
+
+
+def natural_parameters(centers):
+    """(theta, f_star, spread) for each row c of an (n, 3) array of centres:
+    theta = grad F(c), F*(theta) and spread = |theta| / (1 - |c|^2).
+
+    These are the terms prepared_divergence scores at each centre, in one
+    vectorised pass, so that F(p) + F*(theta) - <p, theta> bounds its score
+    of a row p. A row with |c| >= 1 under prepared_divergence's own scalar
+    norm (recomputed for the rows within 1e-9 of 1) gets f_star = +inf and
+    theta = 0. Elsewhere the two passes may round |c| a few ulp apart, which
+    grad_coeff amplifies by at most 1 / (1 - |c|^2); spread carries that
+    factor, so their scores of a row p differ by a few rounding units of
+    |F(p)| + |F*(theta)| + spread (1 + |p|).
+    """
+    centers = np.asarray(centers, dtype=float)
+    rc = np.sqrt(np.einsum("ij,ij->i", centers, centers))
+    near = np.flatnonzero(rc > 1.0 - 1e-9)
+    rc[near] = [math.sqrt(float(c @ c)) for c in centers[near]]
+    shell = rc >= 1.0
+    r = np.where(shell, 0.0, rc)
+    tiny = r < _EPS_CENTER
+    b = np.where(tiny, _LOG2E, np.arctanh(r) / (np.where(tiny, 1.0, r) * _LN2))
+    m = b * r
+    f_star = np.where(shell, np.inf, m + np.log1p(np.exp2(-2.0 * m)) * _LOG2E)
+    theta = np.where(shell[:, None], 0.0, b[:, None] * centers)
+    return theta, f_star, m / ((1.0 - r) * (1.0 + r))
 
 
 def batch_divergence(points, center):

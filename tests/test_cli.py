@@ -184,6 +184,12 @@ def test_sweep_bad_range():
     assert run(["sweep", "--pc-min", 0.5, "--pc-max", 0.2]) == 1
 
 
+@pytest.mark.parametrize("steps", [-3, 0])
+def test_sweep_rejects_steps_below_one(capsys, steps):
+    assert run(["sweep", "--steps", steps]) == 1
+    assert f"--steps must be at least 1, got {steps}" in capsys.readouterr().err
+
+
 def test_zeroerr_pentagon(tmp_path):
     out = tmp_path / "ze.json"
     dot = tmp_path / "graph.dot"
@@ -296,6 +302,9 @@ def test_ball_one_point(tmp_path):
     ("0.1,0.2,0.3\n0.1,0.2\n", 2, "at least 3 columns"),
     ("0.1,0.2,0.3\n0.1,inf,0\n", 2, "finite"),
     ("x,y,z\nx,y,z\n", 2, "not a row of numbers"),
+    ("0.1,0.2,0.3,1\n0,0,0.5,-0.5\n", 2, "weight must be nonnegative, got -0.5"),
+    ("x,y,z,w,r\n0,0,0.5,1,0.1\n0.1,0,0,1,-0.25\n", 3,
+     "ball radius must be nonnegative, got -0.25"),
 ])
 def test_ball_rejects_bad_rows(tmp_path, capsys, algorithm, rows, line, rule):
     pts = tmp_path / "pts.csv"
