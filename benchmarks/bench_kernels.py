@@ -5,10 +5,11 @@ of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
 certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds:
 its time with the default 1-centre-in-S start and with seed=0 (a random
-row as start centre), so that the start rule's share shows, then its
-rounds, its final bracket width and how far its lower end lies below
-minimax_ball's ("below"; its closing step makes that about 0, within the
-1e-9 widths of the two brackets), then
+row as start centre), so that the start rule's share shows, the time of
+infogeo.seb_basic at the same eps, then seb_improved's rounds, its final
+bracket width and how far its lower end lies below minimax_ball's
+("below"; its closing step makes that about 0, within the 1e-9 widths of
+the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
 its column-generation rounds and the minimax_ball steps of all rounds, then
@@ -81,16 +82,18 @@ def main():
         t = bench(infogeo.minimax_ball, g, pset)
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
 
-    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'rounds':>10}{'width':>12}"
-          f"{'below':>12}")
+    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'seb_basic':>12}{'rounds':>10}"
+          f"{'width':>12}{'below':>12}")
     for pset, res in clouds:
         ball = infogeo.seb_improved(g, pset, SEB_EPS)
         t = bench(infogeo.seb_improved, g, pset, SEB_EPS, repeats=3)
         t_seeded = bench(infogeo.seb_improved, g, pset, SEB_EPS, 0, repeats=3)
+        t_basic = bench(infogeo.seb_basic, g, pset, SEB_EPS)
         r_lo, delta = ball.history[-1]
         # history: the start, one entry per round, the closing step
         print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{t_seeded * 1e3:>10.3f}ms"
-              f"{len(ball.history) - 2:>10}{delta:>12.2e}{res.lower - r_lo:>12.2e}")
+              f"{t_basic * 1e3:>10.3f}ms{len(ball.history) - 2:>10}{delta:>12.2e}"
+              f"{res.lower - r_lo:>12.2e}")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
     solve = infogeo.minimax_ball

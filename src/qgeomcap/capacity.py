@@ -226,7 +226,7 @@ def hsw_capacity(ch):
     while True:
         rounds += 1
         res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs), warm=res)
-        up, u = ellipsoid.oracle(_BLOCH.grad(res.center), res.lower)
+        up, u = ellipsoid.oracle(res.theta, res.lower)
         upper = min(upper, up)
         if upper - res.lower <= HSW_GAP_TOL or rounds == HSW_MAX_ROUNDS:
             break
@@ -289,10 +289,11 @@ def private_info(ch, ensemble=None):
     return x_ab - x_ae
 
 
-def coherent_info(ch, rho):
+def coherent_info(ch, rho, comp=None):
     """I_coh(rho, N) = S(N(rho)) - S(E(rho)) with E the complementary channel;
-    a stack of inputs (..., d, d) gives an array."""
-    comp = channels.complementary_channel(ch)
+    a stack of inputs (..., d, d) gives an array. comp, when given, is E,
+    built once by a caller that needs it again."""
+    comp = channels.complementary_channel(ch) if comp is None else comp
     return (states.von_neumann_entropy(channels.apply(ch, rho))
             - states.von_neumann_entropy(channels.apply(comp, rho)))
 
@@ -321,8 +322,7 @@ def quantum_capacity_single_use(ch, candidates):
     if not len(rhos):
         raise ValueError("empty candidate set")
     comp = channels.complementary_channel(ch)
-    outs = channels.apply(ch, rhos)
-    vals = states.von_neumann_entropy(outs) - states.von_neumann_entropy(channels.apply(comp, rhos))
+    vals = coherent_info(ch, rhos, comp)
     best = int(np.argmax(vals))
     best_val = float(vals[best])
     ens = _pure_decomposition(rhos[best])
@@ -332,7 +332,7 @@ def quantum_capacity_single_use(ch, candidates):
     return CapacityResult(
         value=max(best_val, 0.0),
         optimal_ensemble=ens,
-        center=outs[best],
+        center=channels.apply(ch, rhos[best]),
         radius=max(best_val, 0.0),
         iterations=len(rhos),
         converged=True,

@@ -2,13 +2,13 @@
 balls and a certified minimax solver.
 
 Generator(name) returns one of two geometries behind the one protocol the
-solvers use. Each geometry provides the primitives F, grad, grad_inv,
-F_star, hess_star, batch_F, prepared_div (which scores a point set
-against many centres with F(p_i) computed once) and natural (theta and
+solvers use. Each geometry provides the primitives F, grad_inv, F_star,
+hess_star, batch_F, prepared_div (which scores a point set against many
+centres with F(p_i) computed once) and natural (theta = grad F(c) and
 F*(theta) of many centres at once, which bound those scores) and the
 domain rules check_rows and interior. The base class derives the rest
-from them: batch_div(points, c) is prepared_div(points, batch_F(points), c),
-div(x, y) is its one row, and interpolate is the geodesic below.
+from them: batch_div(points, c) is prepared_div(points, batch_F(points), c)
+and div(x, y) is its one row.
 NegVonNeumann works on qubit Bloch vectors: F(r) = Tr(rho log2 rho) has
 the kernels' closed forms, and the divergence, the quantum relative entropy
 in bits, is F(p) + F*(theta) - <p, theta> at theta = grad F(c). The domain
@@ -17,10 +17,13 @@ with |c| >= 1 scores +inf on every row, the one shell rule.
 SquaredEuclidean works on real vectors, recovers ||x - y||^2 and has the
 no-op domain rules of R^d; it is the sanity geometry for the solvers.
 
-Gradient-space interpolation grad_inv((1-t) grad(c) + t grad(s)) is the
-geodesic used by both enclosing-ball algorithms. For qubits this path is
-identical to applying matrix log/exp to the density matrices and
-renormalizing the trace, so centers always remain valid states.
+The ball solvers work in these natural coordinates: each takes the theta
+of its rows from one natural call and maps theta back to a centre only
+through grad_inv. A geodesic is a straight line there, and both
+enclosing-ball algorithms step a centre's theta toward a row's,
+theta <- (1 - t) theta + t theta_s. For qubits this path is identical to
+applying matrix log/exp to the density matrices and renormalizing the
+trace, so centers always remain valid states.
 """
 
 import math
@@ -63,9 +66,9 @@ class Generator:
     spread_j >= 0 such that prepared_div's score of a row p at c_j lies
     within _DUAL_SLACK (|F(p)| + |f_star_j| + spread_j (1 + |p|)) of
     F(p) + f_star_j - <p, theta_j>, or f_star_j = +inf where it scores
-    +inf. div, batch_div and interpolate are derived from them here.
+    +inf. div and batch_div are derived from them here.
     The domain rules check_rows and interior defined here are those of R^d.
-    A centre on the domain's boundary has no grad; prepared_div scores it
+    A centre on the domain's boundary has no theta; prepared_div scores it
     +inf on every row, which is how the solvers recognise it.
     """
 
@@ -90,12 +93,6 @@ class Generator:
         """D(x || y): the one row of batch_div([x], y)."""
         return float(self.batch_div(x, y)[0])
 
-    def interpolate(self, c, s, t):
-        """Point at parameter t on the gradient-space geodesic from c to s."""
-        gc = self.grad(np.asarray(c, dtype=float))
-        gs = self.grad(np.asarray(s, dtype=float))
-        return self.grad_inv((1.0 - t) * gc + t * gs)
-
 
 class NegVonNeumann(Generator):
     """F(r) = Tr(rho log2 rho) on qubit Bloch vectors; divergences in bits."""
@@ -103,13 +100,6 @@ class NegVonNeumann(Generator):
     def F(self, x):
         x = np.asarray(x, dtype=float)
         return kernels.neg_entropy_scalar(math.sqrt(float(x @ x)))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        r = math.sqrt(float(x @ x))
-        if r >= 1.0:
-            raise ValueError("gradient singular at a pure state (|r| = 1)")
-        return kernels.grad_coeff(r) * x
 
     def grad_inv(self, y):
         y = np.asarray(y, dtype=float)
@@ -157,10 +147,13 @@ class NegVonNeumann(Generator):
         """Shrink Bloch vectors by mixing with the maximally mixed state.
 
         rho -> (1 - amount) rho + amount I/2 keeps eigenvalues strictly positive
-        so gradients stay finite; the perturbation is disclosed and
-        bounded by amount.
+        so natural coordinates stay finite; the perturbation is disclosed and
+        bounded by amount. A vector with |x| > 1, which check_rows accepts
+        up to states.BLOCH_RADIUS_TOL, is first scaled onto the sphere:
+        (1 - amount) x alone can round back onto the shell there.
         """
-        return (1.0 - amount) * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return (1.0 - amount) * (x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1.0))
 
 
 class SquaredEuclidean(Generator):
@@ -169,9 +162,6 @@ class SquaredEuclidean(Generator):
     def F(self, x):
         x = np.asarray(x, dtype=float)
         return float(x @ x)
-
-    def grad(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
 
     def grad_inv(self, y):
         return 0.5 * np.asarray(y, dtype=float)
@@ -245,6 +235,8 @@ class WeightedPointSet:
             raise ValueError("weights must be nonnegative")
         if (self.radii < 0).any():
             raise ValueError("ball radii must be nonnegative")
+        if not np.isfinite(self.radii).all():
+            raise ValueError("ball radii must be finite")
 
     def __len__(self):
         return self.points.shape[0]
@@ -298,9 +290,14 @@ class MinimaxResult:
     with b_i = F(p_i) + r_i, less an allowance for its rounding (see
     minimax_ball), and at most upper. So lower <= r* <= upper, with the
     rounding of the scores allowed for.
+    theta is the natural coordinate of center, and center is grad_inv(theta):
+    a warm start and hsw_capacity's sphere oracle go on from it. Where the
+    rows all coincide, center is that row and theta is g.natural's theta of
+    it (0 on the pure shell, where the row has none).
     """
 
     center: np.ndarray
+    theta: np.ndarray
     weights: np.ndarray
     lower: float
     upper: float
@@ -463,7 +460,8 @@ def minimax_ball(g, pset, warm=None):
     warm, a MinimaxResult on the first rows of pset (as column generation
     builds them), starts with the finish from its centre and its weights
     padded with 0, unless that centre scores +inf (a pure point); the
-    continuation runs only if that fails.
+    finish starts from warm.theta, and the continuation runs only if it
+    fails. The reported centre is grad_inv of the reported theta.
     """
     pts = pset.points
     rad = pset.radii
@@ -472,12 +470,13 @@ def minimax_ball(g, pset, warm=None):
     ball = _coincident_ball(pset)
     if ball is not None:
         weights[np.argmax(rad)] = 1.0
-        return MinimaxResult(ball[0], weights, ball[1], ball[1], 0)
+        theta = g.natural(ball[0][None])[0][0]
+        return MinimaxResult(ball[0], theta, weights, ball[1], ball[1], 0)
     f = g.batch_F(pts)
     b = f + rad
     farthest = _farthest_of(g, pts, rad, f)
     p_max = math.sqrt(float(np.einsum("ij,ij->i", pts, pts).max()))
-    lower, upper, center, steps = -np.inf, np.inf, None, 0
+    lower, upper, center, center_theta, steps = -np.inf, np.inf, None, None, 0
 
     def certify(theta, w):
         """Fold the bracket of (c = grad_inv(theta), w) into the best one;
@@ -488,7 +487,7 @@ def minimax_ball(g, pset, warm=None):
         the lower end is _DUAL_SLACK times their sum below the dual value
         (and at least 0), so that rounding does not lift it above an enclosure
         scored near the optimum."""
-        nonlocal lower, upper, center, weights, steps
+        nonlocal lower, upper, center, center_theta, weights, steps
         steps += 1
         c = g.grad_inv(theta)
         head, mix = float(w @ b), float(g.F(w @ pts))
@@ -499,12 +498,12 @@ def minimax_ball(g, pset, warm=None):
             lower, weights = lo, w
         idx, up = farthest(c)
         if up < upper:
-            upper, center = up, c
+            upper, center, center_theta = up, c, theta
         closed = upper < math.inf and upper - lower <= MINIMAX_GAP_TOL * max(1.0, upper)
         return idx, up, closed or steps >= MINIMAX_MAX_STEPS
 
     def result():
-        return MinimaxResult(center, weights, min(lower, upper), upper, steps)
+        return MinimaxResult(center, center_theta, weights, min(lower, upper), upper, steps)
 
     if warm is not None:
         # a warm centre on a pure point (the answer for one distinct row) has
@@ -513,7 +512,7 @@ def minimax_ball(g, pset, warm=None):
         if math.isfinite(up):
             w = np.zeros(len(pset))
             w[:len(warm.weights)] = warm.weights
-            if _active_set_finish(g, pts, b, g.grad(warm.center), w, idx, certify):
+            if _active_set_finish(g, pts, b, warm.theta, w, idx, certify):
                 return result()
 
     def smoothed(theta, tau):
@@ -524,7 +523,7 @@ def minimax_ball(g, pset, warm=None):
         return g.F_star(theta) + top + tau * np.log(z), s, e / z
 
     # the mixture of nearly coincident pure rows can round onto the sphere
-    theta = g.grad(g.interior(pts.mean(axis=0), 1e-6))
+    theta = g.natural(g.interior(pts.mean(axis=0, keepdims=True), 1e-6))[0][0]
     # a temperature far below the spread of the scores makes the smoothing a
     # hard max, on which Newton zigzags between the top two points
     s = b - pts @ theta
@@ -575,16 +574,18 @@ def seb_basic(g, pset, eps, seed=None):
     """Smallest enclosing information ball by iterated geodesic averaging.
 
     Starts from the first point (or a seeded random point) and runs
-    ceil(1/eps^2) rounds: find the farthest point, move the center a step
-    1/(i+1) toward it along the gradient-space geodesic. Its radius bound,
-    a factor (1 + eps) over the optimum, is the Euclidean one of Badoiu
-    and Clarkson. On Bloch data it is checked only away from the pure shell
-    (|r| <= 0.9); near the shell the radius can be 1.23 times optimal at
-    eps = 0.05. seb_improved and minimax_ball give a certified bracket.
-    Per-point radii, when present, make this the enclosing ball of balls.
+    ceil(1/eps^2) rounds: find the farthest point and move the center a
+    step t = 1/(i+1) toward it along the geodesic, the straight line
+    theta <- (1 - t) theta + t theta_s in natural coordinates; the centre
+    scored is grad_inv(theta). Its radius bound, a factor (1 + eps) over
+    the optimum, is the Euclidean one of Badoiu and Clarkson. On Bloch
+    data it is checked only away from the pure shell (|r| <= 0.9); near
+    the shell the radius can be 1.23 times optimal at eps = 0.05.
+    seb_improved and minimax_ball give a certified bracket. Per-point
+    radii, when present, make this the enclosing ball of balls.
     The farthest points and the radius are scored on the rows as given; the
-    rows moved inwards by NUDGE (g.interior), whose gradients are finite,
-    serve only as the start centre and the geodesic targets.
+    rows moved inwards by NUDGE (g.interior), whose theta one g.natural
+    call gives, serve only as the start centre and the geodesic targets.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
     first one.
     """
@@ -598,43 +599,35 @@ def seb_basic(g, pset, eps, seed=None):
     if ball is not None:
         return InfoBall(*ball, history=np.array([ball[1]]))
     pts = g.interior(pset.points)
+    theta = g.natural(pts)[0]
     farthest = _farthest_of(g, pset.points, pset.radii)
-    if seed is None:
-        c = pts[0].copy()
-    else:
-        c = pts[np.random.default_rng(seed).integers(len(pset))].copy()
+    start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
+    c, th = pts[start].copy(), theta[start]
     idx, val = farthest(c)
     history = np.empty(n_iter + 1)
     history[0] = val
     for i in range(1, n_iter + 1):
-        c = g.interpolate(c, pts[idx], 1.0 / (i + 1.0))
+        t = 1.0 / (i + 1.0)
+        th = (1.0 - t) * th + t * theta[idx]
+        c = g.grad_inv(th)
         idx, val = farthest(c)
         history[i] = val
     return InfoBall(center=c, radius=val, history=history)
 
 
-def _touch_score(g, c, s, excess):
-    """t -> D(s || c(t)) + excess on the geodesic c(t) = g.interpolate(c, s, t).
-
-    The geodesic is a straight line in natural coordinates,
-    theta_t = (1 - t) grad(c) + t grad(s), and there
-    D(s || c(t)) = F(s) + F*(theta_t) - <s, theta_t>, so after grad(c),
-    grad(s) and F(s) each score costs one F* and no grad_inv.
+def _touch_parameter(g, th_c, s, th_s, excess):
+    """Step t on the geodesic theta_t = (1 - t) th_c + t th_s from a centre
+    toward the point s, whose theta is th_s, at which
+    D(s || grad_inv(theta_t)) + excess = 0, by bisection: a ball of radius
+    r touches s with radius r_s at excess = r_s - r. The score is
+    F(s) + F*(theta_t) - <s, theta_t> + excess, one F* and no grad_inv.
     """
-    th_c, th_s = g.grad(c), g.grad(s)
     base = g.F(s) + excess
 
-    def score(t):
+    def overshoot(t):
         th = (1.0 - t) * th_c + t * th_s
         return base + g.F_star(th) - float(s @ th)
 
-    return score
-
-
-def _touch_parameter(g, points, radii, c, s_idx, r):
-    """Step t on the geodesic from c toward points[s_idx] at which the ball
-    of radius r touches that point, i.e. D(s||c(t)) + r_s = r, by bisection."""
-    overshoot = _touch_score(g, c, points[s_idx], radii[s_idx] - r)
     if overshoot(0.0) <= 0.0:
         return 0.0
     if overshoot(1.0) > 0.0:
@@ -642,37 +635,32 @@ def _touch_parameter(g, points, radii, c, s_idx, r):
     return _bisect(lambda t: overshoot(t) > 0.0)
 
 
-def _one_center_start(g, points, f, radii, centers, farthest):
+def _one_center_start(points, f, radii, centers, natural, farthest):
     """int(np.argmin([farthest(c)[1] for c in centers])), found exactly with
     few farthest calls: the row of centers that encloses points (whose
     F(p_k) is f) most tightly, lowest index on ties.
 
-    With (theta_j, F*_j) = g.natural(centers), every row k gives the lower
-    bound F(p_k) + r_k + F*_j - <p_k, theta_j> on farthest(c_j), less
-    _DUAL_SLACK times the terms it and the score cancel (Generator), so that
-    it stays below the rounded score. The search scores the unscored centre
-    with the smallest bound, folds the bounds of its farthest row into all
-    bounds, and stops once every unscored bound exceeds the best score. A
-    centre on the shell scores +inf and is never scored; if every centre
-    is on it, the start is row 0. The worst case is one farthest call per
-    centre, as without the bounds.
+    With (theta_j, F*_j, spread_j) = natural, the solve's g.natural(centers),
+    every row k gives the lower bound F(p_k) + r_k + F*_j - <p_k, theta_j>
+    on farthest(c_j), less _DUAL_SLACK times the terms it and the score
+    cancel (Generator), so that it stays below the rounded score. The search
+    scores the unscored centre with the smallest bound, folds the bounds of
+    its farthest row into all bounds, and stops once every unscored bound
+    exceeds the best score. The worst case is one farthest call per centre,
+    as without the bounds.
     """
-    theta, f_star, spread = g.natural(centers)
-    live = np.flatnonzero(np.isfinite(f_star))
-    if live.size == 0:
-        return 0
-    theta, f_star, spread = theta[live], f_star[live], spread[live]
+    theta, f_star, spread = natural
     size = np.abs(f_star)
-    lower = np.full(live.size, -np.inf)  # +inf once scored
+    lower = np.full(len(centers), -np.inf)  # +inf once scored
     best, start = math.inf, 0
     while True:
         j = int(np.argmin(lower))
         if lower[j] > best or lower[j] == np.inf:  # all pruned or scored
             return start
         lower[j] = np.inf
-        k, val = farthest(centers[live[j]])
-        if val < best or (val == best and live[j] < start):
-            best, start = val, int(live[j])
+        k, val = farthest(centers[j])
+        if val < best or (val == best and j < start):
+            best, start = val, j
         p = points[k]
         slack = _DUAL_SLACK * (abs(f[k]) + radii[k] + size
                                + spread * (1.0 + math.sqrt(float(p @ p))))
@@ -702,7 +690,11 @@ def seb_improved(g, pset, eps, seed=None):
     becomes the reported centre and radius. The farthest points, the
     radius and the core set's minimax_ball take the rows as given, so the
     bracket is about them; the rows moved inwards by NUDGE (g.interior)
-    serve only as start centres and as the targets of the touch step.
+    serve only as start centres and as the targets of the touch step. The
+    centre moves in natural coordinates, theta <- (1 - t) theta + t theta_s
+    with the rows' theta from one g.natural call, and the touch step
+    bisects on that line; after a step the centre scored, and perhaps
+    reported, is grad_inv(theta).
     With seed=None the start is the 1-centre-in-S row, the nudged row whose
     farthest score is smallest, lowest index on ties. _one_center_start
     finds it exactly from lower bounds on those scores, scoring only the
@@ -717,16 +709,18 @@ def seb_improved(g, pset, eps, seed=None):
     if ball is not None:
         return InfoBall(*ball, history=[(ball[1], 0.0)])
     pts = g.interior(pset.points)
+    natural = g.natural(pts)
+    theta = natural[0]
     rad = pset.radii
     f = g.batch_F(pset.points)
     farthest = _farthest_of(g, pset.points, rad, f)
     if seed is None:
         # start from the 1-center-in-S point: divergences to a near-pure
         # point blow up logarithmically, which would wreck the schedule
-        start = _one_center_start(g, pset.points, f, rad, pts, farthest)
+        start = _one_center_start(pset.points, f, rad, pts, natural, farthest)
     else:
         start = int(np.random.default_rng(seed).integers(len(pset)))
-    c = pts[start].copy()
+    c, th = pts[start].copy(), theta[start]
     far_idx, d0 = farthest(c)
 
     core = []
@@ -763,9 +757,10 @@ def seb_improved(g, pset, eps, seed=None):
     while (ell + gap) ** 2 - ell * ell > eps and rounds < max_rounds:
         idx, _ = farthest(c)
         add_core(idx)
-        t = _touch_parameter(g, pts, rad, c, idx, ell * ell)
+        t = _touch_parameter(g, th, pts[idx], theta[idx], rad[idx] - ell * ell)
         if t > 0.0:
-            c = g.interpolate(c, pts[idx], t)
+            th = (1.0 - t) * th + t * theta[idx]
+            c = g.grad_inv(th)
         _, val = farthest(c)
         if val < best_u:
             best_u = val

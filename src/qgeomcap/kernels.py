@@ -62,7 +62,9 @@ def neg_entropy_star(m):
 
 def grad_coeff(r):
     """|grad F(r)| / r = atanh(r) / (r ln 2) for a float radius r < 1,
-    exact to a few ulp at every r; its limit 1/ln(2) below 1e-12."""
+    exact to a few ulp at every r; its limit 1/ln(2) below 1e-12.
+    prepared_divergence scores a centre with it, and natural_parameters
+    evaluates the same formula on arrays, the one map from centres to theta."""
     if r < _EPS_CENTER:
         return _LOG2E
     return math.atanh(r) / (r * _LN2)

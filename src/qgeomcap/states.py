@@ -52,12 +52,12 @@ def check_bloch(r):
     """r as a float array of Bloch vectors (..., 3).
 
     Raises ValueError when a vector lies outside the unit ball,
-    |r| > 1 + BLOCH_RADIUS_TOL; for a stack the message names the first
-    such row.
+    |r| > 1 + BLOCH_RADIUS_TOL, or holds NaN (|r| = nan); for a stack the
+    message names the first such row.
     """
     r = np.asarray(r, dtype=float)
     norms = np.hypot.reduce(r, axis=-1)
-    bad = np.flatnonzero(norms > 1.0 + BLOCH_RADIUS_TOL)
+    bad = np.flatnonzero(~(norms <= 1.0 + BLOCH_RADIUS_TOL))
     if bad.size:
         i = int(bad[0])
         row = f"row {i}: " if r.ndim > 1 else ""

@@ -147,7 +147,7 @@ def test_sphere_oracle_bounds_dense_directions(ch):
     for c in centers:
         dense = float(kernels.batch_divergence(outs, c).max())
         for lower in (dense - 1e-2, dense - 1e-7, 0.0):
-            upper, u = ellipsoid.oracle(BLOCH.grad(c), lower)
+            upper, u = ellipsoid.oracle(BLOCH.natural(c[None])[0][0], lower)
             assert upper >= dense - 1e-12
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 

@@ -276,6 +276,17 @@ def test_ball_pure_rows(tmp_path):
     assert reports["basic"]["radius"] >= lower
 
 
+@pytest.mark.parametrize("algorithm", ["basic", "improved"])
+def test_ball_takes_rows_at_the_radius_tolerance(tmp_path, algorithm):
+    # |r| = 1 + 1e-9 passes the reader; nudging it must not land on the shell
+    pts = tmp_path / "tol.csv"
+    pts.write_text("0.0,0.6000000006,0.8000000008000001\n0.1,0.2,0.3\n-0.5,0,0\n")
+    out = tmp_path / f"{algorithm}.json"
+    assert run(["ball", pts, "--algorithm", algorithm, "-o", out]) == 0
+    assert np.isfinite(json.loads(out.read_text())["radius"])
+    assert run(["validate", out]) == 0
+
+
 @pytest.mark.parametrize("bracket", [[0.1], [0.1, "x"], [None, 0.3], [0.2, 1e999],
                                      [0.5, 0.6], "0.1,0.3"])
 def test_validate_rejects_bad_bracket(tmp_path, bracket):

@@ -72,6 +72,11 @@ def _grid_minimax(g, pset, resolution=61, refinements=2):
     return best_c, best_v
 
 
+def _theta(g, x):
+    """theta = grad F(x) of one point, from natural."""
+    return g.natural(np.atleast_2d(x))[0][0]
+
+
 def _dual_value(g, pset, w):
     """sum_i w_i (F(p_i) + r_i) - F(sum_i w_i p_i), recomputed point by point."""
     head = sum(wi * (g.F(p) + r) for wi, p, r in zip(w, pset.points, pset.radii))
@@ -83,25 +88,6 @@ def test_generator_constructor_dispatches_on_the_name():
     assert type(BLOCH) is infogeo.NegVonNeumann and type(EUCL) is infogeo.SquaredEuclidean
     with pytest.raises(ValueError, match="unknown generator 'x'"):
         Generator("x")
-
-
-@pytest.mark.parametrize("g, dim", [(BLOCH, 3), (EUCL, 2)], ids=["bloch", "euclidean"])
-def test_interpolate_wrapper_sees_the_seb_solvers(monkeypatch, rng, g, dim):
-    # a counting wrapper on Generator.interpolate, as the benchmark installs
-    # it, must see the geodesic steps of both solvers under both generators
-    calls = []
-    plain = Generator.interpolate
-
-    def counted(self, c, s, t):
-        calls.append(type(self))
-        return plain(self, c, s, t)
-
-    monkeypatch.setattr(Generator, "interpolate", counted)
-    pset = WeightedPointSet(points=0.8 * rng.uniform(-0.5, 0.5, size=(6, dim)))
-    for solver in (infogeo.seb_basic, infogeo.seb_improved):
-        calls.clear()
-        solver(g, pset, 0.1)
-        assert calls and set(calls) == {type(g)}
 
 
 def test_minimax_ball_evaluates_point_entropies_once(monkeypatch, rng):
@@ -121,10 +107,10 @@ def test_minimax_ball_evaluates_point_entropies_once(monkeypatch, rng):
 def test_gradient_inverse(rng):
     for _ in range(50):
         r = random_bloch(rng)
-        assert np.allclose(BLOCH.grad_inv(BLOCH.grad(r)), r, atol=1e-12)
+        assert np.allclose(BLOCH.grad_inv(_theta(BLOCH, r)), r, atol=1e-12)
     for _ in range(10):
         x = rng.normal(size=4)
-        assert np.allclose(EUCL.grad_inv(EUCL.grad(x)), x, atol=1e-12)
+        assert np.allclose(EUCL.grad_inv(_theta(EUCL, x)), x, atol=1e-12)
 
 
 def test_divergence_matches_relative_entropy(rng):
@@ -138,12 +124,13 @@ def test_euclidean_divergence():
 
 
 def test_geodesic_matches_matrix_exponential_path(rng):
-    # gradient-space interpolation equals matrix log/exp interpolation with
-    # trace renormalization
+    # the straight theta-line the seb solvers walk equals matrix log/exp
+    # interpolation with trace renormalization
     for _ in range(20):
         c, s = random_bloch(rng), random_bloch(rng)
         t = rng.uniform(0.0, 1.0)
-        mid = BLOCH.interpolate(c, s, t)
+        theta = BLOCH.natural(np.array([c, s]))[0]
+        mid = BLOCH.grad_inv((1.0 - t) * theta[0] + t * theta[1])
         lc = logm(states.bloch_to_density(c))
         ls = logm(states.bloch_to_density(s))
         m = expm((1.0 - t) * lc + t * ls)
@@ -155,7 +142,7 @@ def test_conjugate_and_its_hessian(rng):
     for g, draw in ((BLOCH, lambda: random_bloch(rng, 0.999)), (EUCL, lambda: rng.normal(size=3))):
         for _ in range(20):
             x = draw()
-            theta = g.grad(x)
+            theta = _theta(g, x)
             # Fenchel-Young equality at theta = grad F(x)
             assert g.F_star(theta) == pytest.approx(float(x @ theta) - g.F(x), abs=1e-12)
             h = 1e-6
@@ -284,6 +271,9 @@ def test_warm_started_minimax_ball(case):
     warm = infogeo.minimax_ball(g, pset, warm=infogeo.minimax_ball(g, sub))
     for res in (cold, warm):
         assert 0.0 <= res.gap <= infogeo.MINIMAX_GAP_TOL
+        # the reported centre is the one its theta maps to
+        if not (pts == pts[0]).all():
+            assert np.array_equal(g.grad_inv(res.theta), res.center)
     assert warm.lower <= cold.upper + 1e-12 and cold.lower <= warm.upper + 1e-12
     assert warm.weights.min() >= 0.0 and warm.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert warm.lower <= _dual_value(g, pset, warm.weights) + 1e-12
@@ -393,6 +383,49 @@ def test_solvers_reject_points_outside_the_bloch_ball(solve):
         solve(pset)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda pset: infogeo.seb_basic(BLOCH, pset, 0.1),
+    lambda pset: infogeo.seb_improved(BLOCH, pset, 0.1),
+    lambda pset: infogeo.minimax_ball(BLOCH, pset),
+], ids=["basic", "improved", "minimax"])
+def test_solvers_reject_nan_rows(solve):
+    pset = WeightedPointSet(points=[[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="row 1: Bloch point"):
+        solve(pset)
+
+
+def test_interior_nudges_rows_at_the_radius_tolerance_inside():
+    # (1 - NUDGE) p alone rounds onto the shell for most rows at
+    # |p| = 1 + 1e-9; rows with |p| <= 1 are nudged as before, bit for bit
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=(20_000, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    inside = d * rng.uniform(0.0, 1.0, (len(d), 1))
+    inside = inside[np.linalg.norm(inside, axis=1) <= 1.0]
+    assert np.array_equal(BLOCH.interior(inside), (1.0 - infogeo.NUDGE) * inside)
+    for row in (inside[0], inside[1:3]):
+        assert np.array_equal(BLOCH.interior(row), (1.0 - infogeo.NUDGE) * row)
+    over = d * (1.0 + 1e-9)
+    over = over[np.hypot.reduce(over, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
+    BLOCH.check_rows(over)
+    assert len(over) > 5000
+    assert max(np.sqrt(float(c @ c)) for c in BLOCH.interior(over)) < 1.0
+
+
+def test_seb_solvers_take_rows_at_the_radius_tolerance():
+    # |p| = 1 + 1e-9 is inside states.BLOCH_RADIUS_TOL; its nudged row once
+    # rounded onto the shell, where the geodesic step has no theta
+    pset = WeightedPointSet(points=[[0.0, 0.6000000006, 0.8000000008000001],
+                                    [0.1, 0.2, 0.3], [-0.5, 0.0, 0.0]])
+    res = infogeo.minimax_ball(BLOCH, pset)
+    for seed in (None, 0, 1):
+        basic = infogeo.seb_basic(BLOCH, pset, 0.1, seed=seed)
+        improved = infogeo.seb_improved(BLOCH, pset, 0.1, seed=seed)
+        assert np.isfinite(basic.history).all() and basic.radius >= res.lower
+        r_lo, delta = improved.history[-1]
+        assert np.isfinite(improved.radius) and _meets(r_lo, r_lo + delta, res)
+
+
 def test_seb_improved_pure_seeded_start():
     pset = WeightedPointSet(points=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
     res = infogeo.minimax_ball(BLOCH, pset)
@@ -436,7 +469,7 @@ def _start_and_calls(g, pset):
         return farthest(c)
 
     centers = g.interior(pts)
-    start = infogeo._one_center_start(g, pts, f, rad, centers, counted)
+    start = infogeo._one_center_start(pts, f, rad, centers, g.natural(centers), counted)
     return start, int(np.argmin([farthest(c)[1] for c in centers])), len(calls)
 
 
@@ -504,12 +537,20 @@ def test_pruned_start_on_symmetric_sets():
         assert start == exhaustive, seed
 
 
-def test_pruned_start_with_every_centre_on_the_shell():
-    # every nudged row scores +inf, so the exhaustive rule takes row 0
-    pts = _seeded_cloud(np.random.default_rng(5), 4, "uniform")
-    pts *= (1.0 + 1e-9) / np.linalg.norm(pts, axis=1)[:, None]
-    assert np.isinf(BLOCH.natural(BLOCH.interior(pts))[1]).all()
-    assert _start_and_calls(BLOCH, WeightedPointSet(points=pts)) == (0, 0, 0)
+def test_pruned_start_with_every_row_at_the_shell():
+    # no row that check_rows accepts, up to |p| = 1 + 1e-9, nudges onto the
+    # shell, under natural's norm or prepared_div's own
+    rng = np.random.default_rng(5)
+    for radius in (1.0, 1.0 + 5e-10, 1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 0.0)):
+        pts = _seeded_cloud(rng, 2000, "uniform")
+        pts *= radius / np.linalg.norm(pts, axis=1)[:, None]
+        pts = pts[np.hypot.reduce(pts, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
+        BLOCH.check_rows(pts)
+        centers = BLOCH.interior(pts)
+        assert np.isfinite(BLOCH.natural(centers)[1]).all()
+        assert max(np.sqrt(float(c @ c)) for c in centers) < 1.0
+        start, exhaustive, calls = _start_and_calls(BLOCH, WeightedPointSet(points=pts[:40]))
+        assert start == exhaustive and 0 < calls
 
 
 def test_pruned_start_at_the_radius_tolerance():
@@ -708,3 +749,6 @@ def test_pointset_validation():
         WeightedPointSet(points=np.zeros((2, 3)), weights=np.array([1.0]))
     with pytest.raises(ValueError):
         WeightedPointSet(points=np.zeros((1, 3)), radii=np.array([-0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="ball radii must be finite"):
+            WeightedPointSet(points=np.zeros((2, 3)), radii=np.array([0.0, bad]))

@@ -122,15 +122,17 @@ def test_entropy_clamps_match():
 
 
 def test_qubit_formulas_have_one_implementation():
-    # Generator.F / grad, capacity._psi_slope and states.binary_entropy all
-    # evaluate the kernels' entropy term and gradient coefficient
+    # Generator.F / natural, capacity._psi_slope and states.binary_entropy
+    # all evaluate the kernels' entropy term and gradient coefficient
     bloch = infogeo.Generator("neg_von_neumann")
     for r in [0.0, 1e-13, 1e-3, 0.3, 0.9, 1.0 - 1e-9]:
         exact = 1.0 / math.log(2.0) if r == 0.0 else math.atanh(r) / (r * math.log(2.0))
         assert kernels.grad_coeff(r) == pytest.approx(exact, rel=1e-12)
         assert capacity._psi_slope(r * r) == pytest.approx(0.5 * exact, rel=1e-12)
         x = np.array([0.0, 0.6, 0.8]) * r
-        assert np.array_equal(bloch.grad(x), kernels.grad_coeff(float(np.linalg.norm(x))) * x)
+        theta = bloch.natural(x[None])[0][0]
+        scalar = kernels.grad_coeff(float(np.linalg.norm(x))) * x
+        assert (np.abs(theta - scalar) <= 4 * np.spacing(np.abs(scalar))).all()
         assert bloch.F(x) == kernels.neg_entropy_scalar(float(np.linalg.norm(x)))
     for p in [0.0, 1e-6, 0.1, 0.25, 0.5, 0.9, 1.0]:
         direct = -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)
@@ -164,7 +166,7 @@ def test_natural_coordinate_form(rng):
     points = np.vstack([_interior(rng), np.eye(3)])
     ent = kernels.neg_entropy(points)
     for center in [np.zeros(3), *(random_bloch(rng, 0.999) for _ in range(10))]:
-        theta = bloch.grad(center)
+        theta = bloch.natural(center[None])[0][0]
         natural = ent + bloch.F_star(theta) - points @ theta
         np.testing.assert_allclose(natural, kernels.batch_divergence(points, center),
                                    rtol=0.0, atol=1e-11)
@@ -186,16 +188,21 @@ def test_derived_divergences_are_prepared_div(rng, g, scale):
 
 
 @pytest.mark.parametrize("g, scale", _GEOMETRIES, ids=["bloch", "euclidean"])
-def test_touch_score_is_the_geodesic_divergence(rng, g, scale):
-    # seb_improved scores its touch step in natural coordinates; the score
-    # is D(s || c(t)) + r_s - r on the geodesic that interpolate walks
-    for _ in range(20):
+def test_touch_parameter_is_the_geodesic_root(rng, g, scale):
+    # seb_improved bisects its touch step on the theta-line; at the t it
+    # returns, D(s || c(t)) + r_s - r is 0 on the centre c(t) = grad_inv(theta_t)
+    roots = 0
+    for _ in range(40):
         c, s = (random_bloch(rng, 0.99) * scale for _ in range(2))
         r_s, r = rng.uniform(0.0, 0.05), rng.uniform(0.0, 1.0)
-        score = infogeo._touch_score(g, c, s, r_s - r)
-        for t in (0.0, 0.25, 1.0):
-            direct = g.div(s, g.interpolate(c, s, t)) + r_s - r
-            assert abs(score(t) - direct) <= 1e-12
+        if g.div(s, c) + r_s - r <= 0.0 or r_s >= r:
+            continue  # the ball already holds s, or cannot touch it on the line
+        th_c, th_s = g.natural(np.array([c, s]))[0]
+        t = infogeo._touch_parameter(g, th_c, s, th_s, r_s - r)
+        assert 0.0 < t < 1.0
+        assert abs(g.div(s, g.grad_inv((1.0 - t) * th_c + t * th_s)) + r_s - r) <= 1e-12
+        roots += 1
+    assert roots >= 5
 
 
 def test_bench_kernels_script_runs():

@@ -130,6 +130,12 @@ def test_one_bloch_radius_rule():
             check(outside)
     with pytest.raises(ValueError, match="row 1: Bloch point outside"):
         states.check_bloch([inside, outside])
+    # NaN compares False with any bound; the check must still catch it
+    nan_row = [[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"row 1: Bloch point outside .* \|r\| = nan"):
+        states.check_bloch(nan_row)
+    with pytest.raises(ValueError, match=r"\|r\| = nan"):
+        states.check_bloch(nan_row[1])
 
 
 def test_holevo_quantity_orthogonal_pure_ensemble():
