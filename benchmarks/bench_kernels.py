@@ -11,7 +11,7 @@ bracket width and how far its lower end lies below minimax_ball's
 ("below"; its closing step makes that about 0, within the 1e-9 widths of
 the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
-acceptance test and on amplitude damping at p = 0.1 ... 0.9, with
+acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9, with
 its column-generation rounds and the minimax_ball steps of all rounds, then
 capacity.quantum_capacity_single_use on qubit_candidate_states(): its
 time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
@@ -36,6 +36,7 @@ GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 HSW_CASES = ([("depolarizing", p) for p in GRID]
              + [(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
                 for p in (0.1, 0.5, 0.9)]
+             + [("dephasing", p) for p in GRID]
              + [("amplitude_damping", p) for p in GRID])
 QUANTUM_ZOO = [(kind, 0.3) for kind in ("identity", "bit_flip", "phase_flip", "bit_phase_flip",
                                         "depolarizing", "amplitude_damping", "dephasing",

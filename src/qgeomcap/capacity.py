@@ -19,14 +19,16 @@ from . import channels, infogeo, kernels, states
 HSW_GAP_TOL = 1e-7
 # column-generation rounds after which hsw_capacity returns an open bracket
 HSW_MAX_ROUNDS = 100
-# input directions of the first columns, a fibonacci_sphere grid
+# spread input directions of the first columns, a fibonacci_sphere grid; the
+# six output-ellipsoid axis directions, where King's theorem puts the optimum
+# of a unital channel, are added to them
 HSW_START_COLUMNS = 32
 # interval splits of one sphere-oracle call
 _ORACLE_MAX_SPLITS = 500
 _BLOCH = infogeo.Generator("neg_von_neumann")
 
 
-@dataclass
+@dataclass(slots=True)
 class CapacityResult:
     """Capacity estimate with the geometric witnesses that produced it.
 
@@ -190,11 +192,15 @@ def hsw_capacity(ch):
 
     The capacity is min_c max_{|u|=1} D(N(u) || c) (Schumacher and
     Westmoreland 2001), solved by column generation. The columns start as
-    the outputs of HSW_START_COLUMNS fibonacci_sphere directions. Each round
-    solves the finite minimax with infogeo.minimax_ball, warm-started from
-    the previous round's solution, whose weights give the lower end chi(w),
-    bounds max_u D(N(u) || c) at its centre c with the sphere oracle, and
-    adds the oracle's input direction as a column.
+    the outputs of HSW_START_COLUMNS fibonacci_sphere directions and of the
+    six directions +-v along the axes of the output ellipsoid, v the
+    eigenvectors of A^T A. A unital channel attains its capacity on the
+    antipodal pair along the longest axis (King 2002), so for it the first
+    round closes the bracket. Each round solves the finite minimax with
+    infogeo.minimax_ball, warm-started from the previous round's solution,
+    whose weights give the lower end chi(w), bounds max_u D(N(u) || c) at
+    its centre c with the sphere oracle, and adds the oracle's input
+    direction as a column.
     It stops when the bracket is HSW_GAP_TOL wide or after HSW_MAX_ROUNDS
     rounds, which leaves converged False.
 
@@ -207,7 +213,8 @@ def hsw_capacity(ch):
     if ch.in_dim != 2 or ch.out_dim != 2:
         raise ValueError("the minimax solver is implemented for qubit channels")
     aff = channels.kraus_to_affine(ch)
-    dirs = fibonacci_sphere(HSW_START_COLUMNS)
+    ellipsoid = _OutputEllipsoid(aff)
+    dirs = np.vstack([fibonacci_sphere(HSW_START_COLUMNS), ellipsoid.V.T, -ellipsoid.V.T])
     outs = dirs @ aff.A.T + aff.b
     if (outs == outs[0]).all():
         return CapacityResult(
@@ -219,7 +226,6 @@ def hsw_capacity(ch):
             converged=True,
             bracket=(0.0, 0.0),
         )
-    ellipsoid = _OutputEllipsoid(aff)
     upper = math.inf
     rounds = 0
     res = None

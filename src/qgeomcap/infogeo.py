@@ -231,7 +231,7 @@ class WeightedPointSet:
             self.radii = np.asarray(self.radii, dtype=float)
         if len(self.weights) != n or len(self.radii) != n:
             raise ValueError("weights/radii length mismatch with points")
-        if (self.weights < 0).any():
+        if (~(self.weights >= 0)).any():
             raise ValueError("weights must be nonnegative")
         if (self.radii < 0).any():
             raise ValueError("ball radii must be nonnegative")

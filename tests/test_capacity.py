@@ -116,6 +116,28 @@ def test_hsw_brackets_close_on_the_zoo(kind, p):
         assert lower - 1e-9 <= exact <= upper + 1e-9
 
 
+@pytest.mark.parametrize("kind, p", [
+    (kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip", "dephasing")
+    for p in (0.1, 0.127, 0.5, 0.9)
+] + [("depolarizing", 0.3)])
+def test_hsw_unital_channels_close_at_the_axis_columns(kind, p):
+    """King's theorem: a unital qubit channel attains its capacity on the
+    antipodal inputs along the longest axis of its output ellipsoid, which
+    is a start column, so the first round closes the bracket."""
+    ch = _chan(kind, p)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.iterations == 1
+    exact = capacity.unital_hsw_closed_form(ch)
+    lower, upper = res.bracket
+    assert lower - 1e-12 <= exact <= upper + 1e-12
+    if kind != "depolarizing":
+        top = np.linalg.svd(channels.kraus_to_affine(ch).A)[2][0]
+        dirs = [states.density_to_bloch(s) for _, s in res.optimal_ensemble]
+        assert len(dirs) == 2
+        assert sorted(float(d @ top) for d in dirs) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
 @pytest.mark.parametrize("kind, p, value", [
     ("amplitude_damping", 0.0, 0.0), ("depolarizing", 1.0, 0.0), ("dephasing", 1.0, 1.0),
 ])

@@ -749,6 +749,9 @@ def test_pointset_validation():
         WeightedPointSet(points=np.zeros((2, 3)), weights=np.array([1.0]))
     with pytest.raises(ValueError):
         WeightedPointSet(points=np.zeros((1, 3)), radii=np.array([-0.5]))
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            WeightedPointSet(points=np.zeros((2, 3)), weights=np.array([bad, 1.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="ball radii must be finite"):
             WeightedPointSet(points=np.zeros((2, 3)), radii=np.array([0.0, bad]))
