@@ -11,8 +11,9 @@ bracket width and how far its lower end lies below minimax_ball's
 ("below"; its closing step makes that about 0, within the 1e-9 widths of
 the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
-acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9, with
-its column-generation rounds and the minimax_ball steps of all rounds, then
+acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9,
+with its column-generation rounds and the minimax_ball steps of all rounds,
+then
 capacity.quantum_capacity_single_use on qubit_candidate_states(): its
 time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
 zeroerr.zero_error_rate on pentagon n = 2 and on the 1 000-vertex complete
