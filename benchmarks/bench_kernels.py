@@ -4,12 +4,11 @@ Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes with the bracket width it
 certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds:
-its time with the default 1-centre-in-S start and with seed=0 (a random
-row as start centre), so that the start rule's share shows, the time of
-infogeo.seb_basic at the same eps, then seb_improved's rounds, its final
-bracket width and how far its lower end lies below minimax_ball's
-("below"; its closing step makes that about 0, within the 1e-9 widths of
-the two brackets), then
+its time from row 0 and with seed=0 (a random start row), the time of
+infogeo.seb_basic at the same eps, then the rows seb_improved added to its
+core set after the first two ("added"), its final bracket width and how
+far its lower end lies below minimax_ball's ("below"; about 0, within the
+1e-9 widths of the two brackets), then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9,
 with its column-generation rounds and the minimax_ball steps of all rounds,
@@ -84,7 +83,7 @@ def main():
         t = bench(infogeo.minimax_ball, g, pset)
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
 
-    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'seb_basic':>12}{'rounds':>10}"
+    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'seb_basic':>12}{'added':>10}"
           f"{'width':>12}{'below':>12}")
     for pset, res in clouds:
         ball = infogeo.seb_improved(g, pset, SEB_EPS)
@@ -92,7 +91,7 @@ def main():
         t_seeded = bench(infogeo.seb_improved, g, pset, SEB_EPS, 0, repeats=3)
         t_basic = bench(infogeo.seb_basic, g, pset, SEB_EPS)
         r_lo, delta = ball.history[-1]
-        # history: the start, one entry per round, the closing step
+        # history: the start, one bracket per added row, the end
         print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{t_seeded * 1e3:>10.3f}ms"
               f"{t_basic * 1e3:>10.3f}ms{len(ball.history) - 2:>10}{delta:>12.2e}"
               f"{res.lower - r_lo:>12.2e}")

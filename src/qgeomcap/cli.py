@@ -91,13 +91,14 @@ def _check_bloch(where, r):
 
 
 def _read_points_csv(path):
-    """Points CSV with rows x,y,z[,w[,r]]; returns (points, weights, radii).
+    """Points CSV with rows x,y,z[,w[,r]]; returns (points, radii).
 
     Every point needs 3 columns and must lie in the Bloch ball,
     |(x, y, z)| <= 1 + states.BLOCH_RADIUS_TOL; a weight w or ball radius r
-    must be nonnegative.
+    must be nonnegative. No solver reads the weights, so they are checked
+    and dropped.
     """
-    pts, wts, rads = [], [], []
+    pts, rads = [], []
     for where, vals in _numeric_rows(path):
         if len(vals) < 3:
             raise ValueError(f"{where}: points need at least 3 columns, got {len(vals)}")
@@ -106,11 +107,10 @@ def _read_points_csv(path):
             if v < 0.0:
                 raise ValueError(f"{where}: {name} must be nonnegative, got {v:g}")
         pts.append(vals[:3])
-        wts.append(vals[3] if len(vals) > 3 else 1.0)
         rads.append(vals[4] if len(vals) > 4 else 0.0)
     if not pts:
         raise ValueError(f"no points parsed from {path}")
-    return np.array(pts), np.array(wts), np.array(rads)
+    return np.array(pts), np.array(rads)
 
 
 def _read_inputs_csv(path):
@@ -247,8 +247,8 @@ def cmd_zeroerr(args):
 
 
 def cmd_ball(args):
-    pts, wts, rads = _read_points_csv(args.points_csv)
-    pset = infogeo.WeightedPointSet(points=pts, weights=wts, radii=rads)
+    pts, rads = _read_points_csv(args.points_csv)
+    pset = infogeo.WeightedPointSet(points=pts, radii=rads)
     g = infogeo.Generator("neg_von_neumann")
     if args.algorithm == "oracle":
         res = infogeo.minimax_ball(g, pset)

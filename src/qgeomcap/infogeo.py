@@ -17,13 +17,14 @@ with |c| >= 1 scores +inf on every row, the one shell rule.
 SquaredEuclidean works on real vectors, recovers ||x - y||^2 and has the
 no-op domain rules of R^d; it is the sanity geometry for the solvers.
 
-The ball solvers work in these natural coordinates: each takes the theta
-of its rows from one natural call and maps theta back to a centre only
-through grad_inv. A geodesic is a straight line there, and both
-enclosing-ball algorithms step a centre's theta toward a row's,
-theta <- (1 - t) theta + t theta_s. For qubits this path is identical to
-applying matrix log/exp to the density matrices and renormalizing the
-trace, so centers always remain valid states.
+The ball solvers work in these natural coordinates and map theta back to
+a centre only through grad_inv. A geodesic is a straight line there, and
+seb_basic steps a centre's theta toward a row's, taken from one natural
+call, theta <- (1 - t) theta + t theta_s. For qubits this path is
+identical to applying matrix log/exp to the density matrices and
+renormalizing the trace, so centers always remain valid states.
+seb_improved moves no centre itself: it takes each centre from
+minimax_ball on a growing core set of rows.
 """
 
 import math
@@ -48,9 +49,8 @@ _FINISH_POINTS = 2
 # points whose [p_i; 1] has a singular value this far below the largest are
 # affinely dependent for caratheodory and the finish
 _AFFINE_TOL = 1e-12
-# minimax_ball lowers its dual value, and seb_improved's start its bounds on
-# scores, by this many times the rounding unit of the terms they cancel, so
-# that they stay below the rounded enclosures
+# minimax_ball lowers its dual value by this many times the rounding unit of
+# the terms it cancels, so that it stays below the rounded enclosures
 _DUAL_SLACK = 8.0 * float(np.finfo(float).eps)
 _LN2 = np.log(2.0)
 
@@ -61,12 +61,10 @@ class Generator:
 
     grad_inv is the gradient of F_star; batch_F and
     prepared_div(points, batch_F(points), center) act on the rows of
-    points, and natural(centers) -> (theta, f_star, spread) on the rows of
-    centers: theta_j = grad F(c_j), f_star_j = F*(theta_j) and a weight
-    spread_j >= 0 such that prepared_div's score of a row p at c_j lies
-    within _DUAL_SLACK (|F(p)| + |f_star_j| + spread_j (1 + |p|)) of
-    F(p) + f_star_j - <p, theta_j>, or f_star_j = +inf where it scores
-    +inf. div and batch_div are derived from them here.
+    points, and natural(centers) -> (theta, f_star) on the rows of
+    centers: theta_j = grad F(c_j) and f_star_j = F*(theta_j), or
+    f_star_j = +inf where prepared_div scores +inf. div and batch_div are
+    derived from them here.
     The domain rules check_rows and interior defined here are those of R^d.
     A centre on the domain's boundary has no theta; prepared_div scores it
     +inf on every row, which is how the solvers recognise it.
@@ -180,12 +178,9 @@ class SquaredEuclidean(Generator):
         return (d * d).sum(axis=1)
 
     def natural(self, centers):
-        """theta = 2c, F*(theta) = |c|^2 and spread |theta|: the score
-        |p - c|^2 and |p|^2 + |c|^2 - <p, 2c> round apart by a few units of
-        |p|^2 + |c|^2 + 2 |p| |c|."""
+        """theta = 2c and F*(theta) = |c|^2."""
         centers = np.asarray(centers, dtype=float)
-        theta = 2.0 * centers
-        return theta, self.batch_F(centers), np.linalg.norm(theta, axis=1)
+        return 2.0 * centers, self.batch_F(centers)
 
 
 _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
@@ -267,18 +262,6 @@ def _coincident_ball(pset):
     if (pts != pts[0]).any():
         return None
     return pts[0].copy(), float(pset.radii.max())
-
-
-def _bisect(below):
-    """Upper end of [0, 1] after 60 halvings toward where below(t) turns false."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 @dataclass
@@ -615,92 +598,25 @@ def seb_basic(g, pset, eps, seed=None):
     return InfoBall(center=c, radius=val, history=history)
 
 
-def _touch_parameter(g, th_c, s, th_s, excess):
-    """Step t on the geodesic theta_t = (1 - t) th_c + t th_s from a centre
-    toward the point s, whose theta is th_s, at which
-    D(s || grad_inv(theta_t)) + excess = 0, by bisection: a ball of radius
-    r touches s with radius r_s at excess = r_s - r. The score is
-    F(s) + F*(theta_t) - <s, theta_t> + excess, one F* and no grad_inv.
-    """
-    base = g.F(s) + excess
-
-    def overshoot(t):
-        th = (1.0 - t) * th_c + t * th_s
-        return base + g.F_star(th) - float(s @ th)
-
-    if overshoot(0.0) <= 0.0:
-        return 0.0
-    if overshoot(1.0) > 0.0:
-        return 1.0
-    return _bisect(lambda t: overshoot(t) > 0.0)
-
-
-def _one_center_start(points, f, radii, centers, natural, farthest):
-    """int(np.argmin([farthest(c)[1] for c in centers])), found exactly with
-    few farthest calls: the row of centers that encloses points (whose
-    F(p_k) is f) most tightly, lowest index on ties.
-
-    With (theta_j, F*_j, spread_j) = natural, the solve's g.natural(centers),
-    every row k gives the lower bound F(p_k) + r_k + F*_j - <p_k, theta_j>
-    on farthest(c_j), less _DUAL_SLACK times the terms it and the score
-    cancel (Generator), so that it stays below the rounded score. The search
-    scores the unscored centre with the smallest bound, folds the bounds of
-    its farthest row into all bounds, and stops once every unscored bound
-    exceeds the best score. The worst case is one farthest call per centre,
-    as without the bounds.
-    """
-    theta, f_star, spread = natural
-    size = np.abs(f_star)
-    lower = np.full(len(centers), -np.inf)  # +inf once scored
-    best, start = math.inf, 0
-    while True:
-        j = int(np.argmin(lower))
-        if lower[j] > best or lower[j] == np.inf:  # all pruned or scored
-            return start
-        lower[j] = np.inf
-        k, val = farthest(centers[j])
-        if val < best or (val == best and j < start):
-            best, start = val, j
-        p = points[k]
-        slack = _DUAL_SLACK * (abs(f[k]) + radii[k] + size
-                               + spread * (1.0 + math.sqrt(float(p @ p))))
-        # fmax: a NaN bound, from a NaN row, rules nothing out
-        np.fmax(lower, f[k] + radii[k] + f_star - theta @ p - slack, out=lower)
-
-
 def seb_improved(g, pset, eps, seed=None):
-    """Enclosing-ball solver with a certified optimal-radius bracket.
+    """Enclosing-ball solver with a certified optimal-radius bracket, by
+    core-set column generation around minimax_ball.
 
-    The center follows the touch-and-shrink schedule: move the current ball
-    along the geodesic until it touches the farthest point; if the new
-    farthest sticks out by more than 3*delta/4 grow the radius by delta/4,
-    and shrink delta by 3/4 either way, until delta <= eps. That schedule
-    is a metric argument, so it runs on the length scale sqrt(D); it sets
-    the touch target and the stop rule, not the bracket. Every farthest
-    point joins a core set, and minimax_ball on the core (warm-started
-    from the previous, smaller core) gives a dual value: a lower bound on
-    the radius of any superset, so on r* (Badoiu & Clarkson 2003). The
-    lower end is the best such value, capped by the best enclosure
-    actually achieved, which is the upper end. History entries (r, delta)
-    therefore satisfy r <= r* <= r + delta: one for the start, one per
-    round, and a last one after the closing step. That step adds the
-    farthest point at the core's minimax centre to the core until that
-    point is already in the core or the bracket is MINIMAX_GAP_TOL *
-    max(1, r) wide; where that centre encloses the points more tightly it
-    becomes the reported centre and radius. The farthest points, the
-    radius and the core set's minimax_ball take the rows as given, so the
-    bracket is about them; the rows moved inwards by NUDGE (g.interior)
-    serve only as start centres and as the targets of the touch step. The
-    centre moves in natural coordinates, theta <- (1 - t) theta + t theta_s
-    with the rows' theta from one g.natural call, and the touch step
-    bisects on that line; after a step the centre scored, and perhaps
-    reported, is grad_inv(theta).
-    With seed=None the start is the 1-centre-in-S row, the nudged row whose
-    farthest score is smallest, lowest index on ties. _one_center_start
-    finds it exactly from lower bounds on those scores, scoring only the
-    rows the bounds cannot rule out: 6 of 5 000 on a uniform Bloch cloud,
-    about 80 on a near-pure one, and every row in the worst case. A seed
-    starts from a random row instead.
+    The core starts with the start row (row 0, or a seeded random row, as
+    in seb_basic) and the farthest row from that row moved inwards by
+    NUDGE (g.interior). Each round solves minimax_ball on the core,
+    warm-started from the previous core, and adds the farthest row at that
+    solution's centre, until that row is already in the core or the
+    bracket is MINIMAX_GAP_TOL * max(1, r) wide. The lower end is the best
+    dual value of a core's minimax_ball: no subset needs a larger ball than
+    the whole set (Badoiu & Clarkson 2003), so it bounds r* from below.
+    The upper end, the reported radius, is the best enclosure reached, at
+    the nudged start row or a core's minimax centre, which is the reported
+    centre. History entries (r, delta) therefore satisfy
+    r <= r* <= r + delta: one for the start, one per added row and a last
+    one at the end. The farthest rows, the radius and the cores'
+    minimax_ball take the rows as given, so the bracket is about them.
+    eps must lie in (0, 1), but the result does not depend on it.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -708,73 +624,30 @@ def seb_improved(g, pset, eps, seed=None):
     ball = _coincident_ball(pset)
     if ball is not None:
         return InfoBall(*ball, history=[(ball[1], 0.0)])
-    pts = g.interior(pset.points)
-    natural = g.natural(pts)
-    theta = natural[0]
-    rad = pset.radii
-    f = g.batch_F(pset.points)
-    farthest = _farthest_of(g, pset.points, rad, f)
-    if seed is None:
-        # start from the 1-center-in-S point: divergences to a near-pure
-        # point blow up logarithmically, which would wreck the schedule
-        start = _one_center_start(pset.points, f, rad, pts, natural, farthest)
-    else:
-        start = int(np.random.default_rng(seed).integers(len(pset)))
-    c, th = pts[start].copy(), theta[start]
-    far_idx, d0 = farthest(c)
-
-    core = []
-    cert = 0.0
-    core_ball = None
+    pts, rad = pset.points, pset.radii
+    farthest = _farthest_of(g, pts, rad)
+    start = 0 if seed is None else int(np.random.default_rng(seed).integers(len(pset)))
+    best_c = g.interior(pts[start]).copy()
+    idx, best_u = farthest(best_c)
+    core, core_ball, cert = [], None, 0.0
 
     def add_core(i):
-        nonlocal cert, core_ball
+        nonlocal core_ball, cert
         if i in core:
             return
         core.append(i)
-        core_ball = minimax_ball(g, WeightedPointSet(pset.points[core], radii=rad[core]),
-                                 warm=core_ball)
+        core_ball = minimax_ball(g, WeightedPointSet(pts[core], radii=rad[core]), warm=core_ball)
         cert = max(cert, core_ball.lower)
 
-    add_core(start)
-    add_core(far_idx)
-
-    best_c = c.copy()
-    best_u = d0
-    ell = 0.5 * np.sqrt(d0)
-    gap = 0.5 * np.sqrt(d0)
-
     def bracket():
-        # lower: the core set's dual value; upper: the best enclosure
-        # actually achieved, so r <= r* <= r + delta by construction
+        # lower: the cores' best dual value; upper: the best enclosure
+        # actually reached, so r <= r* <= r + delta by construction
         r_lo = min(cert, best_u)
         return r_lo, best_u - r_lo
 
+    add_core(start)
+    add_core(idx)
     history = [bracket()]
-    # gap shrinks by 3/4 per round; generous cap over ceil(1/eps)
-    max_rounds = max(int(np.ceil(1.0 / eps)), 64)
-    rounds = 0
-    while (ell + gap) ** 2 - ell * ell > eps and rounds < max_rounds:
-        idx, _ = farthest(c)
-        add_core(idx)
-        t = _touch_parameter(g, th, pts[idx], theta[idx], rad[idx] - ell * ell)
-        if t > 0.0:
-            th = (1.0 - t) * th + t * theta[idx]
-            c = g.grad_inv(th)
-        _, val = farthest(c)
-        if val < best_u:
-            best_u = val
-            best_c = c.copy()
-        slack = np.sqrt(max(val, 0.0)) - ell
-        if slack <= 0.75 * gap:
-            gap *= 0.75
-        else:
-            ell += 0.25 * gap
-            gap *= 0.75
-        history.append(bracket())
-        rounds += 1
-    # close the bracket: the farthest point at the core's own minimax centre
-    # joins the core until it is already there or the bracket is closed
     while True:
         idx, val = farthest(core_ball.center)
         if val < best_u:
@@ -782,5 +655,6 @@ def seb_improved(g, pset, eps, seed=None):
         if idx in core or best_u - cert <= MINIMAX_GAP_TOL * max(1.0, best_u):
             break
         add_core(idx)
+        history.append(bracket())
     history.append(bracket())
     return InfoBall(center=best_c, radius=best_u, history=history)

@@ -12,8 +12,7 @@ alone, so a caller that scores a fixed point set against many centres
 computes it once with neg_entropy and passes it to prepared_divergence,
 the one implementation of the divergence; every other Bloch divergence in
 the package calls it. natural_parameters gives theta and F*(theta) of many
-centres at once, from which a caller bounds those scores without making
-them.
+centres at once.
 """
 
 import math
@@ -87,17 +86,13 @@ def prepared_divergence(points, neg_ent, center):
 
 
 def natural_parameters(centers):
-    """(theta, f_star, spread) for each row c of an (n, 3) array of centres:
-    theta = grad F(c), F*(theta) and spread = |theta| / (1 - |c|^2).
+    """(theta, f_star) for each row c of an (n, 3) array of centres:
+    theta = grad F(c) and F*(theta).
 
     These are the terms prepared_divergence scores at each centre, in one
-    vectorised pass, so that F(p) + F*(theta) - <p, theta> bounds its score
-    of a row p. A row with |c| >= 1 under prepared_divergence's own scalar
-    norm (recomputed for the rows within 1e-9 of 1) gets f_star = +inf and
-    theta = 0. Elsewhere the two passes may round |c| a few ulp apart, which
-    grad_coeff amplifies by at most 1 / (1 - |c|^2); spread carries that
-    factor, so their scores of a row p differ by a few rounding units of
-    |F(p)| + |F*(theta)| + spread (1 + |p|).
+    vectorised pass. A row with |c| >= 1 under prepared_divergence's own
+    scalar norm (recomputed for the rows within 1e-9 of 1) gets
+    f_star = +inf and theta = 0.
     """
     centers = np.asarray(centers, dtype=float)
     rc = np.sqrt(np.einsum("ij,ij->i", centers, centers))
@@ -110,7 +105,7 @@ def natural_parameters(centers):
     m = b * r
     f_star = np.where(shell, np.inf, m + np.log1p(np.exp2(-2.0 * m)) * _LOG2E)
     theta = np.where(shell[:, None], 0.0, b[:, None] * centers)
-    return theta, f_star, m / ((1.0 - r) * (1.0 + r))
+    return theta, f_star
 
 
 def batch_divergence(points, center):

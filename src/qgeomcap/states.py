@@ -16,9 +16,6 @@ SUPPORT_TOL = 1e-12
 # Bloch vectors may overshoot the unit sphere by this much
 BLOCH_RADIUS_TOL = 1e-9
 
-KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

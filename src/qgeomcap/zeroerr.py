@@ -405,16 +405,16 @@ def weak_coreset(dom, s_in, k, eps, delta, medians, alpha=4.0, seed=0, m=None):
     n = s_in.shape[0]
     medians = np.atleast_2d(np.asarray(medians, dtype=float))
     err = kmedian_error(dom, s_in, medians)
+    gamma_rings = max(int(np.ceil(np.log2(max(alpha * n, 2.0)))), 1)
     if m is None:
         # sample size with the candidate-space factor |W|^k ~ n^k
-        gamma_rings = max(int(np.ceil(np.log2(max(alpha * n, 2.0)))), 1)
         m = int(np.ceil((alpha ** 2 / eps ** 2) *
                         np.log(max(k * (float(n) ** k) * gamma_rings / delta, 2.0))))
     if m >= n or err <= 0:
         return s_in.copy(), np.ones(n), True
     rng = np.random.default_rng(seed)
-    gamma_rings = max(int(np.ceil(np.log2(max(alpha * n, 2.0)))), 1)
     radius0 = err / (alpha * n)
+    edges = [0.0] + [radius0 * 2.0 ** j for j in range(gamma_rings)] + [np.inf]
     d_all = dom.div_matrix(s_in, medians)
     owner = d_all.argmin(axis=1)
     dmin = d_all.min(axis=1)
@@ -424,7 +424,6 @@ def weak_coreset(dom, s_in, k, eps, delta, medians, alpha=4.0, seed=0, m=None):
         cluster = np.where(owner == i)[0]
         if cluster.size == 0:
             continue
-        edges = [0.0] + [radius0 * 2.0 ** j for j in range(gamma_rings)] + [np.inf]
         for j in range(len(edges) - 1):
             ring = cluster[(dmin[cluster] > edges[j]) & (dmin[cluster] <= edges[j + 1])] \
                 if j > 0 else cluster[dmin[cluster] <= edges[1]]

@@ -1,4 +1,3 @@
-import itertools
 import os
 import pathlib
 import subprocess
@@ -124,7 +123,7 @@ def test_euclidean_divergence():
 
 
 def test_geodesic_matches_matrix_exponential_path(rng):
-    # the straight theta-line the seb solvers walk equals matrix log/exp
+    # the straight theta-line seb_basic walks equals matrix log/exp
     # interpolation with trace renormalization
     for _ in range(20):
         c, s = random_bloch(rng), random_bloch(rng)
@@ -405,11 +404,16 @@ def test_interior_nudges_rows_at_the_radius_tolerance_inside():
     assert np.array_equal(BLOCH.interior(inside), (1.0 - infogeo.NUDGE) * inside)
     for row in (inside[0], inside[1:3]):
         assert np.array_equal(BLOCH.interior(row), (1.0 - infogeo.NUDGE) * row)
-    over = d * (1.0 + 1e-9)
-    over = over[np.hypot.reduce(over, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
-    BLOCH.check_rows(over)
-    assert len(over) > 5000
-    assert max(np.sqrt(float(c @ c)) for c in BLOCH.interior(over)) < 1.0
+    # no row that check_rows accepts nudges onto the shell, under natural's
+    # norm or prepared_div's own
+    for radius in (1.0, 1.0 + 5e-10, 1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 0.0)):
+        over = d * radius
+        over = over[np.hypot.reduce(over, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
+        BLOCH.check_rows(over)
+        assert len(over) > 5000
+        centers = BLOCH.interior(over)
+        assert np.isfinite(BLOCH.natural(centers)[1]).all()
+        assert max(np.sqrt(float(c @ c)) for c in centers) < 1.0
 
 
 def test_seb_solvers_take_rows_at_the_radius_tolerance():
@@ -455,135 +459,36 @@ def test_seb_basic_history_is_a_float_array():
         assert np.isfinite(ball.history).all() and ball.history[-1] == ball.radius
 
 
-def _start_and_calls(g, pset):
-    """(seb_improved's pruned start, the exhaustive 1-centre-in-S index,
-    the farthest calls the pruned search made, at most one per row)."""
-    pts, rad = pset.points, pset.radii
-    f = g.batch_F(pts)
-    farthest = infogeo._farthest_of(g, pts, rad, f)
-    calls = []
-
-    def counted(c):
-        calls.append(c)
-        assert len(calls) <= len(pts)
-        return farthest(c)
-
-    centers = g.interior(pts)
-    start = infogeo._one_center_start(pts, f, rad, centers, g.natural(centers), counted)
-    return start, int(np.argmin([farthest(c)[1] for c in centers])), len(calls)
-
-
 def _seeded_cloud(rng, n, kind):
     """n Bloch points: 'uniform' fills |r| <= 0.9, 'near_pure' has
-    0.9 <= |r| <= 0.99, 'duplicates' draws n rows from n // 3 + 1 uniform
-    ones, 'shell' puts half the rows on |r| = 1 or 1 + 1e-9 (where the
-    nudged row is a centre on the shell)."""
+    0.9 <= |r| <= 0.99."""
     d = rng.normal(size=(n, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
     if kind == "near_pure":
         r = rng.uniform(0.9, 0.99, n)
-    elif kind == "shell":
-        r = np.where(rng.random(n) < 0.5, rng.choice([1.0, 1.0 + 1e-9], n),
-                     rng.uniform(0.0, 0.99, n))
     else:
         r = 0.9 * rng.random(n) ** (1.0 / 3.0)
-    pts = d * r[:, None]
-    if kind == "duplicates":
-        pts = pts[rng.integers(0, n // 3 + 1, n)]
-    return pts
-
-
-@pytest.mark.parametrize("kind", ["uniform", "near_pure", "duplicates", "shell"])
-@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
-def test_pruned_start_is_the_exhaustive_one(g, kind):
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 10, 50, 300):
-        pts = _seeded_cloud(rng, n, kind)
-        for radii in (None, rng.uniform(0.0, 0.2, n), rng.choice([0.0, 0.1], n)):
-            start, exhaustive, _ = _start_and_calls(g, WeightedPointSet(points=pts, radii=radii))
-            assert start == exhaustive, (n, radii)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([BLOCH, EUCL]),
-       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-                          st.floats(0.0, 1.0),
-                          st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 0.2))),
-                min_size=1, max_size=8),
-       st.lists(st.integers(0, 7), min_size=1, max_size=20))
-def test_pruned_start_matches_on_drawn_sets(g, rows, picks):
-    # rows drawn by index, so ties between duplicated rows are common
-    pts = _bloch_rows([row[:4] for row in rows])
-    picks = [i % len(rows) for i in picks]
-    radii = [rows[i][4] for i in picks]
-    start, exhaustive, _ = _start_and_calls(g, WeightedPointSet(points=pts[picks], radii=radii))
-    assert start == exhaustive
-
-
-def test_pruned_start_on_symmetric_sets():
-    # signed coordinate permutations of one vector tie, or nearly tie, in
-    # score, so a bound that rounds above a score would prune the start; at
-    # |v| = 1 and 1 - 1e-12 grad_coeff's conditioning makes the two ways of
-    # scoring differ by up to 1e-7 bits, which spread allows for
-    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
-    perms = np.array(list(itertools.permutations(range(3))))
-    for seed in range(3000):
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=3)
-        v *= (1.0, 1.0 - 1e-12, 0.7)[seed % 3] / np.linalg.norm(v)
-        n = int(rng.integers(2, 7))
-        pts = v[perms[rng.integers(6, size=n)]] * signs[rng.integers(8, size=n)]
-        start, exhaustive, _ = _start_and_calls(BLOCH, WeightedPointSet(points=pts))
-        assert start == exhaustive, seed
-
-
-def test_pruned_start_with_every_row_at_the_shell():
-    # no row that check_rows accepts, up to |p| = 1 + 1e-9, nudges onto the
-    # shell, under natural's norm or prepared_div's own
-    rng = np.random.default_rng(5)
-    for radius in (1.0, 1.0 + 5e-10, 1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 0.0)):
-        pts = _seeded_cloud(rng, 2000, "uniform")
-        pts *= radius / np.linalg.norm(pts, axis=1)[:, None]
-        pts = pts[np.hypot.reduce(pts, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
-        BLOCH.check_rows(pts)
-        centers = BLOCH.interior(pts)
-        assert np.isfinite(BLOCH.natural(centers)[1]).all()
-        assert max(np.sqrt(float(c @ c)) for c in centers) < 1.0
-        start, exhaustive, calls = _start_and_calls(BLOCH, WeightedPointSet(points=pts[:40]))
-        assert start == exhaustive and 0 < calls
-
-
-def test_pruned_start_at_the_radius_tolerance():
-    # rows at |p| = 1 + 1e-9 nudge to centres within an ulp of the shell,
-    # where a vectorised norm and prepared_divergence's own can round to
-    # opposite sides of 1
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        pts = rng.normal(size=(2, 3))
-        pts *= (1.0 + 1e-9) / np.linalg.norm(pts, axis=1)[:, None]
-        start, exhaustive, _ = _start_and_calls(BLOCH, WeightedPointSet(points=pts))
-        assert start == exhaustive
-
-
-@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
-def test_pruned_start_ends_on_a_nan_row(g):
-    # the NaN row's bounds are NaN; the search must still score each row once
-    pset = WeightedPointSet(points=[[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    assert _start_and_calls(g, pset)[2] <= 3
-
-
-def test_pruned_start_takes_the_lowest_index_of_a_tie():
-    # rows 1, 2 and 3 all score 4, and row 2 is scored before row 1
-    pset = WeightedPointSet(points=[[3.0], [2.0], [1.0], [1.0], [0.0]])
-    assert _start_and_calls(EUCL, pset)[:2] == (1, 1)
+    return d * r[:, None]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "near_pure"])
-def test_pruned_start_prunes_on_large_clouds(kind):
-    # a count, not a timing: the exhaustive rule makes 5 000 farthest calls
-    pset = WeightedPointSet(points=_seeded_cloud(np.random.default_rng(0), 5000, kind))
-    start, exhaustive, calls = _start_and_calls(BLOCH, pset)
-    assert start == exhaustive and calls <= 100
+def test_seb_improved_adds_few_rows_on_large_clouds(kind):
+    # a count, not a timing: history holds the start bracket, one bracket
+    # per added row and the final one
+    pts = _seeded_cloud(np.random.default_rng(0), 5000, kind)
+    for seed in (None, 0, 42):
+        ball = infogeo.seb_improved(BLOCH, WeightedPointSet(points=pts), 0.05, seed=seed)
+        assert len(ball.history) - 2 <= 20, seed
+
+
+def test_seb_improved_does_not_depend_on_eps():
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for kind in ("uniform", "near_pure"):
+            pset = WeightedPointSet(points=_seeded_cloud(rng, 200, kind))
+            a, b = (infogeo.seb_improved(BLOCH, pset, eps) for eps in (0.05, 0.5))
+            assert np.array_equal(a.center, b.center) and a.radius == b.radius
+            assert a.history == b.history
 
 
 def test_seb_solvers_on_duplicated_rows():
@@ -688,7 +593,7 @@ def test_seb_improved_bracket(rng):
             assert r_lo <= oracle + 1e-3
             assert oracle <= r_lo + delta + 1e-3
         assert ball.radius <= oracle + 2.0 * eps + 1e-3
-        # the closing step leaves the final bracket closed on every set
+        # the loop leaves the final bracket closed on every set
         r_lo, delta = ball.history[-1]
         assert delta <= infogeo.MINIMAX_GAP_TOL * max(1.0, ball.radius)
         assert abs(r_lo - res.lower) <= 1e-8

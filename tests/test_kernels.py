@@ -7,8 +7,7 @@ values to 1e-12 bits, including at pure points, at a center at the origin
 and at a center on the pure-state shell. Near that shell the
 natural-coordinate form scores D(p || p) and pure rows against nearby
 centres to 1e-14 bits. Each geometry's derived div and batch_div match
-its prepared_div bit for bit, and the natural-coordinate score of
-seb_improved's touch step matches the divergence along the geodesic.
+its prepared_div bit for bit.
 """
 
 import math
@@ -185,24 +184,6 @@ def test_derived_divergences_are_prepared_div(rng, g, scale):
             one = x[None, :]
             prepared = g.prepared_div(one, g.batch_F(one), y)[0]
             assert g.div(x, y) == g.batch_div([x], y)[0] == prepared
-
-
-@pytest.mark.parametrize("g, scale", _GEOMETRIES, ids=["bloch", "euclidean"])
-def test_touch_parameter_is_the_geodesic_root(rng, g, scale):
-    # seb_improved bisects its touch step on the theta-line; at the t it
-    # returns, D(s || c(t)) + r_s - r is 0 on the centre c(t) = grad_inv(theta_t)
-    roots = 0
-    for _ in range(40):
-        c, s = (random_bloch(rng, 0.99) * scale for _ in range(2))
-        r_s, r = rng.uniform(0.0, 0.05), rng.uniform(0.0, 1.0)
-        if g.div(s, c) + r_s - r <= 0.0 or r_s >= r:
-            continue  # the ball already holds s, or cannot touch it on the line
-        th_c, th_s = g.natural(np.array([c, s]))[0]
-        t = infogeo._touch_parameter(g, th_c, s, th_s, r_s - r)
-        assert 0.0 < t < 1.0
-        assert abs(g.div(s, g.grad_inv((1.0 - t) * th_c + t * th_s)) + r_s - r) <= 1e-12
-        roots += 1
-    assert roots >= 5
 
 
 def test_bench_kernels_script_runs():
