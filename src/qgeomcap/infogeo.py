@@ -15,7 +15,8 @@ in bits, is F(p) + F*(theta) - <p, theta> at theta = grad F(c). The domain
 is the unit ball, whose pure shell lies at |theta| = infinity: a centre
 with |c| >= 1 scores +inf on every row, the one shell rule.
 SquaredEuclidean works on real vectors, recovers ||x - y||^2 and has the
-no-op domain rules of R^d; it is the sanity geometry for the solvers.
+domain rules of R^d (finite rows, no nudge); it is the sanity geometry for
+the solvers.
 
 The ball solvers work in these natural coordinates and map theta back to
 a centre only through grad_inv. A geodesic is a straight line there, and
@@ -76,7 +77,11 @@ class Generator:
         return super().__new__(_GENERATORS[name] if cls is Generator else cls)
 
     def check_rows(self, points):
-        """Raise ValueError naming the first row outside the domain."""
+        """Raise ValueError naming the first row outside the domain, here
+        the first row that is not finite."""
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=-1))
+        if bad.size:
+            raise ValueError(f"row {int(bad[0])}: point is not finite")
 
     def interior(self, x, amount=NUDGE):
         """x, or x moved into the interior of the domain by at most amount."""

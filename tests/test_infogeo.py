@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -461,14 +462,136 @@ def test_seb_basic_history_is_a_float_array():
 
 def _seeded_cloud(rng, n, kind):
     """n Bloch points: 'uniform' fills |r| <= 0.9, 'near_pure' has
-    0.9 <= |r| <= 0.99."""
+    0.9 <= |r| <= 0.99, 'duplicates' draws n rows from n // 3 + 1 uniform
+    ones, 'shell' puts half the rows on |r| = 1 or 1 + 1e-9 (where the
+    nudged row is a centre on the shell)."""
     d = rng.normal(size=(n, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
     if kind == "near_pure":
         r = rng.uniform(0.9, 0.99, n)
+    elif kind == "shell":
+        r = np.where(rng.random(n) < 0.5, rng.choice([1.0, 1.0 + 1e-9], n),
+                     rng.uniform(0.0, 0.99, n))
     else:
         r = 0.9 * rng.random(n) ** (1.0 / 3.0)
-    return d * r[:, None]
+    pts = d * r[:, None]
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, n // 3 + 1, n)]
+    if kind == "shell":
+        # a row that rounds past check_rows' tolerance moves onto |r| = 1
+        pts[np.hypot.reduce(pts, axis=1) > 1.0 + states.BLOCH_RADIUS_TOL] /= 1.0 + 1e-9
+    return pts
+
+
+def _check_improved(g, pset, ball):
+    """seb_improved's ball on pset: its radius is the enclosure of the rows
+    as given at its centre (or, on coincident rows, the largest row
+    radius), and its final bracket is closed and holds minimax_ball's."""
+    coincident = infogeo._coincident_ball(pset)
+    farthest = infogeo._farthest_of(g, pset.points, pset.radii)
+    assert ball.radius == (farthest(ball.center)[1] if coincident is None else coincident[1])
+    r_lo, delta = ball.history[-1]
+    assert delta <= infogeo.MINIMAX_GAP_TOL * max(1.0, ball.radius)
+    assert _meets(r_lo, r_lo + delta, infogeo.minimax_ball(g, pset))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "near_pure", "duplicates", "shell"])
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_seb_improved_beats_the_best_row_centre(g, kind):
+    # the best nudged row as centre (the 1-centre in S) encloses the set,
+    # so no optimal radius lies above its enclosure
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 10, 50, 300):
+        pts = _seeded_cloud(rng, n, kind)
+        for radii in (None, rng.uniform(0.0, 0.2, n), rng.choice([0.0, 0.1], n)):
+            pset = WeightedPointSet(points=pts, radii=radii)
+            farthest = infogeo._farthest_of(g, pts, pset.radii)
+            best_row = min(farthest(c)[1] for c in g.interior(pts))
+            ball = infogeo.seb_improved(g, pset, 0.05)
+            _check_improved(g, pset, ball)
+            assert ball.radius <= best_row + infogeo.MINIMAX_GAP_TOL * max(1.0, best_row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([BLOCH, EUCL]),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                          st.floats(0.0, 1.0),
+                          st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 0.2))),
+                min_size=1, max_size=8),
+       st.lists(st.integers(0, 7), min_size=1, max_size=20))
+def test_seb_improved_closes_on_drawn_sets(g, rows, picks):
+    # rows drawn by index, so ties between duplicated rows are common
+    pts = _bloch_rows([row[:4] for row in rows])
+    picks = [i % len(rows) for i in picks]
+    pset = WeightedPointSet(points=pts[picks], radii=[rows[i][4] for i in picks])
+    _check_improved(g, pset, infogeo.seb_improved(g, pset, 0.05))
+
+
+def test_seb_improved_on_symmetric_sets():
+    # signed coordinate permutations of one vector tie, or nearly tie, in
+    # their farthest values, so the row the loop adds turns on rounding;
+    # at |v| = 1 and 1 - 1e-12 the rows are pure or nearly so
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    perms = np.array(list(itertools.permutations(range(3))))
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        v *= (1.0, 1.0 - 1e-12, 0.7)[seed % 3] / np.linalg.norm(v)
+        n = int(rng.integers(2, 7))
+        pts = v[perms[rng.integers(6, size=n)]] * signs[rng.integers(8, size=n)]
+        pset = WeightedPointSet(points=pts)
+        _check_improved(BLOCH, pset, infogeo.seb_improved(BLOCH, pset, 0.05))
+
+
+def test_seb_improved_with_every_row_at_the_shell():
+    # every row at |p| = 1 up to 1 + 1e-9, where each nudged row is within
+    # an ulp or so of the shell
+    rng = np.random.default_rng(5)
+    for radius in (1.0, 1.0 + 5e-10, 1.0 + 1e-9, np.nextafter(1.0 + 1e-9, 0.0)):
+        pts = _seeded_cloud(rng, 200, "uniform")
+        pts *= radius / np.linalg.norm(pts, axis=1)[:, None]
+        pts = pts[np.hypot.reduce(pts, axis=1) <= 1.0 + states.BLOCH_RADIUS_TOL]
+        pset = WeightedPointSet(points=pts)
+        for seed in (None, 0, 42):
+            _check_improved(BLOCH, pset, infogeo.seb_improved(BLOCH, pset, 0.05, seed=seed))
+
+
+def test_seb_improved_on_two_rows_at_the_radius_tolerance():
+    # rows at |p| = 1 + 1e-9 nudge to centres within an ulp of the shell,
+    # where a vectorised norm and prepared_divergence's own can round to
+    # opposite sides of 1
+    rng = np.random.default_rng(3)
+    pairs = 0
+    for _ in range(500):
+        pts = rng.normal(size=(2, 3))
+        pts *= (1.0 + 1e-9) / np.linalg.norm(pts, axis=1)[:, None]
+        if (np.hypot.reduce(pts, axis=1) > 1.0 + states.BLOCH_RADIUS_TOL).any():
+            continue  # rounded past check_rows' tolerance
+        pset = WeightedPointSet(points=pts)
+        _check_improved(BLOCH, pset, infogeo.seb_improved(BLOCH, pset, 0.05))
+        pairs += 1
+    assert pairs >= 100
+
+
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_ball_solvers_reject_a_nan_row(g):
+    # a NaN row would make every enclosure NaN, so each geometry's
+    # check_rows names it before any solver scores it
+    pset = WeightedPointSet(points=[[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    for solve in (lambda: infogeo.seb_basic(g, pset, 0.1),
+                  lambda: infogeo.seb_improved(g, pset, 0.1),
+                  lambda: infogeo.minimax_ball(g, pset)):
+        with pytest.raises(ValueError, match="row 1: "):
+            solve()
+
+
+def test_seb_improved_stops_on_a_tie_in_the_core():
+    # at the core {0, 4}'s centre 1.5, rows 0 and 4 tie at 2.25 and the
+    # farthest row is the lower index, already in the core: no row is added
+    pset = WeightedPointSet(points=[[3.0], [2.0], [1.0], [1.0], [0.0]])
+    ball = infogeo.seb_improved(EUCL, pset, 0.05)
+    assert ball.center == pytest.approx([1.5], abs=1e-12) and ball.radius == 2.25
+    assert len(ball.history) == 2
 
 
 @pytest.mark.parametrize("kind", ["uniform", "near_pure"])

@@ -186,6 +186,20 @@ def test_derived_divergences_are_prepared_div(rng, g, scale):
             assert g.div(x, y) == g.batch_div([x], y)[0] == prepared
 
 
+@pytest.mark.parametrize("g, scale", _GEOMETRIES, ids=["bloch", "euclidean"])
+def test_divergence_falls_along_the_geodesic(rng, g, scale):
+    # seb_basic steps its centre along theta(t) = (1 - t) theta_c + t theta_s;
+    # D(s || grad_inv(theta)) = F(s) + F*(theta) - <s, theta> is convex in
+    # theta with its minimum 0 at theta_s, so it falls from D(s || c) to 0
+    ts = np.linspace(0.0, 1.0, 21)
+    for _ in range(40):
+        c, s = (random_bloch(rng, 0.99) * scale for _ in range(2))
+        th_c, th_s = g.natural(np.array([c, s]))[0]
+        d = np.array([g.div(s, g.grad_inv((1.0 - t) * th_c + t * th_s)) for t in ts])
+        assert abs(d[0] - g.div(s, c)) <= 1e-12 and abs(d[-1]) <= 1e-12
+        assert (np.diff(d) <= 1e-12).all()
+
+
 def test_bench_kernels_script_runs():
     root = pathlib.Path(kernels.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
