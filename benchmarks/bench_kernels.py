@@ -2,13 +2,10 @@
 
 Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
-infogeo.minimax_ball on clouds of the same sizes with the bracket width it
-certifies, then infogeo.seb_improved (eps = SEB_EPS) on the same clouds:
-its time from row 0 and with seed=0 (a random start row), the time of
-infogeo.seb_basic at the same eps, then the rows seb_improved added to its
-core set after the first two ("added"), its final bracket width and how
-far its lower end lies below minimax_ball's ("below"; about 0, within the
-1e-9 widths of the two brackets), then
+infogeo.minimax_ball on clouds of the same sizes (which is all that
+infogeo.seb_improved runs) with its steps and the bracket width it
+certifies, next to infogeo.seb_basic at eps = SEB_EPS on the same cloud,
+then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9,
 with its column-generation rounds and the minimax_ball steps of all rounds,
@@ -73,28 +70,15 @@ def main():
         prepared = bench(kernels.prepared_divergence, pts, kernels.neg_entropy(pts), center)
         print(f"{n:>8}{batch * 1e3:>18.3f}ms{prepared * 1e3:>20.3f}ms")
 
-    print(f"\n{'n':>8}{'minimax_ball':>20}{'steps':>10}{'gap':>12}")
+    print(f"\n{'n':>8}{'minimax_ball':>20}{'steps':>10}{'gap':>12}{'seb_basic':>14}")
     g = infogeo.Generator("neg_von_neumann")
-    clouds = []
     for n in args.sizes:
         pset = infogeo.WeightedPointSet(points=random_interior_points(n, rng))
         res = infogeo.minimax_ball(g, pset)
-        clouds.append((pset, res))
         t = bench(infogeo.minimax_ball, g, pset)
-        print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}")
-
-    print(f"\n{'n':>8}{'seb_improved':>20}{'seed=0':>12}{'seb_basic':>12}{'added':>10}"
-          f"{'width':>12}{'below':>12}")
-    for pset, res in clouds:
-        ball = infogeo.seb_improved(g, pset, SEB_EPS)
-        t = bench(infogeo.seb_improved, g, pset, SEB_EPS, repeats=3)
-        t_seeded = bench(infogeo.seb_improved, g, pset, SEB_EPS, 0, repeats=3)
         t_basic = bench(infogeo.seb_basic, g, pset, SEB_EPS)
-        r_lo, delta = ball.history[-1]
-        # history: the start, one bracket per added row, the end
-        print(f"{len(pset):>8}{t * 1e3:>18.3f}ms{t_seeded * 1e3:>10.3f}ms"
-              f"{t_basic * 1e3:>10.3f}ms{len(ball.history) - 2:>10}{delta:>12.2e}"
-              f"{res.lower - r_lo:>12.2e}")
+        print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}"
+              f"{t_basic * 1e3:>12.3f}ms")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
     solve = infogeo.minimax_ball

@@ -281,8 +281,9 @@ def parse_channel_spec(text):
         try:
             fields[key] = ast.literal_eval(val.strip())
         # TypeError: an unhashable set or dict key; MemoryError: nesting too deep
-        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse value for {key}: {exc}")
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
+            raise ValueError(f"line {lineno}: cannot parse value for {key}: "
+                             f"{val.strip()!r}") from None
     if "kind" not in fields:
         raise ValueError("channel spec missing required key 'kind'")
     kind = fields.pop("kind")

@@ -28,6 +28,8 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_RESOURCE_CAP = 3
 
 DEFAULT_SEED = 42
+# grid points of sweep --steps beyond which it refuses to build the grid
+MAX_SWEEP_STEPS = 1_000_000
 
 
 def _provenance(args, flags):
@@ -200,6 +202,8 @@ def cmd_sweep(args):
         raise ValueError("need 0 <= pc-min < pc-max <= 1")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ResourceCapError(f"--steps {args.steps} exceeds the cap of {MAX_SWEEP_STEPS}")
     if args.model:
         with open(args.model) as fh:
             text = fh.read()
@@ -250,15 +254,13 @@ def cmd_ball(args):
     pts, rads = _read_points_csv(args.points_csv)
     pset = infogeo.WeightedPointSet(points=pts, radii=rads)
     g = infogeo.Generator("neg_von_neumann")
-    if args.algorithm == "oracle":
+    if args.algorithm == "basic":
+        ball = infogeo.seb_basic(g, pset, args.eps, seed=args.seed)
+        # the basic solver certifies no lower end
+        center, radius, bracket = ball.center, ball.radius, None
+    else:
         res = infogeo.minimax_ball(g, pset)
         center, radius, bracket = res.center, res.upper, [res.lower, res.upper]
-    else:
-        solver = infogeo.seb_basic if args.algorithm == "basic" else infogeo.seb_improved
-        ball = solver(g, pset, args.eps, seed=args.seed)
-        center, radius = ball.center, ball.radius
-        # the basic solver certifies no lower end
-        bracket = [ball.history[-1][0], ball.radius] if args.algorithm == "improved" else None
     report = {
         "type": "ball",
         "algorithm": args.algorithm,
@@ -284,6 +286,8 @@ _REQUIRED_KEYS = {
 def cmd_validate(args):
     with open(args.report) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"report must be a JSON object, got a top-level {type(data).__name__}")
     kind = data.get("type")
     if kind not in _REQUIRED_KEYS:
         raise ValueError(f"unknown or missing report type {kind!r}")
@@ -291,6 +295,8 @@ def cmd_validate(args):
     if missing:
         raise ValueError(f"report missing keys: {sorted(missing)}")
     prov = data["provenance"]
+    if not isinstance(prov, dict):
+        raise ValueError(f"provenance must be a JSON object, got {type(prov).__name__}")
     for key in ("tool", "version", "flags"):
         if key not in prov:
             raise ValueError(f"provenance missing {key!r}")

@@ -24,8 +24,8 @@ seb_basic steps a centre's theta toward a row's, taken from one natural
 call, theta <- (1 - t) theta + t theta_s. For qubits this path is
 identical to applying matrix log/exp to the density matrices and
 renormalizing the trace, so centers always remain valid states.
-seb_improved moves no centre itself: it takes each centre from
-minimax_ball on a growing core set of rows.
+seb_improved moves no centre itself: it returns minimax_ball's on every
+row.
 """
 
 import math
@@ -196,7 +196,8 @@ class InfoBall:
     """Left-sided information ball {x : D(x || center) <= radius}.
 
     history is seb_basic's enclosure before and after each round, a float64
-    array ending at radius, or seb_improved's list of (r, delta) brackets.
+    array ending at radius, or seb_improved's one (r, delta) bracket in a
+    list.
     """
 
     center: np.ndarray
@@ -579,9 +580,11 @@ def seb_basic(g, pset, eps, seed=None):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    # compared before dividing: eps * eps underflows to 0 below about 1.5e-162
+    if eps < 1.0 / math.sqrt(MAX_BASIC_ROUNDS):
+        raise ResourceCapError(f"eps = {eps:g} needs ceil(1/eps^2) rounds, "
+                               f"more than the cap of {MAX_BASIC_ROUNDS}")
     n_iter = int(np.ceil(1.0 / (eps * eps)))
-    if n_iter > MAX_BASIC_ROUNDS:
-        raise ResourceCapError(f"eps = {eps:g} needs {n_iter} rounds, cap {MAX_BASIC_ROUNDS}")
     g.check_rows(pset.points)
     ball = _coincident_ball(pset)
     if ball is not None:
@@ -604,62 +607,15 @@ def seb_basic(g, pset, eps, seed=None):
 
 
 def seb_improved(g, pset, eps, seed=None):
-    """Enclosing-ball solver with a certified optimal-radius bracket, by
-    core-set column generation around minimax_ball.
+    """Enclosing-ball solver with a certified optimal-radius bracket:
+    minimax_ball on every row.
 
-    The core starts with the start row (row 0, or a seeded random row, as
-    in seb_basic) and the farthest row from that row moved inwards by
-    NUDGE (g.interior). Each round solves minimax_ball on the core,
-    warm-started from the previous core, and adds the farthest row at that
-    solution's centre, until that row is already in the core or the
-    bracket is MINIMAX_GAP_TOL * max(1, r) wide. The lower end is the best
-    dual value of a core's minimax_ball: no subset needs a larger ball than
-    the whole set (Badoiu & Clarkson 2003), so it bounds r* from below.
-    The upper end, the reported radius, is the best enclosure reached, at
-    the nudged start row or a core's minimax centre, which is the reported
-    centre. History entries (r, delta) therefore satisfy
-    r <= r* <= r + delta: one for the start, one per added row and a last
-    one at the end. The farthest rows, the radius and the cores'
-    minimax_ball take the rows as given, so the bracket is about them.
-    eps must lie in (0, 1), but the result does not depend on it.
+    The centre and radius are minimax_ball's centre and upper end, and the
+    history is its one final bracket [(lower, upper - lower)], so
+    r <= r* <= r + delta. eps must lie in (0, 1), but neither eps nor seed
+    changes the result; both stay for the callers that pass them.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    g.check_rows(pset.points)
-    ball = _coincident_ball(pset)
-    if ball is not None:
-        return InfoBall(*ball, history=[(ball[1], 0.0)])
-    pts, rad = pset.points, pset.radii
-    farthest = _farthest_of(g, pts, rad)
-    start = 0 if seed is None else int(np.random.default_rng(seed).integers(len(pset)))
-    best_c = g.interior(pts[start]).copy()
-    idx, best_u = farthest(best_c)
-    core, core_ball, cert = [], None, 0.0
-
-    def add_core(i):
-        nonlocal core_ball, cert
-        if i in core:
-            return
-        core.append(i)
-        core_ball = minimax_ball(g, WeightedPointSet(pts[core], radii=rad[core]), warm=core_ball)
-        cert = max(cert, core_ball.lower)
-
-    def bracket():
-        # lower: the cores' best dual value; upper: the best enclosure
-        # actually reached, so r <= r* <= r + delta by construction
-        r_lo = min(cert, best_u)
-        return r_lo, best_u - r_lo
-
-    add_core(start)
-    add_core(idx)
-    history = [bracket()]
-    while True:
-        idx, val = farthest(core_ball.center)
-        if val < best_u:
-            best_u, best_c = val, core_ball.center
-        if idx in core or best_u - cert <= MINIMAX_GAP_TOL * max(1.0, best_u):
-            break
-        add_core(idx)
-        history.append(bracket())
-    history.append(bracket())
-    return InfoBall(center=best_c, radius=best_u, history=history)
+    res = minimax_ball(g, pset)
+    return InfoBall(center=res.center, radius=res.upper, history=[(res.lower, res.gap)])

@@ -190,6 +190,13 @@ def test_sweep_rejects_steps_below_one(capsys, steps):
     assert f"--steps must be at least 1, got {steps}" in capsys.readouterr().err
 
 
+def test_sweep_steps_cap(capsys):
+    # refused before the grid is built; no test runs a step count that allocates
+    steps = cli.MAX_SWEEP_STEPS + 1
+    assert run(["sweep", "--steps", steps]) == 3
+    assert f"--steps {steps} exceeds the cap" in capsys.readouterr().err
+
+
 def test_zeroerr_pentagon(tmp_path):
     out = tmp_path / "ze.json"
     dot = tmp_path / "graph.dot"
@@ -256,9 +263,9 @@ def test_ball_reports_bracket(tmp_path):
         assert lower <= upper == reports[alg]["radius"]
     lower, upper = reports["oracle"]["bracket"]
     assert upper - lower <= 1e-9
-    # both brackets hold the optimal radius of the file's rows
-    assert reports["improved"]["bracket"][0] <= upper + 1e-9
-    assert lower <= reports["improved"]["radius"] + 1e-9
+    # both solve minimax_ball on every row
+    for key in ("center", "radius", "bracket"):
+        assert reports["improved"][key] == reports["oracle"][key]
 
 
 def test_ball_pure_rows(tmp_path):
@@ -334,8 +341,11 @@ def test_ball_header_and_unit_sphere_accepted(tmp_path):
 
 
 def test_ball_round_cap_exit_code(capsys):
-    assert run(["ball", DATA / "example_points.csv", "--eps", 1e-6]) == 3
-    assert "cap" in capsys.readouterr().err
+    # at 1e-300, eps^2 underflows to 0
+    for eps in (1e-6, 1e-300):
+        assert run(["ball", DATA / "example_points.csv", "--eps", eps]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eps = {eps:g} ") and "cap" in err
 
 
 def test_input_errors():
@@ -343,13 +353,21 @@ def test_input_errors():
     assert run(["validate", "/nonexistent.json"]) == 1
 
 
-def test_validate_rejects_bad_report(tmp_path):
+def test_validate_rejects_bad_report(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "capacity"}')
     assert run(["validate", bad]) == 1
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"type": "mystery"}')
     assert run(["validate", unknown]) == 1
+    array = tmp_path / "array.json"
+    array.write_text('[{"type": "ball"}]')
+    assert run(["validate", array]) == 1
+    assert "report must be a JSON object, got a top-level list" in capsys.readouterr().err
+    bad.write_text('{"type": "capacity", "mode": "holevo", "value": 0.5, "converged": true, '
+                   '"provenance": 5}')
+    assert run(["validate", bad]) == 1
+    assert "provenance must be a JSON object, got int" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, key", [
@@ -359,6 +377,8 @@ def test_validate_rejects_bad_report(tmp_path):
     ('kind = "identity"\nin_dim = -1', "in_dim"),
     ('kind = "declared_capacity"\nactivation_window = {}', "activation_window"),
     ('kind = "declared_capacity"\nprivate_capacity_bits = 1j', "private_capacity_bits"),
+    ('kind = "depolarizing"\np = nan', "p: 'nan'"),
+    ('kind = depolarizing\np = 0.5', "kind: 'depolarizing'"),
 ])
 def test_channel_spec_wrong_type_names_key(tmp_path, capsys, spec, key):
     path = tmp_path / "bad.channel"

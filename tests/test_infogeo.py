@@ -529,7 +529,7 @@ def test_seb_improved_closes_on_drawn_sets(g, rows, picks):
 
 def test_seb_improved_on_symmetric_sets():
     # signed coordinate permutations of one vector tie, or nearly tie, in
-    # their farthest values, so the row the loop adds turns on rounding;
+    # their farthest values, so which rows carry the weight turns on rounding;
     # at |v| = 1 and 1 - 1e-12 the rows are pure or nearly so
     signs = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
     perms = np.array(list(itertools.permutations(range(3))))
@@ -541,6 +541,13 @@ def test_seb_improved_on_symmetric_sets():
         pts = v[perms[rng.integers(6, size=n)]] * signs[rng.integers(8, size=n)]
         pset = WeightedPointSet(points=pts)
         _check_improved(BLOCH, pset, infogeo.seb_improved(BLOCH, pset, 0.05))
+    # rows 0 and 4 tie at the optimal centre 1.5, with radius 2.25
+    pset = WeightedPointSet(points=[[3.0], [2.0], [1.0], [1.0], [0.0]])
+    ball = infogeo.seb_improved(EUCL, pset, 0.05)
+    _check_improved(EUCL, pset, ball)
+    r_lo, delta = ball.history[-1]
+    assert r_lo <= 2.25 <= r_lo + delta
+    assert ball.center == pytest.approx([1.5], abs=infogeo.MINIMAX_GAP_TOL)
 
 
 def test_seb_improved_with_every_row_at_the_shell():
@@ -585,33 +592,30 @@ def test_ball_solvers_reject_a_nan_row(g):
             solve()
 
 
-def test_seb_improved_stops_on_a_tie_in_the_core():
-    # at the core {0, 4}'s centre 1.5, rows 0 and 4 tie at 2.25 and the
-    # farthest row is the lower index, already in the core: no row is added
-    pset = WeightedPointSet(points=[[3.0], [2.0], [1.0], [1.0], [0.0]])
-    ball = infogeo.seb_improved(EUCL, pset, 0.05)
-    assert ball.center == pytest.approx([1.5], abs=1e-12) and ball.radius == 2.25
-    assert len(ball.history) == 2
-
-
-@pytest.mark.parametrize("kind", ["uniform", "near_pure"])
-def test_seb_improved_adds_few_rows_on_large_clouds(kind):
-    # a count, not a timing: history holds the start bracket, one bracket
-    # per added row and the final one
-    pts = _seeded_cloud(np.random.default_rng(0), 5000, kind)
-    for seed in (None, 0, 42):
-        ball = infogeo.seb_improved(BLOCH, WeightedPointSet(points=pts), 0.05, seed=seed)
-        assert len(ball.history) - 2 <= 20, seed
-
-
 def test_seb_improved_does_not_depend_on_eps():
+    # nor on seed
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for kind in ("uniform", "near_pure"):
             pset = WeightedPointSet(points=_seeded_cloud(rng, 200, kind))
-            a, b = (infogeo.seb_improved(BLOCH, pset, eps) for eps in (0.05, 0.5))
-            assert np.array_equal(a.center, b.center) and a.radius == b.radius
-            assert a.history == b.history
+            a, *rest = (infogeo.seb_improved(BLOCH, pset, eps, seed=s)
+                        for eps, s in ((0.05, None), (0.5, None), (0.05, 0), (0.5, 42)))
+            for b in rest:
+                assert np.array_equal(a.center, b.center) and a.radius == b.radius
+                assert a.history == b.history
+
+
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_seb_improved_is_minimax_ball_on_every_row(g):
+    rng = np.random.default_rng(4)
+    for kind in ("uniform", "near_pure", "duplicates", "shell"):
+        for n in (1, 2, 10, 300):
+            pset = WeightedPointSet(points=_seeded_cloud(rng, n, kind),
+                                    radii=rng.choice([0.0, 0.1], n))
+            ball = infogeo.seb_improved(g, pset, 0.05)
+            res = infogeo.minimax_ball(g, pset)
+            assert np.array_equal(ball.center, res.center) and ball.radius == res.upper
+            assert ball.history == [(res.lower, res.upper - res.lower)]
 
 
 def test_seb_solvers_on_duplicated_rows():
@@ -716,7 +720,7 @@ def test_seb_improved_bracket(rng):
             assert r_lo <= oracle + 1e-3
             assert oracle <= r_lo + delta + 1e-3
         assert ball.radius <= oracle + 2.0 * eps + 1e-3
-        # the loop leaves the final bracket closed on every set
+        # the final bracket is closed on every set
         r_lo, delta = ball.history[-1]
         assert delta <= infogeo.MINIMAX_GAP_TOL * max(1.0, ball.radius)
         assert abs(r_lo - res.lower) <= 1e-8
