@@ -8,6 +8,11 @@ with sorted keys and a provenance block; sweeps are CSV with
 
 Exit codes: 0 ok, 1 input or usage error, 2 bracket not closed to tolerance,
 3 resource cap.
+
+Each command imports the solver modules it runs inside its own function
+and calls them through the module (``capacity.hsw_capacity``), so a
+process loads only what its subcommand needs and a wrapper placed on a
+module attribute sees every call.
 """
 
 import argparse
@@ -18,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, capacity, channels, infogeo, states, superact, zeroerr
+from . import __version__
 from .errors import ResourceCapError
 from .kernels import BACKEND
 
@@ -28,6 +33,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_RESOURCE_CAP = 3
 
 DEFAULT_SEED = 42
+BALL_ALGORITHMS = ("basic", "improved", "oracle")
 # grid points of sweep --steps beyond which it refuses to build the grid
 MAX_SWEEP_STEPS = 1_000_000
 
@@ -53,6 +59,8 @@ def _dump(report, path):
 
 
 def _read_channel(path):
+    from . import channels
+
     with open(path) as fh:
         return channels.parse_channel_spec(fh.read())
 
@@ -86,6 +94,8 @@ def _numeric_rows(path):
 
 def _check_bloch(where, r):
     """states.check_bloch on one row, its message prefixed with where."""
+    from . import states
+
     try:
         states.check_bloch(r)
     except ValueError as exc:
@@ -123,6 +133,8 @@ def _read_inputs_csv(path):
     a diagonal row must be a probability vector, with no negative entry and
     a sum within zeroerr.TRACE_TOL = 1e-9 of 1.
     """
+    from . import states, zeroerr
+
     rows = []
     for where, vals in _numeric_rows(path):
         if rows and len(vals) != len(rows[0]):
@@ -142,6 +154,8 @@ def _read_inputs_csv(path):
 
 
 def cmd_capacity(args):
+    from . import capacity, channels
+
     spec = _read_channel(args.channel_file)
     flags = {"mode": args.mode}
     if args.mode == "private" and spec.kind == "declared_capacity":
@@ -204,6 +218,8 @@ def cmd_sweep(args):
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > MAX_SWEEP_STEPS:
         raise ResourceCapError(f"--steps {args.steps} exceeds the cap of {MAX_SWEEP_STEPS}")
+    from . import superact
+
     if args.model:
         with open(args.model) as fh:
             text = fh.read()
@@ -228,6 +244,8 @@ def cmd_sweep(args):
 
 
 def cmd_zeroerr(args):
+    from . import channels, zeroerr
+
     spec = _read_channel(args.channel_file)
     ch = channels.build_channel(spec)
     inputs = _read_inputs_csv(args.inputs_file)
@@ -251,6 +269,8 @@ def cmd_zeroerr(args):
 
 
 def cmd_ball(args):
+    from . import infogeo
+
     pts, rads = _read_points_csv(args.points_csv)
     pset = infogeo.WeightedPointSet(points=pts, radii=rads)
     g = infogeo.Generator("neg_von_neumann")
@@ -300,6 +320,8 @@ def cmd_validate(args):
     for key in ("tool", "version", "flags"):
         if key not in prov:
             raise ValueError(f"provenance missing {key!r}")
+    if kind == "ball":
+        _check_ball_values(data)
     if "bracket" in data:
         _check_bracket(data["bracket"], data["radius" if kind == "ball" else "value"])
     sys.stdout.write(f"ok: valid {kind} report\n")
@@ -308,6 +330,25 @@ def cmd_validate(args):
 
 def _finite_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_ball_values(data):
+    """A ball report's center is 3 finite numbers, its algorithm one that
+    the ball command runs, its radius finite and >= 0 and its n_points a
+    positive int; the message names the first key that breaks its rule."""
+    center = data["center"]
+    if not (isinstance(center, list) and len(center) == 3
+            and all(_finite_number(v) for v in center)):
+        raise ValueError(f"'center' must be 3 finite numbers, got {center!r}")
+    if data["algorithm"] not in BALL_ALGORITHMS:
+        raise ValueError(f"'algorithm' must be one of {'|'.join(BALL_ALGORITHMS)}, "
+                         f"got {data['algorithm']!r}")
+    radius = data["radius"]
+    if not (_finite_number(radius) and radius >= 0):
+        raise ValueError(f"'radius' must be a finite number >= 0, got {radius!r}")
+    n = data["n_points"]
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"'n_points' must be a positive int, got {n!r}")
 
 
 def _check_bracket(bracket, value):
@@ -364,8 +405,7 @@ def build_parser():
 
     b = sub.add_parser("ball", help="smallest enclosing information ball")
     b.add_argument("points_csv")
-    b.add_argument("--algorithm", choices=("basic", "improved", "oracle"),
-                   default="basic")
+    b.add_argument("--algorithm", choices=BALL_ALGORITHMS, default="basic")
     b.add_argument("--eps", type=float, default=0.05)
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--output", "-o", default=None)

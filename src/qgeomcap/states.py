@@ -1,16 +1,14 @@
 """Density-matrix arithmetic, entropies and quantum relative entropy.
 
-States are plain complex numpy arrays. Validation is explicit via
-``check_density_matrix``; operations assume validated inputs unless noted.
-All entropic quantities are in bits (base-2 logs).
+States are plain complex numpy arrays; operations assume valid states
+unless noted, and ``check_bloch`` is the one rule for Bloch vectors. All
+entropic quantities are in bits (base-2 logs).
 """
 
 import numpy as np
 
 from . import kernels
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
 EIG_FLOOR = 1e-14
 SUPPORT_TOL = 1e-12
 # Bloch vectors may overshoot the unit sphere by this much
@@ -26,23 +24,6 @@ def pure_state(ket):
     ket = np.asarray(ket, dtype=complex)
     ket = ket / np.linalg.norm(ket)
     return np.outer(ket, ket.conj())
-
-
-def check_density_matrix(rho, tol=HERMITICITY_TOL):
-    """Validate Hermiticity, unit trace and positivity; raises ValueError."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > tol:
-        raise ValueError(f"not Hermitian: max deviation {herm:.3e} > {tol:.1e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:.1e}")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10:
-        raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-    return rho
 
 
 def check_bloch(r):
@@ -164,37 +145,13 @@ def partial_trace(rho_ab, keep, dims):
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def fidelity(rho, sigma):
-    """F(rho, sigma) = [Tr sqrt(sqrt(sigma) rho sqrt(sigma))]^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    evs, vs = _clamped_eigh(sigma)
-    sqrt_sigma = (vs * np.sqrt(evs)) @ vs.conj().T
-    inner = sqrt_sigma @ rho @ sqrt_sigma
-    ev_inner, _ = _clamped_eigh(inner)
-    return float(np.sqrt(ev_inner).sum() ** 2)
-
-
-def _unzip(ensemble):
-    """(probabilities, stacked states) of an ensemble [(p_i, rho_i), ...];
-    raises ValueError unless the probabilities sum to 1."""
+def holevo_quantity(ensemble):
+    """chi = S(sum p_i rho_i) - sum p_i S(rho_i), bits, of an ensemble
+    [(p_i, rho_i), ...]; raises ValueError unless the p_i sum to 1."""
     probs, rhos = zip(*ensemble)
     probs = np.array(probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-    return probs, np.array(rhos, dtype=complex)
-
-
-def ensemble_average(ensemble):
-    """sigma = sum_i p_i rho_i of an ensemble [(p_i, rho_i), ...]."""
-    probs, rhos = _unzip(ensemble)
-    return (probs[:, None, None] * rhos).sum(axis=0)
-
-
-def holevo_quantity(ensemble):
-    """chi = S(sum p_i rho_i) - sum p_i S(rho_i), bits."""
-    probs, rhos = _unzip(ensemble)
+    rhos = np.array(rhos, dtype=complex)
     avg = (probs[:, None, None] * rhos).sum(axis=0)
     return von_neumann_entropy(avg) - float((probs * von_neumann_entropy(rhos)).sum())

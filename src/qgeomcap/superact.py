@@ -14,8 +14,6 @@ supplying these numbers, and a user with an explicit channel can plug it in
 as a custom Kraus spec.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -39,17 +37,15 @@ class ReferenceModel:
 
 @dataclass
 class SweepResult:
-    """Rows of (p_C, r_H2, r_super)."""
+    """Rows of (p_C, r_H2, r_super), each a tuple of floats."""
 
     rows: list
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["p_C", "r_H2", "r_super"])
-        for row in self.rows:
-            w.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}"])
-        return buf.getvalue()
+        """A header and one line per row, values to 12 significant digits,
+        with CRLF line ends."""
+        lines = [f"{p:.12g},{rh:.12g},{rs:.12g}" for p, rh, rs in self.rows]
+        return "\r\n".join(["p_C,r_H2,r_super", *lines, ""])
 
 
 def superactivation_value(P1):
@@ -67,23 +63,26 @@ def superactivation_value(P1):
 
 def r_h2(p_C, model):
     """Inside-window pairwise radius: model.r_H2_inside on the open
-    activation window, zero elsewhere."""
+    activation window, zero elsewhere. Elementwise on an array of p_C."""
     lo, hi = model.activation_window
-    return model.r_H2_inside if lo < p_C < hi else 0.0
+    p = np.asarray(p_C, dtype=float)
+    rh = np.where((lo < p) & (p < hi), model.r_H2_inside, 0.0)
+    return rh if rh.ndim else float(rh)
 
 
 def joint_radius(p_C, model=None):
     """(r_H2, r_super) of the joint construction that selects the first
-    channel with probability p_C.
+    channel with probability p_C: floats for a number, arrays for an array.
 
     r_super = 2 p_C (1 - p_C) r_H2; the like-branch term p_C^2 r_HH
     vanishes because the first channel alone has zero quantum capacity.
     """
     if model is None:
         model = ReferenceModel()
-    p = float(p_C)
+    p = np.asarray(p_C, dtype=float)
     rh = r_h2(p, model)
-    return rh, 2.0 * p * (1.0 - p) * rh
+    rs = 2.0 * p * (1.0 - p) * rh
+    return (rh, rs) if p.ndim else (rh, float(rs))
 
 
 def sweep(grid, model=None):
@@ -95,7 +94,8 @@ def sweep(grid, model=None):
         raise ValueError("empty sweep grid")
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("sweep grid must lie in [0, 1]")
-    return SweepResult(rows=[(float(p), *joint_radius(p, model)) for p in grid])
+    rh, rs = joint_radius(grid, model)
+    return SweepResult(rows=list(zip(grid.tolist(), rh.tolist(), rs.tolist())))
 
 
 def decomposition_check(rho1, rho2, sigma1=None, sigma2=None):

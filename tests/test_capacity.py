@@ -51,9 +51,7 @@ def test_hsw_identity_channel():
 def test_hsw_ensemble_reproduces_center():
     res = capacity.hsw_capacity(_chan("amplitude_damping", 0.3))
     ch = _chan("amplitude_damping", 0.3)
-    avg = states.ensemble_average(
-        [(w, channels.apply(ch, s)) for w, s in res.optimal_ensemble]
-    )
+    avg = sum(w * channels.apply(ch, s) for w, s in res.optimal_ensemble)
     assert np.abs(avg - res.center).max() < 1e-6
     weights = [w for w, _ in res.optimal_ensemble]
     assert abs(sum(weights) - 1.0) < 1e-9
@@ -88,7 +86,7 @@ def _check_hsw_result(ch, res):
     weights = [w for w, _ in res.optimal_ensemble]
     assert min(weights) > 0.0 and sum(weights) == pytest.approx(1.0, abs=1e-12)
     assert capacity.channel_holevo(ch, res.optimal_ensemble) == pytest.approx(lower, abs=1e-9)
-    mean = states.ensemble_average([(w, channels.apply(ch, s)) for w, s in res.optimal_ensemble])
+    mean = sum(w * channels.apply(ch, s) for w, s in res.optimal_ensemble)
     assert np.abs(mean - res.center).max() <= 1e-9
 
 

@@ -1,5 +1,10 @@
+import csv
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -368,6 +373,22 @@ def test_validate_rejects_bad_report(tmp_path, capsys):
                    '"provenance": 5}')
     assert run(["validate", bad]) == 1
     assert "provenance must be a JSON object, got int" in capsys.readouterr().err
+    ball = tmp_path / "ball.json"
+    assert run(["ball", DATA / "example_points.csv", "-o", ball]) == 0
+    good = json.loads(ball.read_text())
+    for key, value in [("center", []), ("center", [0.1, 0.2]), ("center", [0.1, 0.2, "x"]),
+                       ("center", [0.1, 0.2, None]), ("center", "0.1,0.2,0.3"),
+                       ("algorithm", "x"), ("algorithm", None), ("algorithm", ["basic"]),
+                       ("radius", -0.1), ("radius", 1e999), ("radius", "0.4"),
+                       ("radius", True), ("n_points", 0), ("n_points", 2.0),
+                       ("n_points", True), ("n_points", "50")]:
+        bad.write_text(json.dumps({**good, key: value}))
+        assert run(["validate", bad]) == 1
+        assert f"error: {key!r} must be" in capsys.readouterr().err
+    for algorithm in cli.BALL_ALGORITHMS:
+        bad.write_text(json.dumps({**good, "algorithm": algorithm}))
+        assert run(["validate", bad]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("spec, key", [
@@ -413,6 +434,96 @@ def test_model_file_bad_line_names_it(tmp_path, capsys, model, names):
 def test_reference_model_file_is_the_default_model():
     text = (DATA / "reference_model.txt").read_text()
     assert superact.parse_model_file(text) == superact.ReferenceModel()
+
+
+def _sweep_by_rows(grid, model):
+    """(rows, CSV) of a sweep as the loop over Python floats that the
+    vectorised sweep replaced, written with csv.writer."""
+    lo, hi = model.activation_window
+    rows = []
+    for p in sorted(float(v) for v in grid):
+        rh = model.r_H2_inside if lo < p < hi else 0.0
+        rows.append((p, rh, 2.0 * p * (1.0 - p) * rh))
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["p_C", "r_H2", "r_super"])
+    w.writerows([[f"{v:.12g}" for v in row] for row in rows])
+    return rows, buf.getvalue()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 1000, 10_000])
+@pytest.mark.parametrize("model", [None, DATA / "reference_model.txt"])
+def test_sweep_equals_the_row_loop(tmp_path, steps, model):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--steps", steps, "-o", out] + (["--model", model] if model else [])
+    assert run(argv) == 0
+    text = out.read_bytes().decode()
+    ref = superact.parse_model_file(model.read_text()) if model else superact.ReferenceModel()
+    grid = np.linspace(0.0, 0.1, steps)
+    want_rows, want_csv = _sweep_by_rows(grid, ref)
+    assert text[text.index("p_C,"):] == want_csv
+    rows = superact.sweep(grid, ref).rows
+    assert rows == want_rows
+    assert all(type(v) is float for row in rows for v in row)
+
+
+def _in_fresh_process(code, *argv):
+    """Last stdout line, as JSON, of `code` run in a fresh interpreter."""
+    src = pathlib.Path(qgeomcap.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_qgeomcap_loads_no_solver_module():
+    facts = _in_fresh_process(
+        "import json, sys\n"
+        "import qgeomcap\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('qgeomcap'))\n"
+        "names = dir(qgeomcap)\n"
+        "from qgeomcap import zeroerr\n"
+        "try:\n"
+        "    qgeomcap.no_such_module\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'loaded': loaded, 'dir': names, 'missing': missing,\n"
+        "                  'capacity': qgeomcap.capacity.__name__,\n"
+        "                  'zeroerr': zeroerr is sys.modules['qgeomcap.zeroerr']}))\n")
+    assert facts["loaded"] == ["qgeomcap", "qgeomcap.kernels"]
+    assert set(qgeomcap.__all__) <= set(facts["dir"])
+    assert facts["capacity"] == "qgeomcap.capacity" and facts["zeroerr"]
+    assert facts["missing"] == "module 'qgeomcap' has no attribute 'no_such_module'"
+
+
+_CLI_MODULES = {"qgeomcap", "qgeomcap.cli", "qgeomcap.errors", "qgeomcap.kernels"}
+
+
+@pytest.mark.parametrize("argv, solvers", [
+    (["validate", "{report}"], []),
+    (["ball", DATA / "example_points.csv", "--algorithm", "oracle"], ["infogeo", "states"]),
+    (["sweep", "--steps", 10], ["states", "superact"]),
+    (["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv"],
+     ["channels", "states", "zeroerr"]),
+    (["capacity", DATA / "depolarizing.channel"],
+     ["capacity", "channels", "infogeo", "states"]),
+])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv, solvers):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"type": "capacity", "mode": "holevo", "value": 0.5,
+                                  "converged": True, "provenance": {
+                                      "tool": "qgeomcap", "version": "0.1.0", "flags": {}}}))
+    argv = [str(a).format(report=report) for a in argv]
+    if argv[0] != "validate":
+        argv += ["-o", tmp_path / "out"]
+    loaded = _in_fresh_process(
+        "import json, sys\n"
+        "import qgeomcap\n"
+        "assert qgeomcap.cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qgeomcap'))))\n",
+        *argv)
+    assert loaded == sorted(_CLI_MODULES | {f"qgeomcap.{m}" for m in solvers})
 
 
 # valid Kraus sets as [re, im] pairs: identity, amplitude damping 0.36, a

@@ -14,15 +14,6 @@ def test_pure_state_is_projector(rng):
     assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
-def test_check_density_matrix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        states.check_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        states.check_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        states.check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
 def test_bloch_round_trip(rng):
     for _ in range(50):
         r = random_bloch(rng)
@@ -83,16 +74,6 @@ def test_partial_trace_of_product(rng):
     joint = states.tensor(rho_a, rho_b)
     assert np.allclose(states.partial_trace(joint, "A", (2, 2)), rho_a, atol=1e-12)
     assert np.allclose(states.partial_trace(joint, "B", (2, 2)), rho_b, atol=1e-12)
-
-
-def test_fidelity_pure_states(rng):
-    for _ in range(20):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        f = states.fidelity(states.pure_state(a), states.pure_state(b))
-        assert abs(f - abs(np.vdot(a, b)) ** 2) < 1e-7
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
