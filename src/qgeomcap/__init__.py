@@ -10,9 +10,8 @@ core-sets.
 
 ``import qgeomcap`` loads only ``kernels`` (for ``BACKEND``). Each
 submodule in ``__all__`` is imported on first attribute access (PEP 562),
-so ``qgeomcap.capacity`` and ``from qgeomcap import zeroerr`` work as
-before, and a ``qgeomcap`` process loads only the modules its subcommand
-runs.
+so ``qgeomcap.capacity`` and ``from qgeomcap import zeroerr`` both work,
+and a ``qgeomcap`` process loads only the modules its subcommand runs.
 """
 
 import importlib

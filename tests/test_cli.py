@@ -508,7 +508,7 @@ _CLI_MODULES = {"qgeomcap", "qgeomcap.cli", "qgeomcap.errors", "qgeomcap.kernels
      ["channels", "states", "zeroerr"]),
     (["capacity", DATA / "depolarizing.channel"],
      ["capacity", "channels", "infogeo", "states"]),
-])
+], ids=["validate", "ball", "sweep", "zeroerr", "capacity"])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, solvers):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"type": "capacity", "mode": "holevo", "value": 0.5,
