@@ -269,6 +269,10 @@ def cmd_zeroerr(args):
 
 
 def cmd_ball(args):
+    if not 0.0 < args.eps < 1.0:
+        raise ValueError(f"--eps must lie in (0, 1), got {args.eps}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     from . import infogeo
 
     pts, rads = _read_points_csv(args.points_csv)

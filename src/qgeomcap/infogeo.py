@@ -23,7 +23,9 @@ a centre only through grad_inv. A geodesic is a straight line there, and
 seb_basic steps a centre's theta toward a row's, taken from one natural
 call, theta <- (1 - t) theta + t theta_s. For qubits this path is
 identical to applying matrix log/exp to the density matrices and
-renormalizing the trace, so centers always remain valid states.
+renormalizing the trace, so centers always remain valid states. Its
+rounds score rows as minimax_ball's smoothing does, by b_i - <p_i, theta>
+with b_i = F(p_i) + r_i, and map no centre back.
 seb_improved moves no centre itself: it returns minimax_ball's on every
 row.
 """
@@ -195,9 +197,9 @@ _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuc
 class InfoBall:
     """Left-sided information ball {x : D(x || center) <= radius}.
 
-    history is seb_basic's enclosure before and after each round, a float64
-    array ending at radius, or seb_improved's one (r, delta) bracket in a
-    list.
+    history is seb_basic's enclosure at its start centre and at its final
+    one, the float64 pair [start, radius], or seb_improved's one
+    (r, delta) bracket in a list.
     """
 
     center: np.ndarray
@@ -241,24 +243,6 @@ class WeightedPointSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-
-def _farthest_of(g, points, radii, f=None):
-    """farthest(center) -> (index, value) of max_i D(p_i||center) + r_i.
-
-    Ties go to the lowest index. F(p_i) (f, or g.batch_F(points) when it
-    is not given) is computed once, so each center costs one
-    g.prepared_div, the same floats as batch_div. A value below 0, which
-    only rounding at a center on every point gives, reads 0.
-    """
-    f = g.batch_F(points) if f is None else f
-
-    def farthest(center):
-        vals = g.prepared_div(points, f, center) + radii
-        idx = int(np.argmax(vals))
-        return idx, max(float(vals[idx]), 0.0)
-
-    return farthest
 
 
 def _coincident_ball(pset):
@@ -461,9 +445,16 @@ def minimax_ball(g, pset, warm=None):
         weights[np.argmax(rad)] = 1.0
         theta = g.natural(ball[0][None])[0][0]
         return MinimaxResult(ball[0], theta, weights, ball[1], ball[1], 0)
-    f = g.batch_F(pts)
-    b = f + rad
-    farthest = _farthest_of(g, pts, rad, f)
+    f_pts = g.batch_F(pts)
+    b = f_pts + rad
+
+    def farthest(center):
+        # ties go to the lowest index; only rounding at a centre on every
+        # point gives a value below 0, which reads 0
+        vals = g.prepared_div(pts, f_pts, center) + rad
+        idx = int(np.argmax(vals))
+        return idx, max(float(vals[idx]), 0.0)
+
     p_max = math.sqrt(float(np.einsum("ij,ij->i", pts, pts).max()))
     lower, upper, center, center_theta, steps = -np.inf, np.inf, None, None, 0
 
@@ -565,16 +556,19 @@ def seb_basic(g, pset, eps, seed=None):
     Starts from the first point (or a seeded random point) and runs
     ceil(1/eps^2) rounds: find the farthest point and move the center a
     step t = 1/(i+1) toward it along the geodesic, the straight line
-    theta <- (1 - t) theta + t theta_s in natural coordinates; the centre
-    scored is grad_inv(theta). Its radius bound, a factor (1 + eps) over
-    the optimum, is the Euclidean one of Badoiu and Clarkson. On Bloch
-    data it is checked only away from the pure shell (|r| <= 0.9); near
-    the shell the radius can be 1.23 times optimal at eps = 0.05.
-    seb_improved and minimax_ball give a certified bracket. Per-point
-    radii, when present, make this the enclosing ball of balls.
-    The farthest points and the radius are scored on the rows as given; the
-    rows moved inwards by NUDGE (g.interior), whose theta one g.natural
-    call gives, serve only as the start centre and the geodesic targets.
+    theta <- (1 - t) theta + t theta_s in natural coordinates. A round maps
+    no centre back: its farthest row is argmax_i b_i - <p_i, theta>, with
+    b_i = F(p_i) + r_i, since F*(theta) is common to every row. Its radius
+    bound, a factor (1 + eps) over the optimum, is the Euclidean one of
+    Badoiu and Clarkson. On Bloch data it is checked only away from the
+    pure shell (|r| <= 0.9); near the shell the radius can be 1.23 times
+    optimal at eps = 0.05. seb_improved and minimax_ball give a certified
+    bracket. Per-point radii, when present, make this the enclosing ball
+    of balls. The rows are scored as given; the rows moved inwards by
+    NUDGE (g.interior), whose theta one g.natural call gives, serve only
+    as the start centre and the geodesic targets. history is the enclosure
+    (g.prepared_div) at the start centre and at the final one,
+    grad_inv(theta), which is the radius.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
     first one.
     """
@@ -588,22 +582,23 @@ def seb_basic(g, pset, eps, seed=None):
     g.check_rows(pset.points)
     ball = _coincident_ball(pset)
     if ball is not None:
-        return InfoBall(*ball, history=np.array([ball[1]]))
-    pts = g.interior(pset.points)
+        return InfoBall(*ball, history=np.full(2, ball[1]))
+    raw, rad = pset.points, pset.radii
+    pts = g.interior(raw)
     theta = g.natural(pts)[0]
-    farthest = _farthest_of(g, pset.points, pset.radii)
+    f = g.batch_F(raw)
+    b = f + rad
     start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
-    c, th = pts[start].copy(), theta[start]
-    idx, val = farthest(c)
-    history = np.empty(n_iter + 1)
-    history[0] = val
+    vals = g.prepared_div(raw, f, pts[start]) + rad
+    idx, th = int(np.argmax(vals)), theta[start]
+    first = vals[idx]
     for i in range(1, n_iter + 1):
         t = 1.0 / (i + 1.0)
         th = (1.0 - t) * th + t * theta[idx]
-        c = g.grad_inv(th)
-        idx, val = farthest(c)
-        history[i] = val
-    return InfoBall(center=c, radius=val, history=history)
+        idx = int(np.argmax(b - raw @ th))
+    c = g.grad_inv(th)
+    history = np.maximum([first, (g.prepared_div(raw, f, c) + rad).max()], 0.0)
+    return InfoBall(center=c, radius=float(history[1]), history=history)
 
 
 def seb_improved(g, pset, eps, seed=None):

@@ -353,6 +353,25 @@ def test_ball_round_cap_exit_code(capsys):
         assert err.startswith(f"error: eps = {eps:g} ") and "cap" in err
 
 
+@pytest.mark.parametrize("algorithm", cli.BALL_ALGORITHMS)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "nan", "--eps must lie in (0, 1), got nan"),
+    ("--eps", "inf", "--eps must lie in (0, 1), got inf"),
+    ("--eps", 5, "--eps must lie in (0, 1), got 5.0"),
+    ("--eps", 0, "--eps must lie in (0, 1), got 0.0"),
+    ("--eps", -0.1, "--eps must lie in (0, 1), got -0.1"),
+    ("--seed", -1, "--seed must be non-negative, got -1"),
+])
+def test_ball_flags_out_of_range_name_themselves(tmp_path, capsys, algorithm, flag, value,
+                                                  message):
+    # every algorithm checks both flags, although only basic reads them
+    out = tmp_path / "b.json"
+    argv = ["ball", DATA / "example_points.csv", "--algorithm", algorithm, flag, value, "-o", out]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_input_errors():
     assert run(["capacity", "/nonexistent.channel"]) == 1
     assert run(["validate", "/nonexistent.json"]) == 1

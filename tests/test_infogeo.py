@@ -27,6 +27,15 @@ def _meets(lower, upper, res):
     return max(lower, res.lower) - min(upper, res.upper) <= tol
 
 
+def _farthest(g, points, radii, center):
+    """(index, value) of max_i D(p_i || center) + r_i by batch_div, ties to
+    the lowest index; a value below 0 from rounding reads 0, as the solvers
+    report it."""
+    vals = g.batch_div(points, center) + radii
+    idx = int(np.argmax(vals))
+    return idx, max(float(vals[idx]), 0.0)
+
+
 def _grid_enclosure(g, points, radii, centers):
     """max_i D(p_i || c) + r_i for every row c of centers, from the closed
     forms written out here: the test-side reference for the solvers."""
@@ -456,8 +465,83 @@ def test_seb_basic_history_is_a_float_array():
     for g in (BLOCH, EUCL):
         ball = infogeo.seb_basic(g, pset, 0.1)
         assert isinstance(ball.history, np.ndarray) and ball.history.dtype == np.float64
-        assert ball.history.shape == (101,)  # the start and ceil(1 / eps^2) rounds
+        assert ball.history.shape == (2,)  # the enclosure at the start and at the end
         assert np.isfinite(ball.history).all() and ball.history[-1] == ball.radius
+        # the start centre is row 0 moved inwards by NUDGE
+        assert ball.history[0] == _farthest(g, pset.points, pset.radii,
+                                            g.interior(pset.points)[0])[1]
+
+
+def _centre_space_seb_basic(g, pset, eps, seed=None, near_ties=False):
+    """seb_basic as a round trip through the centre: each round maps theta
+    to its centre with grad_inv and finds the farthest row there with
+    prepared_div, ties to the lowest index. With near_ties, the rows within
+    1e-14 of the farthest score tie, and the one with the largest
+    b_i - <p_i, theta> among them is taken. (centre, radius, enclosure
+    after each round.)"""
+    raw, rad = pset.points, pset.radii
+    pts = g.interior(raw)
+    theta = g.natural(pts)[0]
+    f = g.batch_F(raw)
+
+    def farthest(c, th=None):
+        vals = g.prepared_div(raw, f, c) + rad
+        idx = int(np.argmax(vals))
+        if th is not None:
+            tied = np.flatnonzero(vals >= vals[idx] - 1e-14)
+            idx = int(tied[np.argmax((f + rad - raw @ th)[tied])])
+        return idx, max(float(vals[idx]), 0.0)
+
+    start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
+    c, th = pts[start].copy(), theta[start]
+    idx, val = farthest(c)
+    history = [val]
+    for i in range(1, int(np.ceil(1.0 / (eps * eps))) + 1):
+        t = 1.0 / (i + 1.0)
+        th = (1.0 - t) * th + t * theta[idx]
+        c = g.grad_inv(th)
+        idx, val = farthest(c, th if near_ties else None)
+        history.append(val)
+    return c, val, history
+
+
+# (geometry, kind, n, radii, eps, seed) on which the two scorings pick
+# different farthest rows: this cloud's start row and its farthest row are
+# the only ones that matter, so the Euclidean centre keeps returning to
+# their bisector, where the two rows' scores differ by one rounding
+# (5.6e-17 at rounds 33 and 35, and later at eps = 0.05)
+_NEAR_TIES = {("euclidean", "duplicates", 10, "none", eps, seed)
+              for eps in (0.05, 0.1) for seed in (None, 42)}
+
+
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_seb_basic_matches_the_centre_space_loop(g):
+    # scoring b_i - <p_i, theta> picks the row that prepared_div at
+    # grad_inv(theta) scores farthest, so the centre, radius and both
+    # history ends are the round trip's bit for bit, except on the
+    # _NEAR_TIES inputs; there, and everywhere, each pick is the round
+    # trip's farthest row up to a tie within 1e-14
+    name = "bloch" if g is BLOCH else "euclidean"
+    rng = np.random.default_rng(23)
+    flipped = set()
+    for kind in ("uniform", "near_pure", "duplicates", "shell"):
+        for n in (10, 100):
+            pts = _seeded_cloud(rng, n, kind)
+            for radii in (None, rng.uniform(0.0, 0.2, n)):
+                pset = WeightedPointSet(points=pts, radii=radii)
+                for eps, seed in itertools.product((0.05, 0.1), (None, 0, 42)):
+                    case = (name, kind, n, "none" if radii is None else "uniform", eps, seed)
+                    ball = infogeo.seb_basic(g, pset, eps, seed=seed)
+                    for near_ties in (False, True):
+                        center, radius, history = _centre_space_seb_basic(g, pset, eps, seed,
+                                                                          near_ties)
+                        same = (np.array_equal(ball.center, center) and ball.radius == radius
+                                and ball.history[0] == history[0]
+                                and ball.history[-1] == history[-1])
+                        if not same and not near_ties:
+                            flipped.add(case)
+                    assert same, case
+    assert flipped == {case for case in _NEAR_TIES if case[0] == name}
 
 
 def _seeded_cloud(rng, n, kind):
@@ -488,8 +572,8 @@ def _check_improved(g, pset, ball):
     as given at its centre (or, on coincident rows, the largest row
     radius), and its final bracket is closed and holds minimax_ball's."""
     coincident = infogeo._coincident_ball(pset)
-    farthest = infogeo._farthest_of(g, pset.points, pset.radii)
-    assert ball.radius == (farthest(ball.center)[1] if coincident is None else coincident[1])
+    enclosure = _farthest(g, pset.points, pset.radii, ball.center)[1]
+    assert ball.radius == (enclosure if coincident is None else coincident[1])
     r_lo, delta = ball.history[-1]
     assert delta <= infogeo.MINIMAX_GAP_TOL * max(1.0, ball.radius)
     assert _meets(r_lo, r_lo + delta, infogeo.minimax_ball(g, pset))
@@ -505,8 +589,7 @@ def test_seb_improved_beats_the_best_row_centre(g, kind):
         pts = _seeded_cloud(rng, n, kind)
         for radii in (None, rng.uniform(0.0, 0.2, n), rng.choice([0.0, 0.1], n)):
             pset = WeightedPointSet(points=pts, radii=radii)
-            farthest = infogeo._farthest_of(g, pts, pset.radii)
-            best_row = min(farthest(c)[1] for c in g.interior(pts))
+            best_row = min(_farthest(g, pts, pset.radii, c)[1] for c in g.interior(pts))
             ball = infogeo.seb_improved(g, pset, 0.05)
             _check_improved(g, pset, ball)
             assert ball.radius <= best_row + infogeo.MINIMAX_GAP_TOL * max(1.0, best_row)
@@ -752,13 +835,16 @@ def test_seb_improved_does_not_load_scipy_optimize():
 
 @pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
 def test_cached_scoring_matches_batch_div(rng, g):
+    # the solvers compute F(p_i) once per solve; the enclosure they report
+    # is batch_div's at their centre, bit for bit
     pts = np.vstack([[random_bloch(rng, 0.99) for _ in range(40)], np.eye(3)])
     radii = rng.uniform(0.0, 0.05, len(pts))
-    farthest = infogeo._farthest_of(g, pts, radii)
-    for c in [np.zeros(3), *(random_bloch(rng, 0.99) for _ in range(10))]:
-        vals = g.batch_div(pts, c) + radii
-        idx = int(np.argmax(vals))
-        assert farthest(c) == (idx, float(vals[idx]))
+    pset = WeightedPointSet(points=pts, radii=radii)
+    for seed in (None, 0, 42):
+        ball = infogeo.seb_basic(g, pset, 0.1, seed=seed)
+        assert ball.radius == _farthest(g, pts, radii, ball.center)[1]
+    res = infogeo.minimax_ball(g, pset)
+    assert res.upper == _farthest(g, pts, radii, res.center)[1]
 
 
 def test_seb_basic_round_cap():
