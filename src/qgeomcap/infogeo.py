@@ -25,11 +25,15 @@ call, theta <- (1 - t) theta + t theta_s. For qubits this path is
 identical to applying matrix log/exp to the density matrices and
 renormalizing the trace, so centers always remain valid states. Its
 rounds score rows as minimax_ball's smoothing does, by b_i - <p_i, theta>
-with b_i = F(p_i) + r_i, and map no centre back.
+with b_i = F(p_i) + r_i, and map no centre back; each round is one
+in-place add to running scores and one argmax, with the score columns of
+the _BASIC_COLUMNS rows picked last cached, and its result is
+bit-identical to scoring each round afresh.
 seb_improved moves no centre itself: it returns minimax_ball's on every
 row.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +45,8 @@ from .errors import ResourceCapError
 NUDGE = 1e-9
 # rounds of seb_basic (ceil(1/eps^2)) beyond which it refuses to start
 MAX_BASIC_ROUNDS = 1_000_000
+# score columns (n-vectors) seb_basic caches, whatever its number of rounds
+_BASIC_COLUMNS = 16
 # width of the certified bracket at which minimax_ball stops
 MINIMAX_GAP_TOL = 1e-9
 # iterations of minimax_ball beyond which it returns an open bracket
@@ -558,9 +564,12 @@ def seb_basic(g, pset, eps, seed=None):
     step t = 1/(i+1) toward it along the geodesic, the straight line
     theta <- (1 - t) theta + t theta_s in natural coordinates. A round maps
     no centre back: its farthest row is argmax_i b_i - <p_i, theta>, with
-    b_i = F(p_i) + r_i, since F*(theta) is common to every row. Its radius
-    bound, a factor (1 + eps) over the optimum, is the Euclidean one of
-    Badoiu and Clarkson. On Bloch data it is checked only away from the
+    b_i = F(p_i) + r_i, since F*(theta) is common to every row. Running
+    scores make that one in-place add and one argmax (_geodesic_rounds),
+    with at most _BASIC_COLUMNS cached n-vectors at any eps, and give the
+    same picks, centre and radius bit for bit as scoring b - P theta each
+    round. Its radius bound, a factor (1 + eps) over the optimum, is the
+    Euclidean one of Badoiu and Clarkson. On Bloch data it is checked only away from the
     pure shell (|r| <= 0.9); near the shell the radius can be 1.23 times
     optimal at eps = 0.05. seb_improved and minimax_ball give a certified
     bracket. Per-point radii, when present, make this the enclosing ball
@@ -584,21 +593,74 @@ def seb_basic(g, pset, eps, seed=None):
     if ball is not None:
         return InfoBall(*ball, history=np.full(2, ball[1]))
     raw, rad = pset.points, pset.radii
-    pts = g.interior(raw)
-    theta = g.natural(pts)[0]
+    # the rounds keep only the nudged rows' theta, not the rows
+    theta = g.natural(g.interior(raw))[0]
     f = g.batch_F(raw)
-    b = f + rad
+
+    def farthest(center):
+        vals = g.prepared_div(raw, f, center) + rad
+        idx = int(np.argmax(vals))
+        return idx, vals[idx]
+
     start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
-    vals = g.prepared_div(raw, f, pts[start]) + rad
-    idx, th = int(np.argmax(vals)), theta[start]
-    first = vals[idx]
-    for i in range(1, n_iter + 1):
-        t = 1.0 / (i + 1.0)
-        th = (1.0 - t) * th + t * theta[idx]
-        idx = int(np.argmax(b - raw @ th))
-    c = g.grad_inv(th)
-    history = np.maximum([first, (g.prepared_div(raw, f, c) + rad).max()], 0.0)
+    idx, first = farthest(g.interior(raw[start]))
+    c = g.grad_inv(_geodesic_rounds(raw, f + rad, theta, start, idx, n_iter))
+    history = np.maximum([first, farthest(c)[1]], 0.0)
     return InfoBall(center=c, radius=float(history[1]), history=history)
+
+
+def _geodesic_rounds(raw, b, theta, start, idx, n_iter):
+    """seb_basic's n_iter rounds from theta[start], whose first target is
+    row idx: theta after the last step.
+
+    Round i steps th <- (1 - t) th + t theta[idx], t = 1/(i + 1), and
+    picks idx = argmax_j b_j - <p_j, th>, ties to the lowest j. th is
+    S/(i + 1), with S = theta[start] plus the targets so far, so the pick
+    is also the argmax of w = (i + 1) b - raw @ S: the running sum of the
+    columns b - raw @ theta[k] of the start and of each target. A round
+    adds one column to w in place and takes its argmax; the columns of the
+    _BASIC_COLUMNS targets used last are cached, so memory does not grow
+    with the rounds.
+
+    The pick is bit for bit the argmax of b - raw @ th at the rounded th,
+    which is carried on Python floats (elementwise numpy's arithmetic).
+    With u = 2^-53 and scale = max|b| + max|p| max||theta_k||_1, a column
+    rounds by (d + 2) u scale, the sum w_j by u scale (i + 1)(i + 2) / 2,
+    and b - <p, th> by (d + 2) u scale plus |<p, e_i>|, where the
+    recursion's error e_i obeys (i + 1) e_i = sum_{k <= i} (k + 1) delta_k
+    with ||delta_k||_1 <= 5 u max||theta_k||_1. So w_j and (i + 1) times
+    the score differ by at most 3 u scale (i + 1)(i + d + 4), and a top w
+    that leads every other by more than twice that is the pick. Where it
+    does not (a near tie, an exact duplicate row, or scores too large
+    for w), the round scores b - raw @ th instead.
+    """
+    d = raw.shape[1]
+    scale = float(np.abs(b).max() + np.abs(raw).max() * np.abs(theta).sum(axis=1).max())
+    # 8 u scale (i + 1)(i + d + 4) exceeds twice the bound above; where w
+    # could leave the float range, every round is scored directly
+    unit = 8.0 * 2.0**-53 * scale if math.isfinite(2.0 * (n_iter + 1.0) * scale) else math.inf
+
+    @functools.lru_cache(maxsize=_BASIC_COLUMNS)
+    def column(k):
+        return b - raw @ theta[k], theta[k].tolist()
+
+    th = theta[start].tolist()
+    w = b - raw @ theta[start]
+    with np.errstate(over="ignore", invalid="ignore"):  # w past the float range
+        for i in range(1, n_iter + 1):
+            t = 1.0 / (i + 1.0)
+            col, target = column(idx)
+            keep = 1.0 - t
+            th = [keep * a + t * v for a, v in zip(th, target)]
+            w += col
+            idx = int(w.argmax())
+            top = w.item(idx)
+            w[idx] = -math.inf
+            second = w.item(w.argmax())
+            w[idx] = top
+            if not top - second > unit * (i + 1) * (i + d + 4):
+                idx = int(np.argmax(b - raw @ np.array(th)))
+    return np.array(th)
 
 
 def seb_improved(g, pset, eps, seed=None):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,6 +543,88 @@ def test_seb_basic_matches_the_centre_space_loop(g):
                             flipped.add(case)
                     assert same, case
     assert flipped == {case for case in _NEAR_TIES if case[0] == name}
+
+
+def _natural_seb_basic(g, pset, eps, seed=None):
+    """seb_basic scoring every round afresh in natural coordinates: each
+    round steps theta and takes argmax b_i - <p_i, theta>, one
+    matrix-vector product. (centre, radius, history, rows picked.)"""
+    raw, rad = pset.points, pset.radii
+    pts = g.interior(raw)
+    theta = g.natural(pts)[0]
+    f = g.batch_F(raw)
+    b = f + rad
+    start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
+    vals = g.prepared_div(raw, f, pts[start]) + rad
+    idx, th = int(np.argmax(vals)), theta[start]
+    first, picked = vals[idx], {idx}
+    for i in range(1, int(np.ceil(1.0 / (eps * eps))) + 1):
+        t = 1.0 / (i + 1.0)
+        th = (1.0 - t) * th + t * theta[idx]
+        idx = int(np.argmax(b - raw @ th))
+        picked.add(idx)
+    c = g.grad_inv(th)
+    history = np.maximum([first, (g.prepared_div(raw, f, c) + rad).max()], 0.0)
+    return c, float(history[1]), history, picked
+
+
+def _running_score_cases():
+    """(name, g, pset, eps): the balls clouds at n = 1000 and 5000, where
+    more rows are picked than seb_basic caches columns for; rows drawn
+    with repeats, whose exact ties seb_basic scores afresh; d = 2; and
+    symmetric sets, whose centre returns to where two rows' scores differ
+    by a rounding, so that the running scores alone would pick the other."""
+    rng = np.random.default_rng(24)
+    for n in (1000, 5000):
+        for kind in ("uniform", "near_pure"):
+            pts = _seeded_cloud(rng, n, kind)
+            radii = rng.uniform(0.0, 0.05, n) if n == 1000 else None
+            for eps in (0.05, 0.02):
+                yield f"{kind} n={n} eps={eps}", BLOCH, WeightedPointSet(points=pts, radii=radii), eps
+    duplicates = WeightedPointSet(points=_seeded_cloud(rng, 100, "duplicates"))
+    plane = WeightedPointSet(points=rng.normal(size=(50, 2)), radii=rng.uniform(0.0, 0.5, 50))
+    octahedron = WeightedPointSet(points=0.5 * np.vstack([np.eye(3), -np.eye(3)]))
+    triangle = WeightedPointSet(points=[[1.0, 0.0], [-0.5, 0.75**0.5], [-0.5, -0.75**0.5]])
+    # running scores of this size would overflow, so every round is scored afresh
+    huge = WeightedPointSet(points=_seeded_cloud(rng, 20, "uniform"), radii=rng.uniform(0.0, 1e306, 20))
+    yield "radii near the float range", BLOCH, huge, 0.1
+    for eps in (0.05, 0.02):
+        yield f"duplicates eps={eps}", BLOCH, duplicates, eps
+        yield f"euclidean d=2 eps={eps}", EUCL, plane, eps
+        yield f"octahedron eps={eps}", BLOCH, octahedron, eps
+        yield f"triangle d=2 eps={eps}", EUCL, triangle, eps
+
+
+def test_seb_basic_running_scores_match_the_natural_loop():
+    # the running scores pick the rows that b_i - <p_i, theta> picks each
+    # round, bit for bit, also where the column cache evicts and where an
+    # exact duplicate row ties with the farthest one
+    evicted = tied = 0
+    for name, g, pset, eps in _running_score_cases():
+        for seed in (None, 42):
+            ball = infogeo.seb_basic(g, pset, eps, seed=seed)
+            center, radius, history, picked = _natural_seb_basic(g, pset, eps, seed)
+            assert np.array_equal(ball.center, center), (name, seed)
+            assert ball.radius == radius, (name, seed)
+            assert np.array_equal(ball.history, history), (name, seed)
+            evicted += len(picked) > infogeo._BASIC_COLUMNS
+            rows = pset.points[sorted(picked)]
+            tied += any((pset.points == row).all(axis=1).sum() > 1 for row in rows)
+    assert evicted and tied
+
+
+def test_seb_basic_memory_does_not_grow_with_the_rounds():
+    # one call holds the cached columns and about ten more n-vectors
+    # (theta's d columns, F(p), b, the running scores), at any eps
+    n = 5000
+    pset = WeightedPointSet(points=_seeded_cloud(np.random.default_rng(5), n, "near_pure"))
+    tracemalloc.start()
+    try:
+        infogeo.seb_basic(BLOCH, pset, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (infogeo._BASIC_COLUMNS + 10) * 8 * n
 
 
 def _seeded_cloud(rng, n, kind):
