@@ -569,15 +569,15 @@ def seb_basic(g, pset, eps, seed=None):
     with at most _BASIC_COLUMNS cached n-vectors at any eps, and give the
     same picks, centre and radius bit for bit as scoring b - P theta each
     round. Its radius bound, a factor (1 + eps) over the optimum, is the
-    Euclidean one of Badoiu and Clarkson. On Bloch data it is checked only away from the
-    pure shell (|r| <= 0.9); near the shell the radius can be 1.23 times
-    optimal at eps = 0.05. seb_improved and minimax_ball give a certified
-    bracket. Per-point radii, when present, make this the enclosing ball
-    of balls. The rows are scored as given; the rows moved inwards by
-    NUDGE (g.interior), whose theta one g.natural call gives, serve only
-    as the start centre and the geodesic targets. history is the enclosure
-    (g.prepared_div) at the start centre and at the final one,
-    grad_inv(theta), which is the radius.
+    Euclidean one of Badoiu and Clarkson. On Bloch data it is checked only
+    away from the pure shell (|r| <= 0.9); near the shell the radius can be
+    1.23 times optimal at eps = 0.05. seb_improved and minimax_ball give a
+    certified bracket. Per-point radii, when present, make this the
+    enclosing ball of balls. The rows are scored as given; the rows moved
+    inwards by NUDGE (g.interior), whose theta one g.natural call gives,
+    serve only as the start centre and the geodesic targets. history is
+    the enclosure (g.prepared_div) at the start centre and at the final
+    one, grad_inv(theta), which is the radius.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
     first one.
     """
