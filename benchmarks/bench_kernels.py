@@ -7,9 +7,9 @@ infogeo.seb_improved runs) with its steps and the bracket width it
 certifies, next to infogeo.seb_basic at eps = SEB_EPS on the same cloud,
 then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
-acceptance test and on dephasing and amplitude damping at p = 0.1 ... 0.9,
-with its column-generation rounds and the minimax_ball steps of all rounds,
-then
+acceptance test, on dephasing and amplitude damping at p = 0.1 ... 0.9 and
+on RANDOM_CHANNELS seeded Kraus-rank-2 and rank-3 channels, with its
+column-generation rounds and the minimax_ball steps of all rounds, then
 capacity.quantum_capacity_single_use on qubit_candidate_states(): its
 time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
 zeroerr.zero_error_rate on pentagon n = 2 and on the 1 000-vertex complete
@@ -35,6 +35,8 @@ HSW_CASES = ([("depolarizing", p) for p in GRID]
                 for p in (0.1, 0.5, 0.9)]
              + [("dephasing", p) for p in GRID]
              + [("amplitude_damping", p) for p in GRID])
+# seeds of the random Kraus-rank-2 and rank-3 channels among the HSW cases
+RANDOM_CHANNELS = range(5)
 QUANTUM_ZOO = [(kind, 0.3) for kind in ("identity", "bit_flip", "phase_flip", "bit_phase_flip",
                                         "depolarizing", "amplitude_damping", "dephasing",
                                         "erasure")]
@@ -44,6 +46,23 @@ def random_interior_points(n, rng):
     pts = rng.normal(size=(n, 3))
     norms = np.linalg.norm(pts, axis=1)
     return pts * (rng.uniform(0.0, 0.99, n) / norms)[:, None]
+
+
+def random_channel(seed, n_kraus):
+    """Qubit channel with n_kraus Kraus operators, the blocks of a random
+    isometry drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
+    iso, _ = np.linalg.qr(x)
+    return channels.KrausChannel([iso[2 * i:2 * i + 2] for i in range(n_kraus)], 2, 2)
+
+
+def hsw_cases():
+    """(label, channel) of every HSW case."""
+    cases = [(f"{kind} p={p}", channels.build_channel(channels.ChannelSpec(kind, {"p": p})))
+             for kind, p in HSW_CASES]
+    return cases + [(f"kraus{k} seed={seed}", random_channel(seed, k))
+                    for k in (2, 3) for seed in RANDOM_CHANNELS]
 
 
 def bench(fn, *args, repeats=5):
@@ -91,14 +110,13 @@ def main():
 
     infogeo.minimax_ball = counted
     try:
-        for kind, p in HSW_CASES:
-            ch = channels.build_channel(channels.ChannelSpec(kind, {"p": p}))
+        for label, ch in hsw_cases():
             steps[0] = 0
             res = capacity.hsw_capacity(ch)
             per_solve = steps[0]
             t = bench(capacity.hsw_capacity, ch, repeats=3)
             lo, up = res.bracket
-            print(f"{kind + ' p=' + str(p):<24}{res.iterations:>8}{per_solve:>8}"
+            print(f"{label:<24}{res.iterations:>8}{per_solve:>8}"
                   f"{t * 1e3:>10.1f}ms{up - lo:>12.2e}")
     finally:
         infogeo.minimax_ball = solve

@@ -9,6 +9,7 @@ the same ensemble.
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,30 @@ HSW_MAX_ROUNDS = 100
 HSW_START_COLUMNS = 32
 # interval splits of one sphere-oracle call
 _ORACLE_MAX_SPLITS = 500
+# |beta_k| and lam_k at most this count as 0 for the mirror images and the
+# King round of hsw_capacity. eigh and V^T A^T b leave about 1e-15 where
+# they vanish exactly (Kraus-rank-2 channels), and a wrong call costs rounds,
+# never the certificate
+_MIRROR_TOL = 1e-10
 _BLOCH = infogeo.Generator("neg_von_neumann")
+
+
+class Ensemble(Sequence):
+    """Pure qubit input ensemble held as one (k, 4) array whose rows are
+    (weight, Bloch vector), read as the sequence of (weight, state) pairs.
+    A state is built from its Bloch vector when it is read, so a kept
+    answer holds one small array."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, weights, bloch):
+        self.rows = np.column_stack([weights, bloch])
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return float(self.rows[i, 0]), states.bloch_to_density(self.rows[i, 1:])
 
 
 @dataclass(slots=True)
@@ -36,7 +60,7 @@ class CapacityResult:
     """
 
     value: float
-    optimal_ensemble: list = field(default_factory=list)
+    optimal_ensemble: Sequence = field(default_factory=list)
     center: np.ndarray = None
     radius: float = 0.0
     iterations: int = 0
@@ -125,6 +149,16 @@ class _OutputEllipsoid:
     Input directions are kept in the eigenbasis V of A^T A (eigenvalues
     lam), where q(u) = |N(u)|^2 = sum_i lam_i u_i^2 + 2 <beta, u> + |b|^2
     with beta = V^T A^T b. [q_lo, q_hi] bounds q over the sphere.
+
+    With A = U Sigma V^T, the input flip u -> V diag(s) V^T u, s in {+-1}^3
+    with s_k = -1 only where beta_k = 0 and lam_k > 0, maps N(u) to
+    U diag(s) U^T N(u): an orthogonal map of the Bloch ball that fixes b,
+    since U^T b = Sigma^-1 beta there. mirrors, a stack (m, 3, 3), holds
+    the input maps of the flips other than the identity: none for a
+    Kraus-rank-3 channel with a generic b, three for amplitude damping and
+    a generic Kraus-rank-2 channel, whose b lies along one axis of A
+    (Ruskai, Szarek and Werner 2002). centred is beta = 0, b orthogonal to
+    the range of A, as in every unital channel.
     """
 
     def __init__(self, aff):
@@ -137,6 +171,13 @@ class _OutputEllipsoid:
         lo, _ = _sphere_max([-x for x in self.lam], [-2.0 * x for x in self.beta])
         self.q_hi = min(max(self.bb + hi, 0.0), 1.0)
         self.q_lo = min(max(self.bb - lo, 0.0), self.q_hi)
+        zero = [abs(x) <= _MIRROR_TOL for x in self.beta]
+        self.centred = all(zero)
+        axes = [k for k in range(3) if zero[k] and self.lam[k] > _MIRROR_TOL]
+        signs = np.ones((2 ** len(axes) - 1, 3))
+        for j, row in enumerate(signs, start=1):
+            row[[k for i, k in enumerate(axes) if j >> i & 1]] = -1.0
+        self.mirrors = (self.V * signs[:, None, :]) @ self.V.T
 
     def q(self, u):
         return (sum(l * x * x for l, x in zip(self.lam, u))
@@ -194,13 +235,19 @@ def hsw_capacity(ch):
     Westmoreland 2001), solved by column generation. The columns start as
     the outputs of HSW_START_COLUMNS fibonacci_sphere directions and of the
     six directions +-v along the axes of the output ellipsoid, v the
-    eigenvectors of A^T A. A unital channel attains its capacity on the
-    antipodal pair along the longest axis (King 2002), so for it the first
-    round closes the bracket. Each round solves the finite minimax with
-    infogeo.minimax_ball, warm-started from the previous round's solution,
-    whose weights give the lower end chi(w), bounds max_u D(N(u) || c) at
-    its centre c with the sphere oracle, and adds the oracle's input
-    direction as a column.
+    eigenvectors of A^T A. Each round has a solution of the finite minimax
+    on the columns, whose weights give the lower end chi(w); the sphere
+    oracle bounds max_u D(N(u) || c) at its centre c, the upper end, and
+    its input direction joins the columns together with its mirror images
+    (_OutputEllipsoid): the images of a column are as far from the centre
+    as the column once the centre is the symmetric optimum. The next round
+    solves the finite minimax with infogeo.minimax_ball, warm-started from
+    the previous solution.
+    Round 1 solves it cold, except where beta = 0, as in every unital
+    channel, whose capacity King's theorem (J. Math. Phys. 43, 4641, 2002)
+    puts on the antipodal inputs +-v along the longest axis: there round 1
+    takes that pair, weights 1/2 and centre b (_king_pair), and the rounds
+    go on from it if the oracle does not close the bracket.
     It stops when the bracket is HSW_GAP_TOL wide or after HSW_MAX_ROUNDS
     rounds, which leaves converged False.
 
@@ -215,29 +262,33 @@ def hsw_capacity(ch):
     aff = channels.kraus_to_affine(ch)
     ellipsoid = _OutputEllipsoid(aff)
     dirs = np.vstack([fibonacci_sphere(HSW_START_COLUMNS), ellipsoid.V.T, -ellipsoid.V.T])
-    outs = dirs @ aff.A.T + aff.b
+    outs = aff(dirs)
     if (outs == outs[0]).all():
         return CapacityResult(
             value=0.0,
-            optimal_ensemble=[(1.0, states.pure_state(_bloch_ket(dirs[0])))],
+            optimal_ensemble=Ensemble(np.ones(1), dirs[:1]),
             center=states.bloch_to_density(outs[0]),
             radius=0.0,
             iterations=0,
             converged=True,
             bracket=(0.0, 0.0),
         )
+    if ellipsoid.centred:
+        res = _king_pair(outs)
+    else:
+        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs))
     upper = math.inf
     rounds = 0
-    res = None
     while True:
         rounds += 1
-        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs), warm=res)
         up, u = ellipsoid.oracle(res.theta, res.lower)
         upper = min(upper, up)
         if upper - res.lower <= HSW_GAP_TOL or rounds == HSW_MAX_ROUNDS:
             break
-        dirs = np.vstack([dirs, u])
-        outs = np.vstack([outs, aff(u)])
+        new = np.vstack([u, ellipsoid.mirrors @ u])
+        dirs = np.vstack([dirs, new])
+        outs = np.vstack([outs, aff(new)])
+        res = infogeo.minimax_ball(_BLOCH, infogeo.WeightedPointSet(outs), warm=res)
     ent = kernels.neg_entropy(outs)
     weights = infogeo.caratheodory(outs, ent, res.weights)
     keep = np.flatnonzero(weights)
@@ -246,8 +297,7 @@ def hsw_capacity(ch):
     upper = max(upper, lower)
     return CapacityResult(
         value=lower,
-        optimal_ensemble=[(float(weights[i]), states.pure_state(_bloch_ket(dirs[i])))
-                          for i in keep],
+        optimal_ensemble=Ensemble(weights[keep], dirs[keep]),
         center=states.bloch_to_density(mean),
         radius=lower,
         iterations=rounds,
@@ -256,11 +306,22 @@ def hsw_capacity(ch):
     )
 
 
-def _bloch_ket(u):
-    """State vector of the pure qubit with Bloch direction u."""
-    th = np.arccos(np.clip(u[2], -1.0, 1.0))
-    ph = np.arctan2(u[1], u[0])
-    return np.array([np.cos(th / 2.0), np.exp(1j * ph) * np.sin(th / 2.0)])
+def _king_pair(outs):
+    """The finite minimax answer King's theorem gives when beta = 0: the
+    outputs of the start columns +-v along the longest axis of the output
+    ellipsoid (eigh orders the axes, so they are the last of each triple),
+    weights 1/2, centre their mean, lower end chi of the pair and upper end
+    the farthest column from that centre."""
+    pair = [HSW_START_COLUMNS + 2, HSW_START_COLUMNS + 5]
+    weights = np.zeros(len(outs))
+    weights[pair] = 0.5
+    mean = weights @ outs
+    theta = _BLOCH.natural(mean[None])[0][0]
+    center = _BLOCH.grad_inv(theta)
+    ent = kernels.neg_entropy(outs)
+    lower = 0.5 * float(ent[pair].sum()) - kernels.neg_entropy_scalar(float(np.linalg.norm(mean)))
+    upper = float(_BLOCH.prepared_div(outs, ent, center).max())
+    return infogeo.MinimaxResult(center, theta, weights, min(lower, upper), upper, 0)
 
 
 def unital_hsw_closed_form(ch):

@@ -69,13 +69,14 @@ class KrausChannel:
 
 @dataclass
 class BlochAffineMap:
-    """Qubit channel as r -> A r + b on Bloch vectors."""
+    """Qubit channel as r -> A r + b on Bloch vectors; called on a stack
+    (..., 3) it maps each row."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __call__(self, r):
-        return self.A @ np.asarray(r, dtype=float) + self.b
+        return np.asarray(r, dtype=float) @ self.A.T + self.b
 
 
 @dataclass

@@ -45,10 +45,15 @@ def check_bloch(r):
 
 def bloch_to_density(r):
     """Qubit state (I + r . sigma)/2 from a Bloch vector, or a stack of
-    them from a stack (..., 3)."""
-    x, y, z = np.moveaxis(check_bloch(r), -1, 0)
-    rho = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
-    return 0.5 * np.moveaxis(rho, (0, 1), (-2, -1))
+    them from a stack (..., 3), filled into one C-ordered array."""
+    r = check_bloch(r)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    rho = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0] = 1 + z
+    rho[..., 0, 1] = x - 1j * y
+    rho[..., 1, 0] = x + 1j * y
+    rho[..., 1, 1] = 1 - z
+    return np.multiply(0.5, rho, out=rho)
 
 
 def density_to_bloch(rho):

@@ -129,11 +129,119 @@ def test_hsw_unital_channels_close_at_the_axis_columns(kind, p):
     exact = capacity.unital_hsw_closed_form(ch)
     lower, upper = res.bracket
     assert lower - 1e-12 <= exact <= upper + 1e-12
+    _assert_king_pair(ch, res)
     if kind != "depolarizing":
         top = np.linalg.svd(channels.kraus_to_affine(ch).A)[2][0]
         dirs = [states.density_to_bloch(s) for _, s in res.optimal_ensemble]
-        assert len(dirs) == 2
         assert sorted(float(d @ top) for d in dirs) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+def _assert_king_pair(ch, res):
+    """The ensemble is an antipodal pair of pure inputs, weights 1/2, along
+    a longest axis of the output ellipsoid (any axis of depolarizing)."""
+    A = channels.kraus_to_affine(ch).A
+    dirs = res.optimal_ensemble.rows[:, 1:]
+    assert list(res.optimal_ensemble.rows[:, 0]) == [0.5, 0.5]
+    assert np.abs(dirs[0] + dirs[1]).max() <= 1e-12
+    assert np.linalg.norm(A @ dirs[0]) == pytest.approx(np.linalg.norm(A, 2), abs=1e-12)
+
+
+def _no_minimax_ball(*args, **kwargs):
+    raise AssertionError("minimax_ball called")
+
+
+@pytest.mark.parametrize("kind", ["bit_flip", "phase_flip", "bit_phase_flip", "dephasing",
+                                  "depolarizing"])
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.77, 0.95])
+def test_hsw_unital_channels_make_no_minimax_ball_call(monkeypatch, kind, p):
+    monkeypatch.setattr(infogeo, "minimax_ball", _no_minimax_ball)
+    ch = _chan(kind, p)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.converged and res.iterations == 1
+    _assert_king_pair(ch, res)
+
+
+def test_hsw_king_round_covers_b_orthogonal_to_the_range(monkeypatch):
+    """N(r) = (0.6 x, 0, 0.8): measure along x and prepare the pure states
+    (+-0.6, 0, 0.8). b is not 0 but beta is, and the capacity is
+    S(b) = H(0.9), at the pair +-x."""
+    kets = [np.array([math.sqrt(0.9), s * math.sqrt(0.1)]) for s in (1.0, -1.0)]
+    plus_minus = [np.array([1.0, s]) / math.sqrt(2.0) for s in (1.0, -1.0)]
+    ch = channels.KrausChannel([np.outer(k, e) for k, e in zip(kets, plus_minus)], 2, 2)
+    aff = channels.kraus_to_affine(ch)
+    assert np.abs(aff.A - np.diag([0.6, 0.0, 0.0])).max() <= 1e-15
+    assert np.abs(aff.b - [0.0, 0.0, 0.8]).max() <= 1e-15
+    monkeypatch.setattr(infogeo, "minimax_ball", _no_minimax_ball)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.converged and res.iterations == 1
+    _assert_king_pair(ch, res)
+    lower, upper = res.bracket
+    assert lower - 1e-12 <= states.binary_entropy(0.9) <= upper + 1e-12
+
+
+def _flip_group(aff):
+    """Output reflections I - 2 sum_k U_k U_k^T over the nonempty subsets of
+    the left singular vectors U_k of A with sigma_k > 0 and U_k^T b = 0."""
+    U, sv, _ = np.linalg.svd(aff.A)
+    axes = [k for k in range(3) if sv[k] > 1e-9 and abs(U[:, k] @ aff.b) <= 1e-12]
+    subsets = [[k for i, k in enumerate(axes) if j >> i & 1] for j in range(1, 2 ** len(axes))]
+    return [np.eye(3) - 2.0 * U[:, sub] @ U[:, sub].T for sub in subsets]
+
+
+_MIRRORED_CHANNELS = (
+    [(f"amplitude_damping p={p}", _chan("amplitude_damping", p))
+     for p in np.round(np.arange(0.05, 0.951, 0.05), 2).tolist()]
+    + [(f"kraus2 seed={seed}", _random_channel(seed, 2)) for seed in range(10)]
+)
+
+
+@pytest.mark.parametrize("name, ch", _MIRRORED_CHANNELS, ids=[n for n, _ in _MIRRORED_CHANNELS])
+def test_hsw_mirror_images_close_kraus_rank_2_channels_in_few_rounds(monkeypatch, name, ch):
+    """Amplitude damping and Kraus-rank-2 channels have two flippable axes;
+    every column the oracle prices joins with its three images, so the
+    columns after the start set are closed under the flips, and the
+    bracket closes in at most 10 rounds."""
+    seen = []
+    solve = infogeo.minimax_ball
+
+    def recorded(g, pset, warm=None):
+        seen.append(pset.points)
+        return solve(g, pset, warm=warm)
+
+    monkeypatch.setattr(infogeo, "minimax_ball", recorded)
+    res = capacity.hsw_capacity(ch)
+    _check_hsw_result(ch, res)
+    assert res.converged and res.iterations <= 10
+    group = _flip_group(channels.kraus_to_affine(ch))
+    assert len(group) == 3
+    priced = seen[-1][capacity.HSW_START_COLUMNS + 6:]
+    assert len(priced) == 4 * (res.iterations - 1) > 0
+    for R in group:
+        images = priced @ R.T
+        dist = np.linalg.norm(images[:, None, :] - priced[None, :, :], axis=-1).min(axis=1)
+        assert dist.max() <= 1e-9
+
+
+def test_hsw_answers_keep_few_bytes():
+    """An answer holds its ensemble as one (k, 4) array of weights and Bloch
+    vectors and its centre as one array: about 0.58 KB, where a list of
+    (weight, state) pairs took 1.37-1.76 KB and a weight vector with a
+    (k, 2, 2) stack of states about 1.08 KB."""
+    import tracemalloc
+
+    for kind in ("bit_flip", "amplitude_damping", "depolarizing"):
+        ch = _chan(kind, 0.3)
+        capacity.hsw_capacity(ch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [capacity.hsw_capacity(ch) for _ in range(40)]
+            per_answer = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_answer <= 800, (kind, per_answer)
 
 
 @pytest.mark.parametrize("kind, p, value", [

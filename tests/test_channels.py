@@ -40,12 +40,11 @@ def test_apply_preserves_density(kind, params, rng):
 def test_affine_map_matches_kraus(kind, params, rng):
     ch = channels.build_channel(channels.ChannelSpec(kind, params))
     aff = channels.kraus_to_affine(ch)
-    for _ in range(20):
-        r = random_bloch(rng)
-        via_kraus = states.density_to_bloch(
-            channels.apply(ch, states.bloch_to_density(r))
-        )
-        assert np.allclose(aff(r), via_kraus, atol=1e-10)
+    rs = np.array([random_bloch(rng) for _ in range(20)])
+    via_kraus = states.density_to_bloch(channels.apply(ch, states.bloch_to_density(rs)))
+    assert np.allclose(aff(rs), via_kraus, atol=1e-10)
+    for r, want in zip(rs, via_kraus):
+        assert np.allclose(aff(r), want, atol=1e-10)
 
 
 def test_unital_kinds_have_zero_shift():

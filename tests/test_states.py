@@ -101,6 +101,25 @@ def test_bloch_maps_on_stacks(rng):
                           [states.density_to_bloch(rho) for rho in rhos])
 
 
+def _formula_bloch_to_density(r):
+    """(I + r . sigma)/2 built as a nested array and scaled by 1/2."""
+    x, y, z = np.moveaxis(states.check_bloch(r), -1, 0)
+    rho = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
+    return 0.5 * np.moveaxis(rho, (0, 1), (-2, -1))
+
+
+def test_bloch_to_density_is_bit_identical_to_the_formula(rng):
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -5e-324, 1.0 + 5e-10]
+    rows = [[a, b, c] for a in special[:6] for b in special for c in special[:6]]
+    rows = np.array([r for r in rows if np.hypot.reduce(r) <= 1.0 + 1e-9]
+                    + [random_bloch(rng) for _ in range(200)])
+    for r in [*rows, rows, rows.reshape(-1, 1, 3)[:60].reshape(4, 15, 3), rows[0].tolist()]:
+        want = _formula_bloch_to_density(r)
+        got = states.bloch_to_density(r)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_one_bloch_radius_rule():
     inside, outside = [0.0, 0.0, 1.0 + 5e-10], [0.0, 0.0, 1.0 + 2e-9]
     states.bloch_to_density(inside)
