@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,10 +228,8 @@ def test_hsw_mirror_images_close_kraus_rank_2_channels_in_few_rounds(monkeypatch
 def test_hsw_answers_keep_few_bytes():
     """An answer holds its ensemble as one (k, 4) array of weights and Bloch
     vectors and its centre as one array: about 0.58 KB, where a list of
-    (weight, state) pairs took 1.37-1.76 KB and a weight vector with a
+    (weight, state) pairs took 1.36-1.83 KB and a weight vector with a
     (k, 2, 2) stack of states about 1.08 KB."""
-    import tracemalloc
-
     for kind in ("bit_flip", "amplitude_damping", "depolarizing"):
         ch = _chan(kind, 0.3)
         capacity.hsw_capacity(ch)
