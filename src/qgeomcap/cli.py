@@ -264,7 +264,7 @@ def cmd_zeroerr(args):
     _dump(report, args.output)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(graph.to_dot())
+            fh.writelines(graph.dot_lines())
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ generalized relative entropy is sandwiched between scaled Mahalanobis
 forms, enabling k-median approximation with weak core-sets.
 """
 
-import functools
 import itertools
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,38 @@ _CHUNK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
+class EdgeView(Set):
+    """Read-only set of the pairs (a, b), a < b, an adjacency matrix joins."""
+
+    adjacency: np.ndarray
+    _from_iterable = set  # what &, |, - and ^ return
+
+    def __len__(self):
+        return int(np.count_nonzero(self.adjacency)) // 2
+
+    def __contains__(self, edge):
+        try:
+            a, b = map(operator.index, edge)
+        except (TypeError, ValueError):
+            return False
+        return 0 <= a < b < len(self.adjacency) and bool(self.adjacency[a, b])
+
+    def __iter__(self):
+        return ((a, b) for a, bs in self.rows() for b in bs)
+
+    def rows(self):
+        """(a, [b > a joined to a]) for each row a, in order."""
+        for a, row in enumerate(self.adjacency):
+            yield a, (np.flatnonzero(row[a + 1:]) + (a + 1)).tolist()
+
+
+@dataclass(eq=False)
 class ConfusabilityGraph:
     """Undirected graph of mutually confusable codewords, held as its
     adjacency matrix: a symmetric boolean (n, n) array, False on the diagonal.
 
-    edges, the set of pairs (a, b) with a < b, is built from the matrix the
-    first time it is read.
+    edges is a read-only set view of the pairs (a, b), a < b, in row-major
+    order, read from the matrix.
     """
 
     adjacency: np.ndarray
@@ -66,20 +93,22 @@ class ConfusabilityGraph:
     def vertex_count(self):
         return len(self.adjacency)
 
-    @functools.cached_property
+    @property
     def edges(self):
-        a, b = np.nonzero(np.triu(self.adjacency, 1))
-        return set(zip(a.tolist(), b.tolist()))
+        return EdgeView(self.adjacency)
 
-    def to_dot(self, name="confusability"):
-        lines = [f"graph {name} {{"]
+    def dot_lines(self, name="confusability"):
+        """The DOT text in pieces, the edges one matrix row at a time."""
+        yield f"graph {name} {{\n"
         for v in range(self.vertex_count):
             label = self.labels[v] if self.labels else str(v)
-            lines.append(f'  {v} [label="{label}"];')
-        for a, b in sorted(self.edges):
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  {v} [label="{label}"];\n'
+        for a, bs in self.edges.rows():
+            yield "".join(f"  {a} -- {b};\n" for b in bs)
+        yield "}\n"
+
+    def to_dot(self, name="confusability"):
+        return "".join(self.dot_lines(name))
 
 
 @dataclass
@@ -108,9 +137,10 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     so the adjacency is the n_uses-th Kronecker power of the |inputs| x
     |inputs| overlap table, multiplied left to right and thresholded: a
     product > tol is an edge. A partial product that falls to <= tol is set
-    to zero. The power is formed a chunk of about 1 MB of rows at a time,
-    and each chunk's rows go straight into the adjacency matrix, which
-    takes n^2 bytes for n vertices.
+    to zero. Every factor comes from the upper triangle of the table (Tr(AB)
+    and Tr(BA) may differ in the last bit), so (a, b) and (b, a) multiply the
+    same numbers in the same order: each chunk of about 1 MB of rows is
+    written once into the symmetric n^2-byte adjacency, diagonal cleared last.
     An input whose trace differs from 1 by more than TRACE_TOL raises
     ValueError naming its index: the overlaps of unnormalised inputs can
     exceed 1, which would make the edges depend on the order of the factors.
@@ -132,9 +162,10 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
         )
     outs = channels.apply(ch, inputs)
     table = np.real(np.einsum("iab,jba->ij", outs, outs))
+    table = np.triu(table) + np.triu(table, 1).T
     place = m ** np.arange(n_uses - 1, -1, -1)
     chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
-    adjacency = np.zeros((n_vertices, n_vertices), dtype=bool)
+    adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
     for start in range(0, n_vertices, chunk):
         stop = min(start + chunk, n_vertices)
         rows = np.arange(start, stop)
@@ -143,10 +174,8 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
         for k in range(n_uses):
             prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(rows), -1)
             prod[prod <= tol] = 0.0
-        # row a decides the pair (a, b > a); the matrix mirrors it
-        upper = (prod > tol) & (np.arange(n_vertices) > rows[:, None])
-        adjacency[start:stop] |= upper
-        adjacency[:, start:stop] |= upper.T
+        np.greater(prod, tol, out=adjacency[start:stop])
+    np.fill_diagonal(adjacency, False)
     labels = ["".join(str(i) for i in v)
               for v in itertools.product(range(m), repeat=n_uses)]
     return ConfusabilityGraph(adjacency, labels)

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples (derandomize also turns off the example
+# database); `pytest --hypothesis-profile default` draws fresh ones
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import random_density
 from qgeomcap import capacity, channels, states, zeroerr
 from qgeomcap.zeroerr import ConfusabilityGraph, MuSimilarDomain
 
@@ -346,6 +348,129 @@ def test_edges_normalised_once():
     edges = {(0, 1), (1, 2)}
     assert ConfusabilityGraph.from_edges(3, {(1, 0), (2, 1)}).edges == edges
     assert ConfusabilityGraph.from_edges(3, [(1, 0), (0, 1)]).edges == {(0, 1)}
+
+
+def _random_graph(rng, n=30, density=0.3):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return ConfusabilityGraph(upper | upper.T)
+
+
+def test_edge_view_equals_its_set(rng):
+    g = _random_graph(rng)
+    a, b = np.nonzero(np.triu(g.adjacency, 1))
+    pairs = set(zip(a.tolist(), b.tolist()))
+    assert g.edges == pairs and pairs == g.edges
+    assert not (g.edges != pairs or pairs != g.edges)
+    assert g.edges != pairs - {min(pairs)} and pairs - {min(pairs)} != g.edges
+    assert g.edges - {min(pairs)} == pairs - {min(pairs)}
+    assert g.edges | {(0, 0)} == pairs | {(0, 0)}
+    assert len(g.edges) == np.triu(g.adjacency, 1).sum() == len(pairs)
+    assert list(g.edges) == sorted(pairs)
+    assert g.edges & {min(pairs), (29, 29)} == {min(pairs)}
+
+
+def test_edge_view_membership(rng):
+    g = _random_graph(rng)
+    n = g.vertex_count
+    for a, b in g.edges:
+        assert (a, b) in g.edges
+        assert (b, a) not in g.edges
+        assert (np.int64(a), np.int32(b)) in g.edges
+        assert np.array([a, b]) in g.edges
+    g = ConfusabilityGraph(~np.eye(n, dtype=bool))
+    outside = [(-1, 2), (2, -1), (-n, 1), (0, n), (n - 1, n), (n, n + 1), (0, 10**30),
+               (0, 0), (1, 0), (0.0, 1.0), (0, 1, 2), (0,), 0, None, "01", ("0", "1")]
+    for edge in outside:
+        assert edge not in g.edges
+    assert (0, 1) in g.edges and (np.uint8(0), np.int16(n - 1)) in g.edges
+
+
+def test_edge_view_holds_no_pairs():
+    # 1 000 codewords that are all confusable: counting and testing the
+    # 499 500 edges reads the matrix instead of building that many tuples
+    grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(10)]
+    g = zeroerr.build_confusability_graph(_chan("depolarizing", 0.5), grid, 3)
+    tracemalloc.start()
+    try:
+        count = len(g.edges)
+        member = (0, 999) in g.edges and (998, 999) in g.edges and (999, 0) not in g.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 499_500 and member
+    assert peak < 2**20
+
+
+def _random_kraus(rng, d, rank):
+    """Random channel on d x d states: rank Kraus blocks of a random isometry."""
+    g = rng.normal(size=(rank * d, d)) + 1j * rng.normal(size=(rank * d, d))
+    return channels.KrausChannel(np.linalg.qr(g)[0].reshape(rank, d, d), d, d)
+
+
+@pytest.mark.parametrize("n_uses", [2, 3])
+def test_row_only_build_is_symmetric(rng, n_uses):
+    # random qutrit overlaps: Tr(AB) and Tr(BA) differ in the last bit for
+    # about one pair in ten, so each row must take its factors from the upper
+    # triangle of the table for row a and row b to decide (a, b) alike
+    for _ in range(20):
+        ch = _random_kraus(rng, 3, 3)
+        inputs = [random_density(rng, 3) for _ in range(5)]
+        outs = channels.apply(ch, np.array(inputs))
+        table = np.real(np.einsum("iab,jba->ij", outs, outs))
+        # a pair whose n-th powers, in either orientation, differ
+        split = [(i, j) for i, j in zip(*np.nonzero(np.triu(table != table.T, 1)))
+                 if np.prod([table[i, j]] * n_uses) != np.prod([table[j, i]] * n_uses)]
+        if split:
+            break
+    assert split
+    i, j = split[0]
+    g = zeroerr.build_confusability_graph(ch, inputs, n_uses)
+    assert g.edges == seed_graph_edges(ch, inputs, n_uses)
+    # a threshold between the two orientations of the all-i / all-j pair
+    tol = min(np.prod([table[i, j]] * n_uses), np.prod([table[j, i]] * n_uses))
+    for tol in (zeroerr.ADJACENCY_TOL, tol):
+        adj = zeroerr.build_confusability_graph(ch, inputs, n_uses, tol).adjacency
+        assert (adj == adj.T).all() and not adj.diagonal().any()
+
+
+def _seed_dot(graph, name="confusability"):
+    """Reference: the DOT text as one string from the sorted edge set."""
+    a, b = np.nonzero(np.triu(graph.adjacency, 1))
+    lines = [f"graph {name} {{"]
+    for v in range(graph.vertex_count):
+        label = graph.labels[v] if graph.labels else str(v)
+        lines.append(f'  {v} [label="{label}"];')
+    lines += [f"  {a} -- {b};" for a, b in sorted(zip(a.tolist(), b.tolist()))]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_uses", [1, 2, 3])
+def test_pentagon_dot_unchanged(n_uses):
+    g = zeroerr.build_confusability_graph(zeroerr.pentagon_channel(),
+                                          zeroerr.pentagon_inputs(), n_uses)
+    assert g.to_dot() == "".join(g.dot_lines()) == _seed_dot(g)
+
+
+def test_dot_is_streamed(tmp_path):
+    # 400 codewords, all confusable: 79 800 edge lines. Written as one
+    # string from a sorted set of pairs the peak was 17 MB; streamed a
+    # matrix row at a time it is a few kB
+    n = 400
+    g = ConfusabilityGraph(~np.eye(n, dtype=bool), [f"v{v}" for v in range(n)])
+    path = tmp_path / "complete.dot"
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(g.dot_lines())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - t0
+    assert path.read_text() == _seed_dot(g)
+    assert peak < 2**20
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
