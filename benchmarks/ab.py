@@ -128,6 +128,11 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def decisive(count, pairs):
+    """Whether count of pairs won is enough to call the comparison."""
+    return pairs >= MIN_PAIRS and count >= WIN_SHARE * pairs
+
+
 def metric_values(run):
     return {name: m["value"] for name, m in run["last"]["metrics"].items()}
 
@@ -143,7 +148,7 @@ def summarize(parent_runs, change_runs, spec):
     change = {r["pair"]: metric_values(r) for r in change_runs}
     pairs = sorted(parent.keys() & change.keys())
     rows = []
-    for name in sorted({k for p in pairs for k in parent[p]} & better.keys()):
+    for name in sorted({k for i in pairs for k in parent[i]} & better.keys()):
         p = [parent[i][name] for i in pairs if parent[i].get(name) is not None]
         c = [change[i][name] for i in pairs if change[i].get(name) is not None]
         if not p or not c:
@@ -152,7 +157,6 @@ def summarize(parent_runs, change_runs, spec):
         diffs = [sign * (change[i][name] - parent[i][name]) for i in pairs
                  if parent[i].get(name) is not None and change[i].get(name) is not None]
         wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
-        decisive = lambda n: len(diffs) >= MIN_PAIRS and n >= WIN_SHARE * len(diffs)  # noqa: E731
         pq, cq = quartiles(p), quartiles(c)
         gap = sign * (cq[1] - pq[1])
         if "bound" in better[name]:
@@ -163,15 +167,15 @@ def summarize(parent_runs, change_runs, spec):
                 verdict = "worse"
             elif spread > bound and not separated:
                 verdict = "unresolved"
-            elif decisive(wins) and gap > pq[2] - pq[0]:
+            elif decisive(wins, len(diffs)) and gap > pq[2] - pq[0]:
                 verdict = "gain"
             else:
                 verdict = "within"
         elif len(set(p + c)) == 1:
             verdict = "repeats"
-        elif decisive(wins):
+        elif decisive(wins, len(diffs)):
             verdict = "gain"
-        elif decisive(losses):
+        elif decisive(losses, len(diffs)):
             verdict = "worse"
         else:
             verdict = "moved"
