@@ -11,12 +11,13 @@ whose perfbench/ trees differ are refused unless --benchmark-change is
 given, for a change to the benchmark itself.
 
 Every run is appended, in run order, to BENCH_<sha>.json of its commit
-(sha: 7 hex digits) in --out, default the root of this checkout. A run
-records its workload, seed, trace flag, pair index, its side and the side
-that ran first, perfbench's last-line JSON, peak_rss_mb, attempted and
-provenance. A commit run against itself keeps both sides in one file.
-Pair indices continue those already in the file for the same workload,
-seed and trace flag, so a later call adds pairs.
+(sha: 7 hex digits) at the root of this checkout. Each run lasts
+BENCHMARK.json's run_seconds. A run records its workload, seed, trace
+flag, pair index, its side and the side that ran first, perfbench's
+last-line JSON, peak_rss_mb, attempted and provenance. A commit run
+against itself keeps both sides in one file. Pair indices continue those
+already in the file for the same workload, seed and trace flag, so a
+later call adds pairs.
 
 Then it prints, for each metric of the runs in the two files that match
 the workload, seed and trace flag: each side's median and quartiles, the
@@ -34,10 +35,9 @@ End-to-end metrics are judged against their bound in BENCHMARK.json:
 Per-layer metrics have no bound. They read `repeats` when every run of
 both sides reports the same value; otherwise gain or worse when one side
 won at least 9/10 of at least 10 pairs, and moved when neither did.
-
-    python3 benchmarks/ab.py --summary PARENT.json CHANGE.json --workload W --seed S
-
-prints the same summary from two recorded BENCH files and runs nothing.
+A metric that would read gain reads `failing` instead when the change
+fails a larger share of its attempted tasks than the parent, or has a run
+whose answers are not correct.
 """
 
 import argparse
@@ -137,12 +137,26 @@ def metric_values(run):
     return {name: m["value"] for name, m in run["last"]["metrics"].items()}
 
 
+def failures(runs):
+    """(failed, attempted, runs not correct) over runs."""
+    return (sum(r["last"]["failed"] for r in runs), sum(r["last"]["attempted"] for r in runs),
+            sum(not r["last"]["correct"] for r in runs))
+
+
+def change_fails(parent_runs, change_runs):
+    """Whether the change fails a larger share of its tasks than the parent,
+    or has a run that is not correct; then no metric reads gain."""
+    (pf, pa, _), (cf, ca, wrong) = failures(parent_runs), failures(change_runs)
+    return wrong > 0 or cf * pa > pf * ca
+
+
 def summarize(parent_runs, change_runs, spec):
     """One row per metric of the paired runs: medians, quartiles, wins and verdict.
 
     parent_runs and change_runs hold the runs of one workload, seed and
     trace flag; runs pair up by their pair index. spec is BENCHMARK.json.
     """
+    failing = change_fails(parent_runs, change_runs)
     better = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     parent = {r["pair"]: metric_values(r) for r in parent_runs}
     change = {r["pair"]: metric_values(r) for r in change_runs}
@@ -179,16 +193,12 @@ def summarize(parent_runs, change_runs, spec):
             verdict = "worse"
         else:
             verdict = "moved"
+        if verdict == "gain" and failing:
+            verdict = "failing"
         rows.append({"metric": name, "pairs": len(diffs), "parent": pq, "change": cq,
                      "ratio": cq[1] / pq[1] if pq[1] else None, "wins": wins,
                      "verdict": verdict})
     return rows
-
-
-def failures(runs):
-    """(failed, attempted, runs not correct) over runs."""
-    return (sum(r["last"]["failed"] for r in runs), sum(r["last"]["attempted"] for r in runs),
-            sum(not r["last"]["correct"] for r in runs))
 
 
 def print_summary(parent_runs, change_runs, spec, out=sys.stdout):
@@ -212,18 +222,14 @@ def print_summary(parent_runs, change_runs, spec, out=sys.stdout):
 def parse_args(argv):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("commits", nargs=2, metavar=("PARENT", "CHANGE"),
-                   help="two commits, or with --summary two BENCH files")
+    p.add_argument("parent", metavar="PARENT")
+    p.add_argument("change", metavar="CHANGE")
     p.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--out", type=Path, default=ROOT, help="directory of the BENCH files")
     p.add_argument("--benchmark-change", action="store_true",
                    help="allow commits whose perfbench/ trees differ")
-    p.add_argument("--summary", action="store_true",
-                   help="summarize two recorded BENCH files, run nothing")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -233,18 +239,12 @@ def parse_args(argv):
 def main(argv=None):
     args, spec = parse_args(argv)
     select = (args.workload, args.seed, args.trace)
-    if args.summary:
-        paths = [Path(f).resolve() for f in args.commits]
-        benches = [json.loads(paths[0].read_text())]
-        benches.append(benches[0] if paths[1] == paths[0] else json.loads(paths[1].read_text()))
-        print_summary(*side_runs(benches, select), spec)
-        return 0
-    shas = [git("rev-parse", "--verify", f"{c}^{{commit}}") for c in args.commits]
+    shas = [git("rev-parse", "--verify", f"{c}^{{commit}}") for c in (args.parent, args.change)]
     trees = {git("rev-parse", f"{sha}:{path}") for sha in shas for path in spec["paths"]}
     if len(trees) > len(spec["paths"]) and not args.benchmark_change:
         raise SystemExit(f"{' and '.join(spec['paths'])} differ between the two commits; "
                          "pass --benchmark-change for a change to the benchmark")
-    files = [args.out / f"BENCH_{sha[:7]}.json" for sha in shas]
+    files = [ROOT / f"BENCH_{sha[:7]}.json" for sha in shas]
     benches = [load_bench(files[0], shas[0][:7])]
     benches.append(benches[0] if shas[1] == shas[0] else load_bench(files[1], shas[1][:7]))
     start = 1 + max((r["pair"] for b in benches for r in matching(b["runs"], *select)),
@@ -256,7 +256,7 @@ def main(argv=None):
             order = (0, 1) if pair % 2 == 0 else (1, 0)
             for side in order:
                 last, provenance = run_side(roots[side], shas[side], *select[:2],
-                                            args.seconds, args.trace)
+                                            spec["run_seconds"], args.trace)
                 rss = last["metrics"].get("peak_rss_mb", {}).get("value")
                 benches[side]["runs"].append({
                     "workload": args.workload, "seed": args.seed, "trace": args.trace,

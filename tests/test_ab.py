@@ -46,20 +46,26 @@ def _run(pair, values, failed=0):
             "last": {"correct": True, "attempted": 100, "failed": failed, "metrics": metrics}}
 
 
-@pytest.mark.parametrize("parent,change,verdict", [
-    ([100.0] * 10, [70.0] * 10, "worse"),  # 30 % below, bound 25 %
-    ([100.0] * 10, [80.0] * 10, "within"),
-    ([100.0] * 10, [101.0] * 10, "gain"),  # identical parent runs: any gap counts
-    ([100.0] * 9, [101.0] * 9, "within"),  # too few pairs for a gain
-    ([50.0, 100.0, 150.0, 150.0], [125.0] * 4, "unresolved"),
-    ([50.0, 100.0, 150.0, 150.0], [160.0] * 4, "within"),  # spread, but separated
+@pytest.mark.parametrize("parent,change,verdict,fault", [
+    ([100.0] * 10, [70.0] * 10, "worse", {}),  # 30 % below, bound 25 %
+    ([100.0] * 10, [80.0] * 10, "within", {}),
+    ([100.0] * 10, [101.0] * 10, "gain", {}),  # identical parent runs: any gap counts
+    ([100.0] * 9, [101.0] * 9, "within", {}),  # too few pairs for a gain
+    ([50.0, 100.0, 150.0, 150.0], [125.0] * 4, "unresolved", {}),
+    ([50.0, 100.0, 150.0, 150.0], [160.0] * 4, "within", {}),  # spread, but separated
     # every pair won by 1, but the parent's quartiles are 92.5 and 107.5
     ([90.0] * 3 + [100.0] * 4 + [110.0] * 3, [91.0] * 3 + [101.0] * 4 + [111.0] * 3,
-     "within"),
+     "within", {}),
+    # a faster change that fails more of its tasks, or answers wrongly, gains nothing
+    ([100.0] * 10, [101.0] * 10, "failing", {"failed": 1}),
+    ([100.0] * 10, [101.0] * 10, "failing", {"correct": False}),
+    ([100.0] * 10, [70.0] * 10, "worse", {"failed": 1}),
 ])
-def test_end_to_end_verdicts(parent, change, verdict):
+def test_end_to_end_verdicts(parent, change, verdict, fault):
+    change_runs = [_run(i, {"tasks_per_ref_s": v}) for i, v in enumerate(change)]
+    change_runs[-1]["last"].update(fault)
     rows = ab.summarize([_run(i, {"tasks_per_ref_s": v}) for i, v in enumerate(parent)],
-                        [_run(i, {"tasks_per_ref_s": v}) for i, v in enumerate(change)], SPEC)
+                        change_runs, SPEC)
     assert [r["verdict"] for r in rows] == [verdict]
 
 
@@ -77,6 +83,9 @@ def test_per_layer_verdicts_and_pairing():
     assert rows[f"{name}.self_s"]["wins"] == 10
     rows = ab.summarize(change[:3], parent[:3], SPEC)
     assert [r["verdict"] for r in rows] == ["repeats", "moved"]
+    change[0]["last"]["failed"] = 1
+    rows = {r["metric"]: r for r in ab.summarize(parent, change, SPEC)}
+    assert rows[f"{name}.self_s"]["verdict"] == "failing"
 
 
 def test_side_runs_pairs_and_sides():

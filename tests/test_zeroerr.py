@@ -350,13 +350,8 @@ def test_edges_normalised_once():
     assert ConfusabilityGraph.from_edges(3, [(1, 0), (0, 1)]).edges == {(0, 1)}
 
 
-def _random_graph(rng, n=30, density=0.3):
-    upper = np.triu(rng.random((n, n)) < density, 1)
-    return ConfusabilityGraph(upper | upper.T)
-
-
 def test_edge_view_equals_its_set(rng):
-    g = _random_graph(rng)
+    g = _random_graph(rng, 30, 0.3)
     a, b = np.nonzero(np.triu(g.adjacency, 1))
     pairs = set(zip(a.tolist(), b.tolist()))
     assert g.edges == pairs and pairs == g.edges
@@ -370,7 +365,7 @@ def test_edge_view_equals_its_set(rng):
 
 
 def test_edge_view_membership(rng):
-    g = _random_graph(rng)
+    g = _random_graph(rng, 30, 0.3)
     n = g.vertex_count
     for a, b in g.edges:
         assert (a, b) in g.edges
