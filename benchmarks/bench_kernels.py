@@ -15,7 +15,10 @@ time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
 zeroerr.zero_error_rate on pentagon n = 2 and on the 1 000-vertex complete
 graph of depolarizing(0.5) on fibonacci_sphere(10) * 0.999, n = 3: the
 time of build_confusability_graph, of max_independent_set, and the
-tracemalloc peak of one zero_error_rate call.
+tracemalloc peak of one zero_error_rate call; then
+build_confusability_graph alone on perfbench's C10 n = 3 (1 000 vertices)
+and on pentagon n = 5 (3 125 vertices): its time and the tracemalloc peak
+of one build.
 
 Run as: python3 benchmarks/bench_kernels.py [--sizes 100 1000 10000]
 """
@@ -55,6 +58,15 @@ def random_channel(seed, n_kraus):
     x = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
     iso, _ = np.linalg.qr(x)
     return channels.KrausChannel([iso[2 * i:2 * i + 2] for i in range(n_kraus)], 2, 2)
+
+
+def cyclic_channel(m):
+    """Input i goes to outputs i and i + 1 (mod m) with probability 1/2 each:
+    perfbench's cyclic channel C<m>, used with the diagonal inputs."""
+    kraus = np.zeros((m, 2, m, m), dtype=complex)
+    i = np.arange(m)
+    kraus[i, 0, i, i] = kraus[i, 1, (i + 1) % m, i] = np.sqrt(0.5)
+    return channels.KrausChannel(kraus.reshape(2 * m, m, m), m, m)
 
 
 def hsw_cases():
@@ -149,6 +161,20 @@ def main():
         tracemalloc.stop()
         print(f"{name:<32}{graph.vertex_count:>10}{k:>6}{build * 1e3:>10.2f}ms"
               f"{search * 1e3:>10.2f}ms{peak / 2**20:>9.2f}MiB")
+
+    diagonal = [np.diag(np.eye(10)[i]).astype(complex) for i in range(10)]
+    builds = [("C10 n=3", cyclic_channel(10), diagonal, 3),
+              ("pentagon n=5", zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 5)]
+    print(f"\n{'build_confusability_graph':<32}{'vertices':>10}{'edges':>10}{'build':>12}"
+          f"{'peak':>12}")
+    for name, ch, inputs, n_uses in builds:
+        build = bench(zeroerr.build_confusability_graph, ch, inputs, n_uses, repeats=9)
+        tracemalloc.start()
+        graph = zeroerr.build_confusability_graph(ch, inputs, n_uses)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{name:<32}{graph.vertex_count:>10}{len(graph.edges):>10}{build * 1e3:>10.2f}ms"
+              f"{peak / 2**20:>9.2f}MiB")
 
 
 if __name__ == "__main__":

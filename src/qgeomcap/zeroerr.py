@@ -12,7 +12,7 @@ forms, enabling k-median approximation with weak core-sets.
 
 import itertools
 import operator
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,8 @@ MAX_VERTICES = 10_000
 # branch-and-bound nodes per maximum-independent-set search; pentagon^3
 # (125 vertices, K = 10) needs about 0.72 million
 MAX_BRANCH_NODES = 10_000_000
-# bytes of one row chunk of the n-use overlap products and of the packed
-# adjacency
+# bytes of one chunk of prefix products, repeated to full adjacency rows, and
+# of one chunk of the packed adjacency
 _CHUNK_BYTES = 1 << 20
 
 
@@ -63,16 +63,39 @@ class EdgeView(Set):
 
 
 @dataclass(eq=False)
+class CodewordLabels(Sequence):
+    """Read-only labels of the m^n_uses codewords, made when asked for: vertex
+    v is labelled by its n_uses base-m digits, most significant first, each
+    written in decimal ("12" is codeword (1, 2))."""
+
+    m: int
+    n_uses: int
+
+    def __len__(self):
+        return self.m ** self.n_uses
+
+    def __getitem__(self, v):
+        v = range(len(self))[operator.index(v)]
+        digits = []
+        for _ in range(self.n_uses):
+            v, d = divmod(v, self.m)
+            digits.append(str(d))
+        return "".join(reversed(digits))
+
+
+@dataclass(eq=False)
 class ConfusabilityGraph:
     """Undirected graph of mutually confusable codewords, held as its
     adjacency matrix: a symmetric boolean (n, n) array, False on the diagonal.
 
     edges is a read-only set view of the pairs (a, b), a < b, in row-major
-    order, read from the matrix.
+    order, read from the matrix. labels is a sequence of vertex names for
+    the DOT text (a built graph's are CodewordLabels), or None for the
+    vertex numbers.
     """
 
     adjacency: np.ndarray
-    labels: list = None
+    labels: Sequence = None
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None):
@@ -111,15 +134,30 @@ class ConfusabilityGraph:
         return "".join(self.dot_lines(name))
 
 
-@dataclass
+@dataclass(slots=True)
 class ZeroErrorResult:
-    """Exact independent-set size and the implied zero-error rate."""
+    """Exact independent set of an n_uses-use confusability graph.
 
-    K: int
-    rate_bits: float
+    Only the witness is held: K is its size and rate_bits the zero-error
+    rate (1/n_uses) log2 K, halved when epr_normalized (two channel uses per
+    EPR pair), so a kept answer costs little more than its witness list.
+    """
+
     witness: list
     n_uses: int
     epr_normalized: bool = False
+
+    @property
+    def K(self):
+        return len(self.witness)
+
+    @property
+    def rate_bits(self):
+        k = self.K
+        rate = np.log2(k) / self.n_uses if k >= 1 else 0.0
+        if self.epr_normalized:
+            rate *= 0.5
+        return float(rate)
 
 
 def output_overlap(ch, rho_i, rho_j):
@@ -130,28 +168,74 @@ def output_overlap(ch, rho_i, rho_j):
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
+def _cutoffs(table, tol):
+    """c[j, l], the largest double x with fl(x * table[j, l]) <= tol; +inf
+    where table[j, l] <= 0 (or is NaN), since then no product exceeds tol.
+
+    Rounded multiplication by a fixed t > 0 is monotone in x, so for any
+    double p >= 0, fl(p * t) > tol exactly when p > c. The start, tol / t
+    plus half the gap above tol over t, is within a few ulps of c wherever
+    it is finite (tol = 0 included); one-ulp steps down, then up, make it
+    exact. tol must be finite and >= 0.
+    """
+    cut = np.full(table.shape, np.inf)
+    positive = table > 0
+    t = table[positive]
+    with np.errstate(over="ignore"):
+        gap = np.nextafter(tol, np.inf) - tol
+        x = tol / t + gap / t / 2
+        over = x * t > tol
+        while over.any():
+            x[over] = np.nextafter(x[over], 0.0)
+            over = x * t > tol
+        up = np.nextafter(x, np.inf)
+        fits = up * t <= tol
+        while fits.any():
+            x[fits] = up[fits]
+            up = np.nextafter(x, np.inf)
+            fits = up * t <= tol
+    cut[positive] = x
+    return cut
+
+
 def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     """Graph on all n_uses-tuples of inputs; edge = confusable pair.
 
     The joint overlap of two tuples is the product of single-use overlaps,
     so the adjacency is the n_uses-th Kronecker power of the |inputs| x
-    |inputs| overlap table, multiplied left to right and thresholded: a
+    |inputs| overlap table T, multiplied left to right and thresholded: a
     product > tol is an edge. A partial product that falls to <= tol is set
     to zero. Every factor comes from the upper triangle of the table (Tr(AB)
     and Tr(BA) may differ in the last bit), so (a, b) and (b, a) multiply the
-    same numbers in the same order: each chunk of about 1 MB of rows is
-    written once into the symmetric n^2-byte adjacency, diagonal cleared last.
-    An input whose trace differs from 1 by more than TRACE_TOL raises
-    ValueError naming its index: the overlaps of unnormalised inputs can
-    exceed 1, which would make the edges depend on the order of the factors.
+    same numbers in the same order and the adjacency is symmetric.
+
+    The last use is not multiplied out. Codeword a = a' m + j is row j of
+    head a' (its first n_uses - 1 symbols); with P[a', b'] the clamped
+    product over the heads, (a, b) is an edge iff P[a', b'] > c[j, l], where
+    c = _cutoffs(T, tol) gives the same answer as fl(P * T[j, l]) > tol, bit
+    for bit. A chunk of heads (about 1 MB of prefix products) is written into
+    the n^2-byte adjacency with one comparison per chunk, the cut-off table
+    tiled along each row; the diagonal is cleared last. Vertex labels are
+    made only when read (CodewordLabels).
+
+    An input whose trace differs from 1 by more than TRACE_TOL, or that holds
+    a NaN or infinity, raises ValueError naming its index: the overlaps of
+    unnormalised inputs can exceed 1, which would make the edges depend on
+    the order of the factors. A tol that is NaN, infinite or negative
+    raises ValueError.
     """
     inputs = np.array(list(inputs), dtype=complex)
     if not len(inputs):
         raise ValueError("empty input set")
+    bad = np.flatnonzero(~np.isfinite(inputs).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"input {bad[0]} has a non-finite entry")
     traces = np.real(np.trace(inputs, axis1=1, axis2=2))
     bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
     if bad.size:
         raise ValueError(f"input {bad[0]} has trace {traces[bad[0]]:.12g}, not 1")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"the adjacency tolerance must be finite and >= 0, got {tol}")
     if n_uses < 1:
         raise ValueError(f"the number of channel uses (--uses) must be >= 1, got {n_uses}")
     m = len(inputs)
@@ -163,22 +247,24 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     outs = channels.apply(ch, inputs)
     table = np.real(np.einsum("iab,jba->ij", outs, outs))
     table = np.triu(table) + np.triu(table, 1).T
-    place = m ** np.arange(n_uses - 1, -1, -1)
+    n_heads = m ** (n_uses - 1)
+    # cut-offs in the column order of an adjacency row: c[j, b % m]
+    cut = np.tile(_cutoffs(table, tol), n_heads)
+    place = m ** np.arange(n_uses - 2, -1, -1)
     chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
     adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
-    for start in range(0, n_vertices, chunk):
-        stop = min(start + chunk, n_vertices)
-        rows = np.arange(start, stop)
-        digits = rows[:, None] // place % m
-        prod = np.ones((len(rows), 1))
-        for k in range(n_uses):
-            prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(rows), -1)
+    for start in range(0, n_heads, chunk):
+        stop = min(start + chunk, n_heads)
+        heads = np.arange(start, stop)
+        digits = heads[:, None] // place % m
+        prod = np.ones((len(heads), 1))
+        for k in range(n_uses - 1):
+            prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(heads), -1)
             prod[prod <= tol] = 0.0
-        np.greater(prod, tol, out=adjacency[start:stop])
+        block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
+        np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
     np.fill_diagonal(adjacency, False)
-    labels = ["".join(str(i) for i in v)
-              for v in itertools.product(range(m), repeat=n_uses)]
-    return ConfusabilityGraph(adjacency, labels)
+    return ConfusabilityGraph(adjacency, CodewordLabels(m, n_uses))
 
 
 def _clique_cover(cands, adj, kmin):
@@ -280,12 +366,8 @@ def max_independent_set(graph):
 
 def solve_zero_error(graph, n_uses, epr_normalized=False):
     """Zero-error rate (1/n) log2 K of an n_uses-use confusability graph."""
-    k, witness = max_independent_set(graph)
-    rate = np.log2(k) / n_uses if k >= 1 else 0.0
-    if epr_normalized:
-        rate *= 0.5
-    return ZeroErrorResult(K=k, rate_bits=float(rate), witness=witness,
-                           n_uses=n_uses, epr_normalized=epr_normalized)
+    _, witness = max_independent_set(graph)
+    return ZeroErrorResult(witness, n_uses, epr_normalized)
 
 
 def zero_error_rate(ch, inputs, n_uses=1, epr_normalized=False, tol=ADJACENCY_TOL):

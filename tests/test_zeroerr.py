@@ -81,6 +81,49 @@ def test_pentagon_two_uses():
     assert len(res.witness) == 5
 
 
+def _seed_rate(k, n_uses, epr_normalized):
+    """Reference: the rate expression answers were built with when they
+    stored K and rate_bits."""
+    rate = np.log2(k) / n_uses if k >= 1 else 0.0
+    if epr_normalized:
+        rate *= 0.5
+    return float(rate)
+
+
+def test_result_derives_k_and_rate_from_witness():
+    for k in range(0, 40):
+        for n_uses in range(1, 6):
+            for epr in (False, True):
+                res = zeroerr.ZeroErrorResult(list(range(k)), n_uses, epr)
+                assert res.K == k == len(res.witness)
+                assert res.rate_bits == _seed_rate(k, n_uses, epr)
+                assert type(res.rate_bits) is float
+    for epr in (False, True):
+        res = zeroerr.zero_error_rate(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 2,
+                                      epr_normalized=epr)
+        assert res.K == len(res.witness) == 5
+        assert res.rate_bits == _seed_rate(5, 2, epr)
+
+
+def test_zero_error_answers_keep_few_bytes():
+    """A kept answer holds its witness, n_uses and the EPR flag in slots:
+    about 180 B at K = 10, where an answer that also stored K and rate_bits,
+    in an instance dict, took about 240 B."""
+    # 10 disjoint edges: K = 10
+    graph = ConfusabilityGraph.from_edges(20, {(2 * i, 2 * i + 1) for i in range(10)})
+    # warm numpy's small-allocation caches, which would be counted otherwise
+    assert all(zeroerr.solve_zero_error(graph, 2).K == 10 for _ in range(200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [zeroerr.solve_zero_error(graph, 2) for _ in range(100)]
+        per_answer = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert all(res.K == 10 for res in kept)
+    assert per_answer <= 224, per_answer
+
+
 def test_two_use_graph_is_strong_product():
     ch = zeroerr.pentagon_channel()
     ins = zeroerr.pentagon_inputs()
@@ -109,6 +152,170 @@ def seed_graph_edges(ch, inputs, n_uses, tol=zeroerr.ADJACENCY_TOL):
             if prod > tol:
                 edges.add((a, b))
     return edges
+
+
+def seed_chunked_adjacency(ch, inputs, n_uses, tol=zeroerr.ADJACENCY_TOL):
+    """Reference: the chunked Kronecker-power loop that multiplied every use
+    out before the cut-off build, kept verbatim as the oracle for its matrix."""
+    inputs = np.array(list(inputs), dtype=complex)
+    m = len(inputs)
+    n_vertices = m ** n_uses
+    outs = channels.apply(ch, inputs)
+    table = np.real(np.einsum("iab,jba->ij", outs, outs))
+    table = np.triu(table) + np.triu(table, 1).T
+    place = m ** np.arange(n_uses - 1, -1, -1)
+    chunk = max(1, zeroerr._CHUNK_BYTES // (8 * n_vertices))
+    adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
+    for start in range(0, n_vertices, chunk):
+        stop = min(start + chunk, n_vertices)
+        rows = np.arange(start, stop)
+        digits = rows[:, None] // place % m
+        prod = np.ones((len(rows), 1))
+        for k in range(n_uses):
+            prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(rows), -1)
+            prod[prod <= tol] = 0.0
+        np.greater(prod, tol, out=adjacency[start:stop])
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+def _assert_build_parity(ch, inputs, n_uses, tol, pairwise=True):
+    """The cut-off build equals the chunked loop bit for bit, and the
+    pairwise loop where it is affordable. The pairwise loop computes each
+    overlap on its own, which may differ in the last bit from the batched
+    table, so it is left out at thresholds set to one of the products."""
+    g = zeroerr.build_confusability_graph(ch, inputs, n_uses, tol)
+    assert g.vertex_count == len(inputs) ** n_uses
+    assert np.array_equal(g.adjacency, seed_chunked_adjacency(ch, inputs, n_uses, tol))
+    if pairwise and g.vertex_count <= 400:
+        assert g.edges == seed_graph_edges(ch, inputs, n_uses, tol)
+
+
+_PARITY_TOLS = (0.0, zeroerr.ADJACENCY_TOL, 0.3)
+
+
+@pytest.mark.parametrize("tol", _PARITY_TOLS)
+@pytest.mark.parametrize("m", [4, 5, 7, 9, 10])
+def test_cutoff_build_matches_loops_on_cyclic_channels(m, tol):
+    for n_uses in range(1, 5):
+        for spread in (2, 3):
+            _assert_build_parity(_cyclic(m, spread), _diagonal_inputs(m), n_uses, tol)
+
+
+@pytest.mark.parametrize("tol", _PARITY_TOLS)
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_cutoff_build_matches_loops_on_random_classical_channels(seed, tol):
+    ch = _random_classical(np.random.default_rng(seed))
+    for n_uses in (2, 3):
+        _assert_build_parity(ch, _diagonal_inputs(ch.in_dim), n_uses, tol)
+
+
+def _random_pure(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return states.pure_state(v / np.linalg.norm(v))
+
+
+def test_cutoff_build_matches_loops_on_random_qutrit_channels():
+    rng = np.random.default_rng(11)
+    split = 0
+    for _ in range(4):
+        ch = _random_kraus(rng, 3, 3)
+        inputs = [_random_pure(rng, 3) for _ in range(5)]
+        outs = channels.apply(ch, np.array(inputs))
+        table = np.real(np.einsum("iab,jba->ij", outs, outs))
+        split += np.count_nonzero(table != table.T)
+        for n_uses in (1, 2, 3):
+            for tol in _PARITY_TOLS:
+                _assert_build_parity(ch, inputs, n_uses, tol)
+            # thresholds at the n-th power of every overlap, in both
+            # orientations where Tr(AB) and Tr(BA) differ in the last bit
+            for tol in {np.prod([t] * n_uses) for t in table.ravel()}:
+                _assert_build_parity(ch, inputs, n_uses, tol, pairwise=False)
+    assert split
+
+
+def test_cutoff_build_at_an_exact_product():
+    # |0> and |+> through the identity: overlap 0.5 exactly, so at n = 2 the
+    # pairs 00 -- 11 and 01 -- 10 multiply to 0.25 exactly and the other
+    # four to 0.5. A product equal to tol is no edge, one ulp above it is
+    ch = channels.KrausChannel([np.eye(2)], 2, 2)
+    inputs = [np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)]
+    assert zeroerr.output_overlap(ch, inputs[0], inputs[1]) == 0.5
+    for tol in (0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)):
+        _assert_build_parity(ch, inputs, 2, tol)
+    at = zeroerr.build_confusability_graph(ch, inputs, 2, 0.25)
+    assert at.edges == {(0, 1), (0, 2), (1, 3), (2, 3)}
+    below = zeroerr.build_confusability_graph(ch, inputs, 2, np.nextafter(0.25, 0.0))
+    assert len(below.edges) == 6
+
+
+def _assert_exact_cutoffs(table, tol, cut):
+    for t, c in zip(table.ravel(), cut.ravel()):
+        if t > 0:
+            with np.errstate(over="ignore"):
+                above = np.nextafter(c, np.inf)
+            assert c * t <= tol and not above * t <= tol, (t, tol, c)
+        else:
+            assert c == np.inf
+
+
+@pytest.mark.parametrize("tol", [0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.3, 1.0, 1e300])
+def test_cutoffs_are_exact_in_few_steps(monkeypatch, tol):
+    rng = np.random.default_rng(5)
+    table = np.concatenate([
+        10.0 ** -rng.uniform(0, 300, 400), rng.uniform(0, 1, 200),
+        [1e-300, 1e-308, 2.2250738585072014e-308, 5e-324, 1e-320, 0.5, 0.25, 1.0,
+         np.nextafter(1.0, 2.0), 0.0, -0.0, -1e-17, np.nan],
+    ]).reshape(-1, 1)
+    calls = []
+    nextafter = np.nextafter
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("the cut-off corrections do not stop")
+        return nextafter(*args)
+
+    monkeypatch.setattr(np, "nextafter", counted)
+    cut = zeroerr._cutoffs(table, tol)
+    monkeypatch.undo()
+    _assert_exact_cutoffs(table, tol, cut)
+    # one call for the gap above tol, one per step down, and one per look
+    # upwards: the start is within a few ulps of every cut-off
+    assert len(calls) <= 8, len(calls)
+
+
+def test_build_rejects_non_finite_inputs():
+    # a NaN trace passes the trace test (|NaN - 1| > tol is False), and the
+    # overlaps it gives drop edges: K = 3 on the pentagon, where alpha = 2
+    ch = zeroerr.pentagon_channel()
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        inputs = zeroerr.pentagon_inputs()
+        inputs[1] = inputs[1].copy()
+        inputs[1][2, 3] = bad
+        with pytest.raises(ValueError, match="input 1 has a non-finite entry"):
+            zeroerr.zero_error_rate(ch, inputs, 1)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+def test_build_rejects_bad_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        zeroerr.zero_error_rate(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 2, tol=tol)
+
+
+def test_cutoff_build_holds_no_float_per_pair():
+    # pentagon^5, 3 125 vertices: the adjacency is 9.8 MB of bools, and a
+    # float per vertex pair would be 78 MB
+    ch, inputs = zeroerr.pentagon_channel(), zeroerr.pentagon_inputs()
+    tracemalloc.start()
+    try:
+        g = zeroerr.build_confusability_graph(ch, inputs, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = g.vertex_count
+    assert n == 3125 and len(g.edges) == (15**5 - 5**5) // 2
+    assert peak < 1.25 * n * n
 
 
 def _random_classical(rng):
@@ -445,6 +652,28 @@ def test_pentagon_dot_unchanged(n_uses):
     g = zeroerr.build_confusability_graph(zeroerr.pentagon_channel(),
                                           zeroerr.pentagon_inputs(), n_uses)
     assert g.to_dot() == "".join(g.dot_lines()) == _seed_dot(g)
+
+
+def test_dot_labels_are_codeword_digits():
+    g = zeroerr.build_confusability_graph(zeroerr.pentagon_channel(),
+                                          zeroerr.pentagon_inputs(), 2)
+    lines = g.to_dot().splitlines()
+    assert lines[1] == '  0 [label="00"];'
+    assert lines[8] == '  7 [label="12"];'
+    assert lines[25] == '  24 [label="44"];'
+    assert lines[26] == "  0 -- 1;"
+    g = zeroerr.build_confusability_graph(_cyclic(10, 2), _diagonal_inputs(10), 2)
+    lines = g.to_dot().splitlines()
+    assert lines[10] == '  9 [label="09"];'
+    assert lines[11] == '  10 [label="10"];'
+    assert lines[100] == '  99 [label="99"];'
+    labels = g.labels
+    assert len(labels) == 100 and labels[-1] == "99" and labels[37] == "37"
+    with pytest.raises(IndexError):
+        labels[100]
+    assert list(zeroerr.CodewordLabels(3, 2)) == ["".join(map(str, v)) for v in
+                                                  itertools.product(range(3), repeat=2)]
+    assert list(zeroerr.CodewordLabels(11, 1))[-1] == "10"
 
 
 def test_dot_is_streamed(tmp_path):
