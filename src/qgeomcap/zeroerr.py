@@ -215,8 +215,9 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     c = _cutoffs(T, tol) gives the same answer as fl(P * T[j, l]) > tol, bit
     for bit. A chunk of heads (about 1 MB of prefix products) is written into
     the n^2-byte adjacency with one comparison per chunk, the cut-off table
-    tiled along each row; the diagonal is cleared last. Vertex labels are
-    made only when read (CodewordLabels).
+    tiled along each row; the diagonal is cleared last. With one use the
+    table itself is compared with tol. Vertex labels are made only when
+    read (CodewordLabels).
 
     An input whose trace differs from 1 by more than TRACE_TOL, or that holds
     a NaN or infinity, raises ValueError naming its index: the overlaps of
@@ -245,24 +246,28 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
             f"{n_vertices} codeword vertices exceed the cap of {MAX_VERTICES}"
         )
     outs = channels.apply(ch, inputs)
-    table = np.real(np.einsum("iab,jba->ij", outs, outs))
-    table = np.triu(table) + np.triu(table, 1).T
-    n_heads = m ** (n_uses - 1)
-    # cut-offs in the column order of an adjacency row: c[j, b % m]
-    cut = np.tile(_cutoffs(table, tol), n_heads)
-    place = m ** np.arange(n_uses - 2, -1, -1)
-    chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
-    adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
-    for start in range(0, n_heads, chunk):
-        stop = min(start + chunk, n_heads)
-        heads = np.arange(start, stop)
-        digits = heads[:, None] // place % m
-        prod = np.ones((len(heads), 1))
-        for k in range(n_uses - 1):
-            prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(heads), -1)
-            prod[prod <= tol] = 0.0
-        block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
-        np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
+    table = np.triu(np.real(np.einsum("iab,jba->ij", outs, outs)))
+    table += np.triu(table, 1).T
+    if n_uses == 1:
+        # fl(1 * T) = T: one use needs no prefix and no cut-off table
+        adjacency = table > tol
+    else:
+        n_heads = m ** (n_uses - 1)
+        # cut-offs in the column order of an adjacency row: c[j, b % m]
+        cut = np.tile(_cutoffs(table, tol), n_heads)
+        place = m ** np.arange(n_uses - 2, -1, -1)
+        chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
+        adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
+        for start in range(0, n_heads, chunk):
+            stop = min(start + chunk, n_heads)
+            heads = np.arange(start, stop)
+            digits = heads[:, None] // place % m
+            prod = np.ones((len(heads), 1))
+            for k in range(n_uses - 1):
+                prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(heads), -1)
+                prod[prod <= tol] = 0.0
+            block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
+            np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
     np.fill_diagonal(adjacency, False)
     return ConfusabilityGraph(adjacency, CodewordLabels(m, n_uses))
 

@@ -286,19 +286,23 @@ def test_cutoffs_are_exact_in_few_steps(monkeypatch, tol):
 
 
 def test_build_rejects_non_finite_inputs():
-    # a NaN trace passes the trace test (|NaN - 1| > tol is False), and the
-    # overlaps it gives drop edges: K = 3 on the pentagon, where alpha = 2
+    # a NaN passes the trace test (|NaN - 1| > tol is False, and an entry
+    # off the diagonal is not in the trace), and the NaN overlaps it gives
+    # drop edges: K was 3 on the pentagon, where alpha = 2
     ch = zeroerr.pentagon_channel()
-    for bad in (np.nan, np.inf, complex(0, np.nan)):
-        inputs = zeroerr.pentagon_inputs()
-        inputs[1] = inputs[1].copy()
-        inputs[1][2, 3] = bad
-        with pytest.raises(ValueError, match="input 1 has a non-finite entry"):
-            zeroerr.zero_error_rate(ch, inputs, 1)
+    for entry in ((1, 1), (2, 3)):
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            inputs = zeroerr.pentagon_inputs()
+            inputs[1] = inputs[1].copy()
+            inputs[1][entry] = bad
+            with pytest.raises(ValueError, match="input 1 has a non-finite entry"):
+                zeroerr.zero_error_rate(ch, inputs, 1)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
 def test_build_rejects_bad_tolerances(tol):
+    # tol = NaN made no edges (K = 5 on the pentagon) and tol = -1 the
+    # complete graph (K = 1)
     with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
         zeroerr.zero_error_rate(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 2, tol=tol)
 
