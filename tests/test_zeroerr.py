@@ -237,7 +237,8 @@ def test_cutoff_build_matches_loops_on_random_qutrit_channels():
 def test_cutoff_build_at_an_exact_product():
     # |0> and |+> through the identity: overlap 0.5 exactly, so at n = 2 the
     # pairs 00 -- 11 and 01 -- 10 multiply to 0.25 exactly and the other
-    # four to 0.5. A product equal to tol is no edge, one ulp above it is
+    # four to 0.5. A product equal to tol is no edge; with tol one ulp
+    # below it, it is one
     ch = channels.KrausChannel([np.eye(2)], 2, 2)
     inputs = [np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)]
     assert zeroerr.output_overlap(ch, inputs[0], inputs[1]) == 0.5
