@@ -12,10 +12,12 @@ on RANDOM_CHANNELS seeded Kraus-rank-2 and rank-3 channels, with its
 column-generation rounds and the minimax_ball steps of all rounds, then
 capacity.quantum_capacity_single_use on qubit_candidate_states(): its
 time per channel of the qubit-input zoo (QUANTUM_ZOO), and last
-zeroerr.zero_error_rate on pentagon n = 2 and on the 1 000-vertex complete
-graph of depolarizing(0.5) on fibonacci_sphere(10) * 0.999, n = 3: the
-time of build_confusability_graph, of max_independent_set, and the
-tracemalloc peak of one zero_error_rate call; then
+zeroerr.zero_error_rate on pentagon n = 2 and n = 3, on the 7-cycle C7
+n = 2 and on the 1 000-vertex complete graph of depolarizing(0.5) on
+fibonacci_sphere(10) * 0.999, n = 3: the time of
+build_confusability_graph, of max_independent_set, the tracemalloc peak
+of one zero_error_rate call, and whether the graph is marked cyclic (its
+search starts from codeword 0); then
 build_confusability_graph alone on perfbench's C10 n = 3 (1 000 vertices)
 and on pentagon n = 5 (3 125 vertices): its time and the tracemalloc peak
 of one build.
@@ -148,9 +150,12 @@ def main():
     depolarizing = channels.build_channel(channels.ChannelSpec("depolarizing", {"p": 0.5}))
     grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(10)]
     cases = [("pentagon n=2", zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 2),
+             ("pentagon n=3", zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), 3),
+             ("C7 n=2", cyclic_channel(7), [np.diag(np.eye(7)[i]).astype(complex)
+                                            for i in range(7)], 2),
              ("depolarizing p=0.5 grid10 n=3", depolarizing, grid, 3)]
     print(f"\n{'zero_error_rate':<32}{'vertices':>10}{'K':>6}{'build':>12}{'search':>12}"
-          f"{'peak':>12}")
+          f"{'peak':>12}{'cyclic':>8}")
     for name, ch, inputs, n_uses in cases:
         graph = zeroerr.build_confusability_graph(ch, inputs, n_uses)
         build = bench(zeroerr.build_confusability_graph, ch, inputs, n_uses, repeats=3)
@@ -160,7 +165,7 @@ def main():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         print(f"{name:<32}{graph.vertex_count:>10}{k:>6}{build * 1e3:>10.2f}ms"
-              f"{search * 1e3:>10.2f}ms{peak / 2**20:>9.2f}MiB")
+              f"{search * 1e3:>10.2f}ms{peak / 2**20:>9.2f}MiB{graph.cyclic!s:>8}")
 
     diagonal = [np.diag(np.eye(10)[i]).astype(complex) for i in range(10)]
     builds = [("C10 n=3", cyclic_channel(10), diagonal, 3),

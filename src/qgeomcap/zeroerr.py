@@ -12,10 +12,12 @@ forms, enabling k-median approximation with weak core-sets.
 
 import itertools
 import operator
-from collections.abc import Set
-from dataclasses import dataclass
+from array import array
+from collections.abc import Sequence, Set
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channels
 from .errors import ResourceCapError
@@ -24,8 +26,11 @@ ADJACENCY_TOL = 1e-9
 # how far the trace of an input state may differ from 1
 TRACE_TOL = 1e-9
 MAX_VERTICES = 10_000
+# a ZeroErrorResult keeps its witness as 2-byte codewords
+assert MAX_VERTICES <= 1 << 16
 # branch-and-bound nodes per maximum-independent-set search; pentagon^3
-# (125 vertices, K = 10) needs about 0.72 million
+# (125 vertices, K = 10) needs about 0.72 million from the empty set and
+# 23 000 from codeword 0
 MAX_BRANCH_NODES = 10_000_000
 # bytes of one chunk of prefix products, repeated to full adjacency rows, and
 # of one chunk of the packed adjacency
@@ -63,18 +68,51 @@ class EdgeView(Set):
 
 
 @dataclass(eq=False)
+class CodewordLabels(Sequence):
+    """Read-only labels of the m^n_uses codewords, made when asked for: vertex
+    v is labelled by its n_uses base-m digits, most significant first, each
+    written in decimal ("12" is codeword (1, 2))."""
+
+    m: int
+    n_uses: int
+
+    def __len__(self):
+        return self.m ** self.n_uses
+
+    def __getitem__(self, v):
+        v = range(len(self))[operator.index(v)]
+        digits = []
+        for _ in range(self.n_uses):
+            v, d = divmod(v, self.m)
+            digits.append(str(d))
+        return "".join(reversed(digits))
+
+
+@dataclass(eq=False)
 class ConfusabilityGraph:
     """Undirected graph of mutually confusable codewords, held as its
     adjacency matrix: a symmetric boolean (n, n) array, False on the diagonal.
 
     edges is a read-only set view of the pairs (a, b), a < b, in row-major
-    order, read from the matrix. labels names the vertices in the DOT text
-    (a built graph's are the codewords' digits, "12" for codeword (1, 2)),
-    or is None for the vertex numbers.
+    order, read from the matrix. labels is a sequence of vertex names for
+    the DOT text (a built graph's are CodewordLabels), or None for the
+    vertex numbers.
+
+    cyclic is True only on a graph from build_confusability_graph whose
+    overlap table is circulant (at one use: whose adjacency is), so that
+    every shift of the codewords' symbols is an automorphism and
+    max_independent_set may start from codeword 0. It is not a constructor
+    argument, so a graph made any other way is searched from the empty set;
+    a built graph's adjacency must not be changed in place.
     """
 
     adjacency: np.ndarray
-    labels: list = None
+    labels: Sequence = None
+    _cyclic: bool = field(default=False, init=False, repr=False)
+
+    @property
+    def cyclic(self):
+        return self._cyclic
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None):
@@ -113,22 +151,33 @@ class ConfusabilityGraph:
         return "".join(self.dot_lines(name))
 
 
-@dataclass(slots=True)
 class ZeroErrorResult:
     """Exact independent set of an n_uses-use confusability graph.
 
-    Only the witness is held: K is its size and rate_bits the zero-error
+    Only the witness is held, as 2-byte codewords (MAX_VERTICES < 2^16), and
+    read back as a list of ints: K is its size and rate_bits the zero-error
     rate (1/n_uses) log2 K, halved when epr_normalized (two channel uses per
-    EPR pair), so a kept answer costs little more than its witness list.
+    EPR pair). A kept answer at K = 10 is 109 bytes by sys.getsizeof.
     """
 
-    witness: list
-    n_uses: int
-    epr_normalized: bool = False
+    __slots__ = ("_witness", "n_uses", "epr_normalized")
+
+    def __init__(self, witness, n_uses, epr_normalized=False):
+        self._witness = array("H", witness).tobytes()
+        self.n_uses = n_uses
+        self.epr_normalized = epr_normalized
+
+    def __repr__(self):
+        return (f"ZeroErrorResult(witness={self.witness}, n_uses={self.n_uses}, "
+                f"epr_normalized={self.epr_normalized})")
+
+    @property
+    def witness(self):
+        return array("H", self._witness).tolist()
 
     @property
     def K(self):
-        return len(self.witness)
+        return len(self._witness) // 2
 
     @property
     def rate_bits(self):
@@ -177,6 +226,49 @@ def _cutoffs(table, tol):
     return cut
 
 
+def _overlap_rows(outs):
+    """Chunks (start, stop, upper) of the overlap table's upper rows:
+    upper[i - start, j - start] = Re Tr(outs[i] outs[j]) for start <= i <
+    stop and j >= start, about _CHUNK_BYTES of complex overlaps at a time.
+
+    Each chunk is the full table's einsum restricted to its rows and is equal
+    to it bit for bit; a one-row einsum can round differently, so every chunk
+    has at least two rows (the last one takes what is left).
+    """
+    m = len(outs)
+    chunk = max(2, _CHUNK_BYTES // (16 * m))
+    start = 0
+    while start < m:
+        stop = m if m - start < 2 * chunk else start + chunk
+        yield start, stop, np.einsum("iab,jba->ij", outs[start:stop], outs[start:]).real
+        start = stop
+
+
+def _mirror_rows(matrix, start, stop):
+    """Fill rows start..stop - 1 of a square matrix below the diagonal from
+    its upper triangle, whose rows up to stop - 1 are already written."""
+    matrix[start:stop, :start] = matrix[:start, start:stop].T
+    square = matrix[start:stop, start:stop]
+    np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
+
+
+def _is_circulant(matrix):
+    """True when matrix[i, j] == matrix[0, (j - i) mod m] for every i, j.
+
+    Row i is compared with a window of the first row, doubled, a chunk of
+    rows at a time, so the matrix is not copied.
+    """
+    m = len(matrix)
+    # windows[k] = matrix[0, (k + j) mod m]; row i must equal windows[m - i]
+    windows = sliding_window_view(np.concatenate([matrix[0], matrix[0]]), m)
+    chunk = max(1, _CHUNK_BYTES // (m * matrix.itemsize))
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        if not np.array_equal(matrix[start:stop], windows[m - stop + 1:m - start + 1][::-1]):
+            return False
+    return True
+
+
 def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     """Graph on all n_uses-tuples of inputs; edge = confusable pair.
 
@@ -188,14 +280,25 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     and Tr(BA) may differ in the last bit), so (a, b) and (b, a) multiply the
     same numbers in the same order and the adjacency is symmetric.
 
-    The last use is not multiplied out. Codeword a = a' m + j is row j of
-    head a' (its first n_uses - 1 symbols); with P[a', b'] the clamped
-    product over the heads, (a, b) is an edge iff P[a', b'] > c[j, l], where
-    c = _cutoffs(T, tol) gives the same answer as fl(P * T[j, l]) > tol, bit
-    for bit. A chunk of heads (about 1 MB of prefix products) is written into
-    the n^2-byte adjacency with one comparison per chunk, the cut-off table
-    tiled along each row; the diagonal is cleared last. With one use the
-    table itself is compared with tol.
+    With one use, each chunk of the table's upper rows (_overlap_rows) is
+    compared with tol straight into the adjacency and mirrored below the
+    diagonal, so no m x m array of overlaps is held. With more, the last use
+    is not multiplied out. Codeword a = a' m + j is row j of head a' (its
+    first n_uses - 1 symbols); with P[a', b'] the clamped product over the
+    heads, (a, b) is an edge iff P[a', b'] > c[j, l], where c = _cutoffs(T,
+    tol) gives the same answer as fl(P * T[j, l]) > tol, bit for bit. A chunk
+    of heads (about 1 MB of prefix products) is written into the n^2-byte
+    adjacency with one comparison per chunk, the cut-off table tiled along
+    each row; the diagonal is cleared last. Vertex labels are made only
+    when read (CodewordLabels).
+
+    The graph is marked cyclic when T is circulant (T[i, j] == T[0, (j - i)
+    mod m]; at one use, when the adjacency is): then shifting any symbol
+    position of every codeword by the same amount keeps the factors of each
+    pair and their order, so it is an automorphism, the graph is
+    vertex-transitive and some maximum independent set holds codeword 0.
+    Every cyclic channel of the pentagon kind (input i confused with i + 1,
+    ..., mod m) on its diagonal inputs is.
 
     An input whose trace differs from 1 by more than TRACE_TOL, or that holds
     a NaN or infinity, raises ValueError naming its index: the overlaps of
@@ -224,12 +327,20 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
             f"{n_vertices} codeword vertices exceed the cap of {MAX_VERTICES}"
         )
     outs = channels.apply(ch, inputs)
-    table = np.triu(np.real(np.einsum("iab,jba->ij", outs, outs)))
-    table += np.triu(table, 1).T
     if n_uses == 1:
         # fl(1 * T) = T: one use needs no prefix and no cut-off table
-        adjacency = table > tol
+        adjacency = np.empty((m, m), dtype=bool)
+        for start, stop, upper in _overlap_rows(outs):
+            np.greater(upper, tol, out=adjacency[start:stop, start:])
+            _mirror_rows(adjacency, start, stop)
+        np.fill_diagonal(adjacency, False)
+        cyclic = _is_circulant(adjacency)
     else:
+        table = np.empty((m, m))
+        for start, stop, upper in _overlap_rows(outs):
+            table[start:stop, start:] = upper
+            _mirror_rows(table, start, stop)
+        cyclic = _is_circulant(table)
         n_heads = m ** (n_uses - 1)
         # cut-offs in the column order of an adjacency row: c[j, b % m]
         cut = np.tile(_cutoffs(table, tol), n_heads)
@@ -246,10 +357,10 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
                 prod[prod <= tol] = 0.0
             block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
             np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
-    np.fill_diagonal(adjacency, False)
-    labels = ["".join(str(i) for i in v)
-              for v in itertools.product(range(m), repeat=n_uses)]
-    return ConfusabilityGraph(adjacency, labels)
+        np.fill_diagonal(adjacency, False)
+    graph = ConfusabilityGraph(adjacency, CodewordLabels(m, n_uses))
+    graph._cyclic = cyclic
+    return graph
 
 
 def _clique_cover(cands, adj, kmin):
@@ -290,6 +401,14 @@ def max_independent_set(graph):
     The search keeps an explicit stack, so its depth is bounded by K
     rather than by the recursion limit.
     More than MAX_BRANCH_NODES branches raise ResourceCapError.
+
+    On a graph marked cyclic (build_confusability_graph, circulant overlap
+    table) the graph is vertex-transitive, so the search starts from the
+    frame {codeword 0}, its candidates the vertices not joined to 0, and only
+    sets that hold codeword 0 are explored; the greedy incumbent, bounds,
+    node cap and witness check are those of the full search. pentagon^3
+    (125 vertices, K = 10) then takes about 23 000 nodes and 0.1 s instead
+    of 0.72 million and 2.7 s.
     """
     n = graph.vertex_count
     if n > MAX_VERTICES:
@@ -316,7 +435,14 @@ def max_independent_set(graph):
     best_size = best_set.bit_count()
     nodes = 0
     # frame: [chosen bitset, its size, candidates left, branch order, bounds]
-    stack = [[0, 0, full, *_clique_cover(full, adj, best_size)]]
+    if graph.cyclic:
+        # vertex-transitive: some maximum set holds codeword 0, so the
+        # search starts from {0} with its non-neighbours as candidates
+        root = int(np.flatnonzero(vertex == 0)[0])
+        cands = full & ~(adj[root] | 1 << root)
+        stack = [[1 << root, 1, cands, *_clique_cover(cands, adj, best_size - 1)]]
+    else:
+        stack = [[0, 0, full, *_clique_cover(full, adj, best_size)]]
     while stack:
         frame = stack[-1]
         chosen, size, cands, order, bounds = frame

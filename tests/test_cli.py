@@ -215,6 +215,16 @@ def test_zeroerr_pentagon(tmp_path):
     assert run(["validate", out]) == 0
 
 
+def test_zeroerr_pentagon_three_uses(tmp_path):
+    # the search starts from codeword 0 on the pentagon's cyclic table
+    out = tmp_path / "ze.json"
+    assert run(["zeroerr", DATA / "pentagon.channel",
+                DATA / "pentagon_inputs.csv", "--uses", 3, "-o", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["K"] == 10 and 0 in report["witness"]
+    assert report["rate_bits"] == np.log2(10.0) / 3
+
+
 def test_zeroerr_cap_exit_code():
     assert run(["zeroerr", DATA / "pentagon.channel",
                 DATA / "pentagon_inputs.csv", "--uses", 6]) == 3

@@ -210,4 +210,6 @@ def test_bench_kernels_script_runs():
     assert "amplitude_damping p=0.9" in proc.stdout
     assert "quantum_capacity_single_use" in proc.stdout
     assert re.search(r"^qubit-input zoo, p=0\.3 +268 +8 +\d+\.\d+ms$", proc.stdout, re.M)
-    assert re.search(r"^zero_error_rate +vertices +K +build +search +peak$", proc.stdout, re.M)
+    assert re.search(r"^zero_error_rate +vertices +K +build +search +peak +cyclic$",
+                     proc.stdout, re.M)
+    assert re.search(r"^pentagon n=3 +125 +10 .* True$", proc.stdout, re.M)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 import tracemalloc
 
@@ -106,9 +107,10 @@ def test_result_derives_k_and_rate_from_witness():
 
 
 def test_zero_error_answers_keep_few_bytes():
-    """A kept answer holds its witness, n_uses and the EPR flag in slots:
-    about 180 B at K = 10, where an answer that also stored K and rate_bits,
-    in an instance dict, took about 240 B."""
+    """A kept answer holds its witness as 2-byte codewords, n_uses and the
+    EPR flag in slots: 109 B at K = 10, where a witness list took about
+    180 B and an answer that also stored K and rate_bits, in an instance
+    dict, about 240 B."""
     # 10 disjoint edges: K = 10
     graph = ConfusabilityGraph.from_edges(20, {(2 * i, 2 * i + 1) for i in range(10)})
     # warm numpy's small-allocation caches, which would be counted otherwise
@@ -121,7 +123,25 @@ def test_zero_error_answers_keep_few_bytes():
     finally:
         tracemalloc.stop()
     assert all(res.K == 10 for res in kept)
-    assert per_answer <= 224, per_answer
+    assert per_answer <= 128, per_answer
+    assert sys.getsizeof(kept[0]) + sys.getsizeof(kept[0]._witness) == 109
+
+
+def test_result_round_trips_its_witness():
+    for witness in ([], [0], [3, 1, 4, 1, 5], list(range(0, zeroerr.MAX_VERTICES, 97)),
+                    [zeroerr.MAX_VERTICES - 1], np.arange(7, 70, 7)):
+        for n_uses in (1, 2, 3):
+            for epr in (False, True):
+                res = zeroerr.ZeroErrorResult(witness, n_uses, epr)
+                assert res.witness == list(map(int, witness))
+                assert all(type(v) is int for v in res.witness)
+                assert res.K == len(witness)
+                assert res.rate_bits.hex() == _seed_rate(len(witness), n_uses, epr).hex()
+                assert (res.n_uses, res.epr_normalized) == (n_uses, epr)
+    res = zeroerr.ZeroErrorResult([2, 7], 2)
+    res.witness.append(9)  # a copy: the answer is not changed through it
+    assert res.witness == [2, 7] and res.K == 2
+    assert repr(res) == "ZeroErrorResult(witness=[2, 7], n_uses=2, epr_normalized=False)"
 
 
 def test_two_use_graph_is_strong_product():
@@ -323,6 +343,56 @@ def test_cutoff_build_holds_no_float_per_pair():
     assert peak < 1.25 * n * n
 
 
+def seed_one_use_adjacency(ch, inputs, tol=zeroerr.ADJACENCY_TOL):
+    """Reference: the one-use build before it was chunked, kept verbatim:
+    the whole overlap table, its upper triangle mirrored, compared with tol."""
+    inputs = np.array(list(inputs), dtype=complex)
+    outs = channels.apply(ch, inputs)
+    table = np.triu(np.real(np.einsum("iab,jba->ij", outs, outs)))
+    table += np.triu(table, 1).T
+    adjacency = table > tol
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_one_use_build_matches_the_whole_table(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        ch = _random_kraus(rng, d, int(rng.integers(1, 4)))
+        inputs = [_random_pure(rng, d) for _ in range(int(rng.integers(20, 40)))]
+        outs = channels.apply(ch, np.array(inputs))
+        table = np.real(np.einsum("iab,jba->ij", outs, outs))
+        # thresholds at overlaps, in both orientations of a pair
+        tols = [zeroerr.ADJACENCY_TOL, *rng.choice(table.ravel(), 12, replace=False)]
+        # chunks of two rows (a one-row tail joins the chunk before it), of
+        # five, and the whole table
+        for chunk_bytes in (1, 16 * 5 * len(inputs), zeroerr._CHUNK_BYTES):
+            monkeypatch.setattr(zeroerr, "_CHUNK_BYTES", chunk_bytes)
+            for tol in tols:
+                adj = zeroerr.build_confusability_graph(ch, inputs, 1, tol).adjacency
+                assert np.array_equal(adj, seed_one_use_adjacency(ch, inputs, tol))
+            # the upper rows of each chunk are the whole table's, bit for bit
+            for start, stop, upper in zeroerr._overlap_rows(outs):
+                assert stop - start >= 2
+                assert upper.tobytes() == table[start:stop, start:].tobytes()
+
+
+def test_one_use_build_holds_no_overlap_table():
+    # 1 000 inputs: the adjacency is 1 MB of bools; the whole complex table
+    # was 16 MB and the build peaked at 24 MiB
+    grid = [states.bloch_to_density(u * 0.999) for u in capacity.fibonacci_sphere(1000)]
+    ch = _chan("amplitude_damping", 0.3)
+    tracemalloc.start()
+    try:
+        g = zeroerr.build_confusability_graph(ch, grid, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.adjacency, seed_one_use_adjacency(ch, grid))
+    assert peak < 4 * 2**20, peak
+
+
 def _random_classical(rng):
     m = int(rng.integers(5, 8))
     prob = np.zeros((m, m))
@@ -453,12 +523,133 @@ def test_max_independent_set_edgeless_complete_and_deep():
 
 
 def test_branch_node_cap(monkeypatch):
-    ch = zeroerr.pentagon_channel()
-    ins = zeroerr.pentagon_inputs()
-    assert zeroerr.zero_error_rate(ch, ins, 2).K == 5
+    # C7^2: the search from codeword 0 solves pentagon^2 in fewer than 5 nodes
+    ch = _cyclic(7, 2)
+    ins = _diagonal_inputs(7)
+    assert zeroerr.zero_error_rate(ch, ins, 2).K == 10
     monkeypatch.setattr(zeroerr, "MAX_BRANCH_NODES", 5)
     with pytest.raises(zeroerr.ResourceCapError):
         zeroerr.zero_error_rate(ch, ins, 2)
+
+
+def _unflagged(graph):
+    """The same adjacency as a graph not marked cyclic: the full search."""
+    return ConfusabilityGraph(graph.adjacency, graph.labels)
+
+
+def _greedy_witness(graph):
+    """Reference: the search's first incumbent, greedy in ascending-degree
+    order (ties by index)."""
+    adj = graph.adjacency
+    chosen, blocked = [], np.zeros(len(adj), dtype=bool)
+    for v in np.argsort(adj.sum(axis=1), kind="stable").tolist():
+        if not blocked[v]:
+            chosen.append(v)
+            blocked |= adj[v]
+    return sorted(chosen)
+
+
+# (m, spread, n_uses) whose full search takes at most a few ms: C5^3 takes
+# 4 s, C7^3 and C10^3 reach the node cap
+_CYCLIC_CASES = [(m, spread, n) for m in (4, 5, 7, 9, 10) for spread in (2, 3)
+                 for n in (1, 2, 3) if n < 3 or (m, spread) in {(4, 2), (4, 3), (5, 3), (9, 3)}]
+
+
+@pytest.mark.parametrize("m,spread,n_uses", _CYCLIC_CASES)
+def test_search_from_codeword_0_on_cyclic_channels(m, spread, n_uses):
+    g = zeroerr.build_confusability_graph(_cyclic(m, spread), _diagonal_inputs(m), n_uses)
+    assert g.cyclic
+    k, witness = zeroerr.max_independent_set(g)
+    k_full, witness_full = zeroerr.max_independent_set(_unflagged(g))
+    assert k == k_full
+    _assert_independent(g, k, witness)
+    if g.vertex_count <= 16:
+        assert k == brute_force_mis(g)
+    # the witness is the greedy incumbent unless the search beat it, and
+    # then it holds codeword 0
+    greedy = _greedy_witness(g)
+    assert witness == greedy or (len(greedy) < k and 0 in witness)
+    if len(greedy) == k:
+        assert witness == witness_full == greedy
+
+
+def test_pentagon_cubed_in_under_a_second():
+    # the full search took 2.7 s; from codeword 0 about 0.1 s
+    ch, inputs = zeroerr.pentagon_channel(), zeroerr.pentagon_inputs()
+    t0 = time.perf_counter()
+    res = zeroerr.zero_error_rate(ch, inputs, 3)
+    elapsed = time.perf_counter() - t0
+    assert res.K == 10 and 0 in res.witness
+    assert elapsed < 1.0, elapsed
+    g = zeroerr.build_confusability_graph(ch, inputs, 3)
+    _assert_independent(g, res.K, res.witness)
+
+
+def test_flag_needs_a_circulant_table():
+    ch, inputs = zeroerr.pentagon_channel(), zeroerr.pentagon_inputs()
+    # inputs 0 and 1 swapped: the graph is still a 5-cycle, but neither the
+    # table nor the adjacency is circulant in this order (an order
+    # i -> c i mod 5 would be)
+    swapped = [inputs[1], inputs[0], *inputs[2:]]
+    # one Kraus entry of input 0 one ulp larger: its overlaps with itself and
+    # with input 1 move up by one ulp, and no edge moves
+    kraus = ch.kraus.copy().reshape(5, 2, 5, 5)
+    kraus[0, 1, 1, 0] = np.nextafter(np.sqrt(0.5), 1.0)
+    skewed = channels.KrausChannel(kraus.reshape(10, 5, 5), 5, 5)
+
+    def table(c):
+        outs = channels.apply(c, np.array(inputs))
+        return np.real(np.einsum("iab,jba->ij", outs, outs))
+
+    moved = table(skewed) != table(ch)
+    assert moved.sum() == 3 and moved[0, 0] and moved[0, 1] and moved[1, 0]
+    assert (np.nextafter(table(ch), 1.0)[moved] == table(skewed)[moved]).all()
+    # witnesses of the full search before the search from codeword 0
+    parent = {("swapped", 1): [0, 3], ("swapped", 2): [1, 7, 13, 15, 24],
+              ("skewed", 1): [0, 2], ("skewed", 2): [1, 8, 10, 17, 24]}
+    for name, ch_, ins in (("swapped", ch, swapped), ("skewed", skewed, inputs)):
+        for n_uses in (1, 2, 3):
+            g = zeroerr.build_confusability_graph(ch_, ins, n_uses)
+            # at one use the adjacency decides, and the skewed one is the
+            # pentagon's
+            assert g.cyclic == (name == "skewed" and n_uses == 1)
+            if n_uses < 3:
+                k, witness = zeroerr.max_independent_set(g)
+                assert (k, witness) == zeroerr.max_independent_set(_unflagged(g))
+                assert witness == parent[name, n_uses]
+    g = zeroerr.build_confusability_graph(skewed, inputs, 2)
+    assert g.edges == zeroerr.build_confusability_graph(ch, inputs, 2).edges
+
+
+def test_flag_is_set_by_the_build_only():
+    g = zeroerr.build_confusability_graph(zeroerr.pentagon_channel(),
+                                          zeroerr.pentagon_inputs(), 2)
+    assert g.cyclic
+    assert not _unflagged(g).cyclic
+    assert not ConfusabilityGraph.from_edges(5, {(i, (i + 1) % 5) for i in range(5)}).cyclic
+    with pytest.raises(TypeError):
+        ConfusabilityGraph(g.adjacency, cyclic=True)
+    with pytest.raises(AttributeError):
+        g.cyclic = False
+    # random channels have no circulant table
+    for seed in range(1, 9):
+        ch = _random_classical(np.random.default_rng(seed))
+        assert not zeroerr.build_confusability_graph(ch, _diagonal_inputs(ch.in_dim), 2).cyclic
+
+
+def test_search_is_entered_once_per_solve(monkeypatch):
+    calls = []
+    search = zeroerr.max_independent_set
+
+    def counted(graph):
+        calls.append(graph.vertex_count)
+        return search(graph)
+
+    monkeypatch.setattr(zeroerr, "max_independent_set", counted)
+    for n_uses in (1, 2, 3):
+        zeroerr.zero_error_rate(zeroerr.pentagon_channel(), zeroerr.pentagon_inputs(), n_uses)
+    zeroerr.zero_error_rate(_cyclic(7, 2), _diagonal_inputs(7), 2)
+    assert calls == [5, 25, 125, 49]
 
 
 @pytest.mark.parametrize("n_uses", [0, -1])
@@ -672,6 +863,16 @@ def test_dot_labels_are_codeword_digits():
     assert lines[10] == '  9 [label="09"];'
     assert lines[11] == '  10 [label="10"];'
     assert lines[100] == '  99 [label="99"];'
+    labels = g.labels
+    assert len(labels) == 100 and labels[-1] == "99" and labels[37] == "37"
+    with pytest.raises(IndexError):
+        labels[100]
+    with pytest.raises(IndexError):
+        labels[-101]
+    assert list(zeroerr.CodewordLabels(3, 2)) == ["".join(map(str, v)) for v in
+                                                  itertools.product(range(3), repeat=2)]
+    assert list(zeroerr.CodewordLabels(11, 1))[-1] == "10"
+    assert zeroerr.CodewordLabels(11, 2)[np.int64(12)] == "11"
     g = zeroerr.build_confusability_graph(_cyclic(11, 2), _diagonal_inputs(11), 1)
     assert g.to_dot().splitlines()[11] == '  10 [label="10"];'
 
