@@ -13,7 +13,7 @@ forms, enabling k-median approximation with weak core-sets.
 import itertools
 import operator
 from array import array
-from collections.abc import Sequence, Set
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,35 +68,14 @@ class EdgeView(Set):
 
 
 @dataclass(eq=False)
-class CodewordLabels(Sequence):
-    """Read-only labels of the m^n_uses codewords, made when asked for: vertex
-    v is labelled by its n_uses base-m digits, most significant first, each
-    written in decimal ("12" is codeword (1, 2))."""
-
-    m: int
-    n_uses: int
-
-    def __len__(self):
-        return self.m ** self.n_uses
-
-    def __getitem__(self, v):
-        v = range(len(self))[operator.index(v)]
-        digits = []
-        for _ in range(self.n_uses):
-            v, d = divmod(v, self.m)
-            digits.append(str(d))
-        return "".join(reversed(digits))
-
-
-@dataclass(eq=False)
 class ConfusabilityGraph:
     """Undirected graph of mutually confusable codewords, held as its
     adjacency matrix: a symmetric boolean (n, n) array, False on the diagonal.
 
     edges is a read-only set view of the pairs (a, b), a < b, in row-major
-    order, read from the matrix. labels is a sequence of vertex names for
-    the DOT text (a built graph's are CodewordLabels), or None for the
-    vertex numbers.
+    order, read from the matrix. labels names the vertices in the DOT text
+    (a built graph's are the codewords' digits, "12" for codeword (1, 2)),
+    or is None for the vertex numbers.
 
     cyclic is True only on a graph from build_confusability_graph whose
     overlap table is circulant (at one use: whose adjacency is), so that
@@ -107,7 +86,7 @@ class ConfusabilityGraph:
     """
 
     adjacency: np.ndarray
-    labels: Sequence = None
+    labels: list = None
     _cyclic: bool = field(default=False, init=False, repr=False)
 
     @property
@@ -289,8 +268,7 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     tol) gives the same answer as fl(P * T[j, l]) > tol, bit for bit. A chunk
     of heads (about 1 MB of prefix products) is written into the n^2-byte
     adjacency with one comparison per chunk, the cut-off table tiled along
-    each row; the diagonal is cleared last. Vertex labels are made only
-    when read (CodewordLabels).
+    each row; the diagonal is cleared last.
 
     The graph is marked cyclic when T is circulant (T[i, j] == T[0, (j - i)
     mod m]; at one use, when the adjacency is): then shifting any symbol
@@ -358,7 +336,9 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
             block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
             np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
         np.fill_diagonal(adjacency, False)
-    graph = ConfusabilityGraph(adjacency, CodewordLabels(m, n_uses))
+    labels = ["".join(str(i) for i in v)
+              for v in itertools.product(range(m), repeat=n_uses)]
+    graph = ConfusabilityGraph(adjacency, labels)
     graph._cyclic = cyclic
     return graph
 

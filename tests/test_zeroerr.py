@@ -863,16 +863,6 @@ def test_dot_labels_are_codeword_digits():
     assert lines[10] == '  9 [label="09"];'
     assert lines[11] == '  10 [label="10"];'
     assert lines[100] == '  99 [label="99"];'
-    labels = g.labels
-    assert len(labels) == 100 and labels[-1] == "99" and labels[37] == "37"
-    with pytest.raises(IndexError):
-        labels[100]
-    with pytest.raises(IndexError):
-        labels[-101]
-    assert list(zeroerr.CodewordLabels(3, 2)) == ["".join(map(str, v)) for v in
-                                                  itertools.product(range(3), repeat=2)]
-    assert list(zeroerr.CodewordLabels(11, 1))[-1] == "10"
-    assert zeroerr.CodewordLabels(11, 2)[np.int64(12)] == "11"
     g = zeroerr.build_confusability_graph(_cyclic(11, 2), _diagonal_inputs(11), 1)
     assert g.to_dot().splitlines()[11] == '  10 [label="10"];'
 
