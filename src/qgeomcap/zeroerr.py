@@ -17,7 +17,6 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channels
 from .errors import ResourceCapError
@@ -232,18 +231,19 @@ def _mirror_rows(matrix, start, stop):
 
 
 def _is_circulant(matrix):
-    """True when matrix[i, j] == matrix[0, (j - i) mod m] for every i, j.
+    """True when matrix[i, j] == matrix[0, (j - i) mod m] for every i, j, that
+    is, when each row is the row above it turned right by one place.
 
-    Row i is compared with a window of the first row, doubled, a chunk of
-    rows at a time, so the matrix is not copied.
+    Compared a chunk of rows at a time, on views, so the matrix is not
+    copied.
     """
     m = len(matrix)
-    # windows[k] = matrix[0, (k + j) mod m]; row i must equal windows[m - i]
-    windows = sliding_window_view(np.concatenate([matrix[0], matrix[0]]), m)
     chunk = max(1, _CHUNK_BYTES // (m * matrix.itemsize))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        if not np.array_equal(matrix[start:stop], windows[m - stop + 1:m - start + 1][::-1]):
+    for start in range(0, m - 1, chunk):
+        stop = min(start + chunk, m - 1)
+        above, below = matrix[start:stop], matrix[start + 1:stop + 1]
+        if not (np.array_equal(below[:, 1:], above[:, :-1])
+                and np.array_equal(below[:, 0], above[:, -1])):
             return False
     return True
 

@@ -573,6 +573,24 @@ def test_search_from_codeword_0_on_cyclic_channels(m, spread, n_uses):
         assert witness == witness_full == greedy
 
 
+def test_search_from_codeword_0_on_random_circulant_channels():
+    # input i goes to outputs i + D (mod m) uniformly: the table depends on
+    # j - i only, and the graph joins i and j when j - i is in D - D
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        m = int(rng.integers(5, 10))
+        shifts = rng.choice(m, size=int(rng.integers(2, 4)), replace=False)
+        prob = np.zeros((m, m))
+        for i in range(m):
+            prob[(i + shifts) % m, i] = 1.0 / len(shifts)
+        for n_uses in (1, 2):
+            g = zeroerr.build_confusability_graph(_classical(prob), _diagonal_inputs(m), n_uses)
+            assert g.cyclic
+            k, witness = zeroerr.max_independent_set(g)
+            assert k == zeroerr.max_independent_set(_unflagged(g))[0], (m, shifts, n_uses)
+            _assert_independent(g, k, witness)
+
+
 def test_pentagon_cubed_in_under_a_second():
     # the full search took 2.7 s; from codeword 0 about 0.1 s
     ch, inputs = zeroerr.pentagon_channel(), zeroerr.pentagon_inputs()
@@ -585,16 +603,16 @@ def test_pentagon_cubed_in_under_a_second():
     _assert_independent(g, res.K, res.witness)
 
 
-def test_flag_needs_a_circulant_table():
+def test_flag_needs_a_circulant_table(monkeypatch):
     ch, inputs = zeroerr.pentagon_channel(), zeroerr.pentagon_inputs()
     # inputs 0 and 1 swapped: the graph is still a 5-cycle, but neither the
     # table nor the adjacency is circulant in this order (an order
     # i -> c i mod 5 would be)
     swapped = [inputs[1], inputs[0], *inputs[2:]]
-    # one Kraus entry of input 0 one ulp larger: its overlaps with itself and
-    # with input 1 move up by one ulp, and no edge moves
+    # one Kraus entry of input 2 one ulp larger: its overlaps with itself and
+    # with input 3 move up by one ulp, and no edge moves
     kraus = ch.kraus.copy().reshape(5, 2, 5, 5)
-    kraus[0, 1, 1, 0] = np.nextafter(np.sqrt(0.5), 1.0)
+    kraus[2, 1, 3, 2] = np.nextafter(np.sqrt(0.5), 1.0)
     skewed = channels.KrausChannel(kraus.reshape(10, 5, 5), 5, 5)
 
     def table(c):
@@ -602,17 +620,29 @@ def test_flag_needs_a_circulant_table():
         return np.real(np.einsum("iab,jba->ij", outs, outs))
 
     moved = table(skewed) != table(ch)
-    assert moved.sum() == 3 and moved[0, 0] and moved[0, 1] and moved[1, 0]
+    assert moved.sum() == 3 and moved[2, 2] and moved[2, 3] and moved[3, 2]
     assert (np.nextafter(table(ch), 1.0)[moved] == table(skewed)[moved]).all()
+    # a path: input i goes to outputs i and i + 1 of 6, so the table depends
+    # on j - i but does not wrap around
+    prob = np.zeros((6, 5))
+    for i in range(5):
+        prob[i, i] = prob[i + 1, i] = 0.5
+    path = _classical(prob)
     # witnesses of the full search before the search from codeword 0
     parent = {("swapped", 1): [0, 3], ("swapped", 2): [1, 7, 13, 15, 24],
-              ("skewed", 1): [0, 2], ("skewed", 2): [1, 8, 10, 17, 24]}
-    for name, ch_, ins in (("swapped", ch, swapped), ("skewed", skewed, inputs)):
+              ("skewed", 1): [0, 2], ("skewed", 2): [1, 8, 10, 17, 24],
+              ("path", 1): [0, 2, 4], ("path", 2): [0, 2, 4, 10, 12, 14, 20, 22, 24]}
+    for name, ch_, ins in (("swapped", ch, swapped), ("skewed", skewed, inputs),
+                           ("path", path, inputs)):
         for n_uses in (1, 2, 3):
             g = zeroerr.build_confusability_graph(ch_, ins, n_uses)
             # at one use the adjacency decides, and the skewed one is the
             # pentagon's
             assert g.cyclic == (name == "skewed" and n_uses == 1)
+            # the same when the check reads one row at a time
+            with monkeypatch.context() as patch:
+                patch.setattr(zeroerr, "_CHUNK_BYTES", 1)
+                assert zeroerr.build_confusability_graph(ch_, ins, n_uses).cyclic == g.cyclic
             if n_uses < 3:
                 k, witness = zeroerr.max_independent_set(g)
                 assert (k, witness) == zeroerr.max_independent_set(_unflagged(g))
