@@ -309,7 +309,7 @@ _REQUIRED_KEYS = {
 
 def cmd_validate(args):
     with open(args.report) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     if not isinstance(data, dict):
         raise ValueError(f"report must be a JSON object, got a top-level {type(data).__name__}")
     kind = data.get("type")
@@ -326,14 +326,34 @@ def cmd_validate(args):
             raise ValueError(f"provenance missing {key!r}")
     if kind == "ball":
         _check_ball_values(data)
+    elif kind == "zeroerr":
+        _check_zeroerr_values(data)
     if "bracket" in data:
         _check_bracket(data["bracket"], data["radius" if kind == "ball" else "value"])
     sys.stdout.write(f"ok: valid {kind} report\n")
     return EXIT_OK
 
 
+def _reject_constant(name):
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON
+    numbers, and the reports this tool writes never hold them."""
+    raise ValueError(f"report holds {name}, which is not a JSON number")
+
+
+def _finite_float(text):
+    """json's parse_float: a literal such as 1e999 would read as infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"report holds {text}, which overflows a double")
+    return value
+
+
 def _finite_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_ball_values(data):
@@ -351,8 +371,37 @@ def _check_ball_values(data):
     if not (_finite_number(radius) and radius >= 0):
         raise ValueError(f"'radius' must be a finite number >= 0, got {radius!r}")
     n = data["n_points"]
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValueError(f"'n_points' must be a positive int, got {n!r}")
+
+
+def _check_zeroerr_values(data):
+    """A zeroerr report's witness holds distinct ints >= 0, K is its size,
+    n_uses an int >= 1, normalized a bool, and rate_bits is log2(K) /
+    n_uses, halved when normalized (0 at K = 0), to 1e-12; the message
+    names the first key that breaks its rule."""
+    witness = data["witness"]
+    if not (isinstance(witness, list) and all(_is_int(v) and v >= 0 for v in witness)
+            and len(set(witness)) == len(witness)):
+        raise ValueError(f"'witness' must be a list of distinct ints >= 0, got {witness!r}")
+    k = data["K"]
+    if not (_is_int(k) and k == len(witness)):
+        raise ValueError(f"'K' must be an int >= 0 equal to the witness size "
+                         f"{len(witness)}, got {k!r}")
+    n_uses = data["n_uses"]
+    if not (_is_int(n_uses) and n_uses >= 1):
+        raise ValueError(f"'n_uses' must be an int >= 1, got {n_uses!r}")
+    normalized = data["normalized"]
+    if not isinstance(normalized, bool):
+        raise ValueError(f"'normalized' must be true or false, got {normalized!r}")
+    # 1 / n_uses: an int too large for a float divides to 0.0 without overflow
+    rate = math.log2(k) * (1 / n_uses) if k else 0.0
+    if normalized:
+        rate *= 0.5
+    got = data["rate_bits"]
+    if not (_finite_number(got) and abs(got - rate) <= 1e-12):
+        raise ValueError(f"'rate_bits' must be log2(K) / n_uses"
+                         f"{' / 2' if normalized else ''} = {rate!r}, got {got!r}")
 
 
 def _check_bracket(bracket, value):

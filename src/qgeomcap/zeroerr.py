@@ -1,10 +1,12 @@
 """Zero-error capacity analysis and similarity-based clustering.
 
-Two codewords can be confused iff the trace overlap of their channel
-outputs is nonzero; the confusability graph collects those collisions in
-one boolean adjacency matrix, which the graph build writes and the search
-reads, and the zero-error rate is the exact maximum independent set of the
-graph on n-tuples of inputs. The clustering half of the module works on a
+Two inputs can be confused iff the trace overlap of their channel outputs
+is nonzero (above a tolerance); two codewords, n-tuples of inputs, iff at
+every use their symbols are equal or confusable, so the n-use
+confusability graph is the strong power of the one-use graph. It is held
+as one boolean adjacency matrix, which the graph build writes and the
+search reads, and the zero-error rate is the exact maximum independent
+set of that graph. The clustering half of the module works on a
 mu-similar domain (componentwise-bounded diagonal state vectors) where the
 generalized relative entropy is sandwiched between scaled Mahalanobis
 forms, enabling k-median approximation with weak core-sets.
@@ -31,8 +33,7 @@ assert MAX_VERTICES <= 1 << 16
 # (125 vertices, K = 10) needs about 0.72 million from the empty set and
 # 23 000 from codeword 0
 MAX_BRANCH_NODES = 10_000_000
-# bytes of one chunk of prefix products, repeated to full adjacency rows, and
-# of one chunk of the packed adjacency
+# bytes of one chunk of overlap rows, and of the packed adjacency
 _CHUNK_BYTES = 1 << 20
 
 
@@ -77,11 +78,11 @@ class ConfusabilityGraph:
     or is None for the vertex numbers.
 
     cyclic is True only on a graph from build_confusability_graph whose
-    overlap table is circulant (at one use: whose adjacency is), so that
-    every shift of the codewords' symbols is an automorphism and
-    max_independent_set may start from codeword 0. It is not a constructor
-    argument, so a graph made any other way is searched from the empty set;
-    a built graph's adjacency must not be changed in place.
+    one-use adjacency is circulant, so that every shift of the codewords'
+    symbols is an automorphism and max_independent_set may start from
+    codeword 0. It is not a constructor argument, so a graph made any other
+    way is searched from the empty set; a built graph's adjacency must not
+    be changed in place.
     """
 
     adjacency: np.ndarray
@@ -174,36 +175,6 @@ def output_overlap(ch, rho_i, rho_j):
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def _cutoffs(table, tol):
-    """c[j, l], the largest double x with fl(x * table[j, l]) <= tol; +inf
-    where table[j, l] <= 0 (or is NaN), since then no product exceeds tol.
-
-    Rounded multiplication by a fixed t > 0 is monotone in x, so for any
-    double p >= 0, fl(p * t) > tol exactly when p > c. The start, tol / t
-    plus half the gap above tol over t, is within a few ulps of c wherever
-    it is finite (tol = 0 included); one-ulp steps down, then up, make it
-    exact. tol must be finite and >= 0.
-    """
-    cut = np.full(table.shape, np.inf)
-    positive = table > 0
-    t = table[positive]
-    with np.errstate(over="ignore"):
-        gap = np.nextafter(tol, np.inf) - tol
-        x = tol / t + gap / t / 2
-        over = x * t > tol
-        while over.any():
-            x[over] = np.nextafter(x[over], 0.0)
-            over = x * t > tol
-        up = np.nextafter(x, np.inf)
-        fits = up * t <= tol
-        while fits.any():
-            x[fits] = up[fits]
-            up = np.nextafter(x, np.inf)
-            fits = up * t <= tol
-    cut[positive] = x
-    return cut
-
-
 def _overlap_rows(outs):
     """Chunks (start, stop, upper) of the overlap table's upper rows:
     upper[i - start, j - start] = Re Tr(outs[i] outs[j]) for start <= i <
@@ -251,38 +222,37 @@ def _is_circulant(matrix):
 def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     """Graph on all n_uses-tuples of inputs; edge = confusable pair.
 
-    The joint overlap of two tuples is the product of single-use overlaps,
-    so the adjacency is the n_uses-th Kronecker power of the |inputs| x
-    |inputs| overlap table T, multiplied left to right and thresholded: a
-    product > tol is an edge. A partial product that falls to <= tol is set
-    to zero. Every factor comes from the upper triangle of the table (Tr(AB)
-    and Tr(BA) may differ in the last bit), so (a, b) and (b, a) multiply the
-    same numbers in the same order and the adjacency is symmetric.
+    The one-use graph G joins inputs i != j whose output overlap
+    Re Tr(N(rho_i) N(rho_j)) exceeds tol. Each chunk of the overlap table's
+    upper rows (_overlap_rows) is compared with tol straight into G's
+    adjacency and mirrored below the diagonal, so (i, j) and (j, i) are
+    decided by the same number (Tr(AB) and Tr(BA) may differ in the last
+    bit) and no m x m array of overlaps is held.
 
-    With one use, each chunk of the table's upper rows (_overlap_rows) is
-    compared with tol straight into the adjacency and mirrored below the
-    diagonal, so no m x m array of overlaps is held. With more, the last use
-    is not multiplied out. Codeword a = a' m + j is row j of head a' (its
-    first n_uses - 1 symbols); with P[a', b'] the clamped product over the
-    heads, (a, b) is an edge iff P[a', b'] > c[j, l], where c = _cutoffs(T,
-    tol) gives the same answer as fl(P * T[j, l]) > tol, bit for bit. A chunk
-    of heads (about 1 MB of prefix products) is written into the n^2-byte
-    adjacency with one comparison per chunk, the cut-off table tiled along
-    each row; the diagonal is cleared last.
+    The n_uses-use graph is the strong power of G (Shannon 1956): codewords
+    a != b are joined when, at every use, their symbols are equal or joined
+    by G. Its adjacency is the Kronecker power of G's adjacency with the
+    diagonal set, one factor at a time, cleared on the diagonal at the end.
+    With k codewords of one use fewer, codeword a = j k + a' is symbol j
+    followed by codeword a', so block (j, l) of the next power is the last
+    one where G joins j and l or j == l, and False elsewhere.
 
-    The graph is marked cyclic when T is circulant (T[i, j] == T[0, (j - i)
-    mod m]; at one use, when the adjacency is): then shifting any symbol
-    position of every codeword by the same amount keeps the factors of each
-    pair and their order, so it is an automorphism, the graph is
-    vertex-transitive and some maximum independent set holds codeword 0.
-    Every cyclic channel of the pentagon kind (input i confused with i + 1,
-    ..., mod m) on its diagonal inputs is.
+    The graph is marked cyclic when G's adjacency is circulant (A[i, j] ==
+    A[0, (j - i) mod m]): shifting any symbol position of every codeword by
+    the same amount then maps G, and so its strong power, onto itself, the
+    graph is vertex-transitive and some maximum independent set holds
+    codeword 0. Every cyclic channel of the pentagon kind (input i confused
+    with i + 1, ..., mod m) on its diagonal inputs is.
 
     An input whose trace differs from 1 by more than TRACE_TOL, or that holds
     a NaN or infinity, raises ValueError naming its index: the overlaps of
-    unnormalised inputs can exceed 1, which would make the edges depend on
-    the order of the factors. A tol that is NaN, infinite or negative
-    raises ValueError.
+    unnormalised inputs scale with their traces, so tol would not set the
+    same bar for every pair. A tol that is NaN, infinite or negative raises
+    ValueError. More than MAX_VERTICES codewords raise ResourceCapError, and
+    so does n_uses >= MAX_VERTICES.bit_length() (14), checked first: with
+    two inputs or more that is over the vertex cap anyway, and a huge
+    n_uses then forms no m^n_uses and, with one input, builds no n_uses
+    factors.
     """
     inputs = np.array(list(inputs), dtype=complex)
     if not len(inputs):
@@ -298,6 +268,9 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
         raise ValueError(f"the adjacency tolerance must be finite and >= 0, got {tol}")
     if n_uses < 1:
         raise ValueError(f"the number of channel uses (--uses) must be >= 1, got {n_uses}")
+    max_uses = MAX_VERTICES.bit_length() - 1
+    if n_uses > max_uses:
+        raise ResourceCapError(f"{n_uses} channel uses exceed the cap of {max_uses}")
     m = len(inputs)
     n_vertices = m ** n_uses
     if n_vertices > MAX_VERTICES:
@@ -305,37 +278,23 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
             f"{n_vertices} codeword vertices exceed the cap of {MAX_VERTICES}"
         )
     outs = channels.apply(ch, inputs)
-    if n_uses == 1:
-        # fl(1 * T) = T: one use needs no prefix and no cut-off table
-        adjacency = np.empty((m, m), dtype=bool)
-        for start, stop, upper in _overlap_rows(outs):
-            np.greater(upper, tol, out=adjacency[start:stop, start:])
-            _mirror_rows(adjacency, start, stop)
-        np.fill_diagonal(adjacency, False)
-        cyclic = _is_circulant(adjacency)
-    else:
-        table = np.empty((m, m))
-        for start, stop, upper in _overlap_rows(outs):
-            table[start:stop, start:] = upper
-            _mirror_rows(table, start, stop)
-        cyclic = _is_circulant(table)
-        n_heads = m ** (n_uses - 1)
-        # cut-offs in the column order of an adjacency row: c[j, b % m]
-        cut = np.tile(_cutoffs(table, tol), n_heads)
-        place = m ** np.arange(n_uses - 2, -1, -1)
-        chunk = max(1, _CHUNK_BYTES // (8 * n_vertices))
-        adjacency = np.empty((n_vertices, n_vertices), dtype=bool)
-        for start in range(0, n_heads, chunk):
-            stop = min(start + chunk, n_heads)
-            heads = np.arange(start, stop)
-            digits = heads[:, None] // place % m
-            prod = np.ones((len(heads), 1))
-            for k in range(n_uses - 1):
-                prod = (prod[:, :, None] * table[digits[:, k]][:, None, :]).reshape(len(heads), -1)
-                prod[prod <= tol] = 0.0
-            block = adjacency[start * m:stop * m].reshape(len(heads), m, n_vertices)
-            np.greater(np.repeat(prod, m, axis=1)[:, None, :], cut, out=block)
-        np.fill_diagonal(adjacency, False)
+    single = np.empty((m, m), dtype=bool)
+    for start, stop, upper in _overlap_rows(outs):
+        np.greater(upper, tol, out=single[start:stop, start:])
+        _mirror_rows(single, start, stop)
+    # a codeword agrees with itself at every use
+    np.fill_diagonal(single, True)
+    cyclic = _is_circulant(single)
+    adjacency = single
+    for _ in range(n_uses - 1):
+        k = len(adjacency)
+        power = np.empty((m * k, m * k), dtype=bool)
+        # the broadcast runs along whole rows of the last power, straight
+        # into the new matrix, with no temporary
+        np.logical_and(single[:, None, :, None], adjacency[None, :, None, :],
+                       out=power.reshape(m, k, m, k))
+        adjacency = power
+    np.fill_diagonal(adjacency, False)
     labels = ["".join(str(i) for i in v)
               for v in itertools.product(range(m), repeat=n_uses)]
     graph = ConfusabilityGraph(adjacency, labels)
@@ -382,8 +341,8 @@ def max_independent_set(graph):
     rather than by the recursion limit.
     More than MAX_BRANCH_NODES branches raise ResourceCapError.
 
-    On a graph marked cyclic (build_confusability_graph, circulant overlap
-    table) the graph is vertex-transitive, so the search starts from the
+    On a graph marked cyclic (build_confusability_graph, circulant one-use
+    adjacency) the graph is vertex-transitive, so the search starts from the
     frame {codeword 0}, its candidates the vertices not joined to 0, and only
     sets that hold codeword 0 are explored; the greedy incumbent, bounds,
     node cap and witness check are those of the full search. pentagon^3
