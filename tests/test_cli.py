@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_zeroerr_pentagon(tmp_path):
 
 
 def test_zeroerr_pentagon_three_uses(tmp_path):
-    # the search starts from codeword 0 on the pentagon's cyclic table
+    # the search starts from codeword 0 on the pentagon's circulant graph
     out = tmp_path / "ze.json"
     assert run(["zeroerr", DATA / "pentagon.channel",
                 DATA / "pentagon_inputs.csv", "--uses", 3, "-o", out]) == 0
@@ -225,9 +226,32 @@ def test_zeroerr_pentagon_three_uses(tmp_path):
     assert report["rate_bits"] == np.log2(10.0) / 3
 
 
-def test_zeroerr_cap_exit_code():
+def test_zeroerr_cap_exit_code(capsys):
     assert run(["zeroerr", DATA / "pentagon.channel",
                 DATA / "pentagon_inputs.csv", "--uses", 6]) == 3
+    # the use count is checked before 5 ** uses is formed, which alone took
+    # 4.4 s at 10^7 uses
+    t0 = time.perf_counter()
+    assert run(["zeroerr", DATA / "pentagon.channel",
+                DATA / "pentagon_inputs.csv", "--uses", 10**7]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "10000000 channel uses exceed the cap of 13" in capsys.readouterr().err
+
+
+def test_zeroerr_one_input_uses_cap(tmp_path, capsys):
+    # one input makes one codeword at any n, but the build's work grew with
+    # --uses (3.5 s at 10^6): 13 uses run, 14 reach the cap
+    one = tmp_path / "one.csv"
+    one.write_text("1,0,0,0,0\n")
+    out = tmp_path / "ze.json"
+    t0 = time.perf_counter()
+    assert run(["zeroerr", DATA / "pentagon.channel", one, "--uses", 13, "-o", out]) == 0
+    assert run(["zeroerr", DATA / "pentagon.channel", one, "--uses", 14]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "14 channel uses exceed the cap of 13" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert (report["K"], report["witness"], report["rate_bits"]) == (1, [0], 0.0)
+    assert run(["validate", out]) == 0
 
 
 @pytest.mark.parametrize("uses", [0, -2])
@@ -408,7 +432,7 @@ def test_validate_rejects_bad_report(tmp_path, capsys):
     for key, value in [("center", []), ("center", [0.1, 0.2]), ("center", [0.1, 0.2, "x"]),
                        ("center", [0.1, 0.2, None]), ("center", "0.1,0.2,0.3"),
                        ("algorithm", "x"), ("algorithm", None), ("algorithm", ["basic"]),
-                       ("radius", -0.1), ("radius", 1e999), ("radius", "0.4"),
+                       ("radius", -0.1), ("radius", "0.4"),
                        ("radius", True), ("n_points", 0), ("n_points", 2.0),
                        ("n_points", True), ("n_points", "50")]:
         bad.write_text(json.dumps({**good, key: value}))
@@ -418,6 +442,77 @@ def test_validate_rejects_bad_report(tmp_path, capsys):
         bad.write_text(json.dumps({**good, "algorithm": algorithm}))
         assert run(["validate", bad]) == 0
     capsys.readouterr()
+
+
+def _zeroerr_report(tmp_path):
+    path = tmp_path / "ze.json"
+    assert run(["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv",
+                "--uses", 2, "-o", path]) == 0
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("witness", "x"), ("witness", [0, 0, 7, 14, 16]), ("witness", [-1, 7, 14, 16, 23]),
+    ("witness", [0.0, 7, 14, 16, 23]), ("witness", [True, 7, 14, 16, 23]),
+    ("witness", None),
+    ("K", -3), ("K", 4), ("K", 6), ("K", 5.0), ("K", True), ("K", "5"),
+    ("n_uses", 0), ("n_uses", -2), ("n_uses", 2.0), ("n_uses", True), ("n_uses", "2"),
+    ("normalized", "no"), ("normalized", 0), ("normalized", None),
+    ("rate_bits", 0.5 * np.log2(5.0) + 1e-9), ("rate_bits", 0.25 * np.log2(5.0)),
+    ("rate_bits", "1.16"), ("rate_bits", None), ("rate_bits", True),
+])
+def test_validate_checks_zeroerr_values(tmp_path, capsys, key, value):
+    path, good = _zeroerr_report(tmp_path)
+    assert run(["validate", path]) == 0
+    path.write_text(json.dumps({**good, key: value}))
+    assert run(["validate", path]) == 1
+    assert f"error: {key!r} must be" in capsys.readouterr().err
+
+
+def test_validate_accepts_consistent_zeroerr_values(tmp_path):
+    path, good = _zeroerr_report(tmp_path)
+    rate = good["rate_bits"]
+    for changes in ({"normalized": True, "rate_bits": 0.5 * rate},
+                    {"K": 0, "witness": [], "rate_bits": 0.0},
+                    {"K": 2, "witness": [9999, 3], "rate_bits": 0.5},
+                    {"n_uses": 4, "rate_bits": 0.5 * rate},
+                    {"rate_bits": rate + 5e-13},
+                    # no float overflow from a huge use count
+                    {"n_uses": 10**400, "rate_bits": 0.0}):
+        path.write_text(json.dumps({**good, **changes}))
+        assert run(["validate", path]) == 0, changes
+    path.write_text(json.dumps({**good, "normalized": True}))
+    assert run(["validate", path]) == 1
+
+
+@pytest.mark.parametrize("key, text", [
+    ("rate_bits", "NaN"), ("rate_bits", "Infinity"), ("rate_bits", "-Infinity"),
+    ("rate_bits", "1e999"), ("value", "Infinity"), ("value", "NaN"), ("value", "-1e400"),
+    ("radius", "Infinity"),
+])
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, key, text):
+    path, report = _zeroerr_report(tmp_path)
+    if key == "value":
+        report = {"type": "capacity", "mode": "quantum", "value": 0.0, "converged": True,
+                  "provenance": report["provenance"]}
+    elif key == "radius":
+        assert run(["ball", DATA / "example_points.csv", "-o", path]) == 0
+        report = json.loads(path.read_text())
+    path.write_text(json.dumps(report))
+    assert run(["validate", path]) == 0
+    # json.dumps would refuse to write the text, so it is put in by hand
+    path.write_text(json.dumps({**report, key: "@"}).replace('"@"', text))
+    assert run(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert f"report holds {text}, which" in err
+
+
+def test_validate_rejects_the_bad_zeroerr_report(tmp_path, capsys):
+    path, report = _zeroerr_report(tmp_path)
+    bad = {**report, "K": -3, "rate_bits": "@", "witness": "x", "n_uses": 0, "normalized": "no"}
+    path.write_text(json.dumps(bad).replace('"@"', "NaN"))
+    assert run(["validate", path]) == 1
+    assert "report holds NaN" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, key", [
