@@ -4,7 +4,8 @@ Times batch_divergence next to prepared_divergence (the cached-entropy path
 of the solvers) on seeded Bloch clouds of each --sizes, then
 infogeo.minimax_ball on clouds of the same sizes (which is all that
 infogeo.seb_improved runs) with its steps and the bracket width it
-certifies, next to infogeo.seb_basic at eps = SEB_EPS on the same cloud,
+certifies, next to infogeo.seb_basic at eps = SEB_EPS on the same cloud and
+its radius over minimax_ball's lower end (r/lower, the factor it reached),
 then
 capacity.hsw_capacity on the depolarizing and flip channels of the HSW
 acceptance test, on dephasing and amplitude damping at p = 0.1 ... 0.9 and
@@ -103,15 +104,17 @@ def main():
         prepared = bench(kernels.prepared_divergence, pts, kernels.neg_entropy(pts), center)
         print(f"{n:>8}{batch * 1e3:>18.3f}ms{prepared * 1e3:>20.3f}ms")
 
-    print(f"\n{'n':>8}{'minimax_ball':>20}{'steps':>10}{'gap':>12}{'seb_basic':>14}")
+    print(f"\n{'n':>8}{'minimax_ball':>20}{'steps':>10}{'gap':>12}{'seb_basic':>14}"
+          f"{'r/lower':>10}")
     g = infogeo.Generator("neg_von_neumann")
     for n in args.sizes:
         pset = infogeo.WeightedPointSet(points=random_interior_points(n, rng))
         res = infogeo.minimax_ball(g, pset)
         t = bench(infogeo.minimax_ball, g, pset)
         t_basic = bench(infogeo.seb_basic, g, pset, SEB_EPS)
+        factor = infogeo.seb_basic(g, pset, SEB_EPS).radius / res.lower
         print(f"{n:>8}{t * 1e3:>18.3f}ms{res.steps:>10}{res.gap:>12.2e}"
-              f"{t_basic * 1e3:>12.3f}ms")
+              f"{t_basic * 1e3:>12.3f}ms{factor:>10.4f}")
 
     print(f"\n{'hsw_capacity':<24}{'rounds':>8}{'steps':>8}{'time':>12}{'gap':>12}")
     solve = infogeo.minimax_ball

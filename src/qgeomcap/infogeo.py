@@ -199,7 +199,7 @@ class SquaredEuclidean(Generator):
 _GENERATORS = {"neg_von_neumann": NegVonNeumann, "squared_euclidean": SquaredEuclidean}
 
 
-@dataclass
+@dataclass(slots=True)
 class InfoBall:
     """Left-sided information ball {x : D(x || center) <= radius}.
 
@@ -409,6 +409,22 @@ def _active_set_finish(g, pts, b, theta, w, enter, certify):
     return False
 
 
+def _dual_lower(g, w, b, pts, theta, p_max):
+    """The dual value sum_i w_i b_i - F(sum_i w_i p_i) of the weights w,
+    a lower bound on min_c max_i D(p_i || c) + r_i, lowered to stay below
+    the rounded enclosures near theta (and at least 0).
+
+    The dual value cancels terms of size |b_i| and |F(pbar)|, and an
+    enclosure near theta terms of size |F*(theta)| and |<p_i, theta>|, with
+    |p_i| <= p_max; the value is lowered by _DUAL_SLACK times their sum.
+    minimax_ball certifies its lower end with it, and seb_basic its stop.
+    """
+    head, mix = float(w @ b), float(g.F(w @ pts))
+    scale = (float(w @ np.abs(b)) + abs(mix) + abs(float(g.F_star(theta)))
+             + math.sqrt(float(theta @ theta)) * p_max)
+    return max(head - mix - _DUAL_SLACK * scale, 0.0)
+
+
 def minimax_ball(g, pset, warm=None):
     """Smallest enclosing information ball of a finite set, with a bracket.
 
@@ -467,19 +483,12 @@ def minimax_ball(g, pset, warm=None):
     def certify(theta, w):
         """Fold the bracket of (c = grad_inv(theta), w) into the best one;
         (farthest index, enclosure at c, whether the solver is done).
-
-        The dual value cancels terms of size |b_i| and |F(pbar)|, and an
-        enclosure near theta terms of size |F*(theta)| and |<p_i, theta>|;
-        the lower end is _DUAL_SLACK times their sum below the dual value
-        (and at least 0), so that rounding does not lift it above an enclosure
-        scored near the optimum."""
+        The lower end is _dual_lower's, so that rounding does not lift it
+        above an enclosure scored near the optimum."""
         nonlocal lower, upper, center, center_theta, weights, steps
         steps += 1
         c = g.grad_inv(theta)
-        head, mix = float(w @ b), float(g.F(w @ pts))
-        scale = (float(w @ np.abs(b)) + abs(mix) + abs(float(g.F_star(theta)))
-                 + math.sqrt(float(theta @ theta)) * p_max)
-        lo = max(head - mix - _DUAL_SLACK * scale, 0.0)
+        lo = _dual_lower(g, w, b, pts, theta, p_max)
         if lo > lower:
             lower, weights = lo, w
         idx, up = farthest(c)
@@ -557,27 +566,34 @@ def minimax_center_oracle(g, pset):
 
 
 def seb_basic(g, pset, eps, seed=None):
-    """Smallest enclosing information ball by iterated geodesic averaging.
+    """Smallest enclosing information ball by iterated geodesic averaging,
+    stopped by a dual certificate.
 
-    Starts from the first point (or a seeded random point) and runs
-    ceil(1/eps^2) rounds: find the farthest point and move the center a
-    step t = 1/(i+1) toward it along the geodesic, the straight line
+    Starts from the first point (or a seeded random point) and runs rounds:
+    find the farthest point and move the center a step t = 1/(i+1) toward
+    it along the geodesic, the straight line
     theta <- (1 - t) theta + t theta_s in natural coordinates. A round maps
     no centre back: its farthest row is argmax_i b_i - <p_i, theta>, with
     b_i = F(p_i) + r_i, since F*(theta) is common to every row. Running
     scores make that one in-place add and one argmax (_geodesic_rounds),
     with at most _BASIC_COLUMNS cached n-vectors at any eps, and give the
     same picks, centre and radius bit for bit as scoring b - P theta each
-    round. Its radius bound, a factor (1 + eps) over the optimum, is the
-    Euclidean one of Badoiu and Clarkson. On Bloch data it is checked only
-    away from the pure shell (|r| <= 0.9); near the shell the radius can be
-    1.23 times optimal at eps = 0.05. seb_improved and minimax_ball give a
-    certified bracket. Per-point radii, when present, make this the
-    enclosing ball of balls. The rows are scored as given; the rows moved
-    inwards by NUDGE (g.interior), whose theta one g.natural call gives,
-    serve only as the start centre and the geodesic targets. history is
-    the enclosure (g.prepared_div) at the start centre and at the final
-    one, grad_inv(theta), which is the radius.
+    round.
+    The rows picked so far, the start row and each target, weighted by how
+    often each was picked, are a Frank-Wolfe dual point (Badoiu and
+    Clarkson 2003; Clarkson 2010), whose dual value (_dual_lower) is at most
+    the optimal radius. The rounds stop after the first one whose enclosure
+    is at most (1 + eps) times that value, so the radius is certified
+    within a factor (1 + eps) of the optimum; otherwise they stop after
+    ceil(1/eps^2) rounds. The (1 + eps) bound of Badoiu and Clarkson for
+    that many rounds is Euclidean: near the Bloch shell no round is
+    certified, and the radius can be 1.23 times optimal at eps = 0.05.
+    seb_improved and minimax_ball give a bracket. Per-point radii, when
+    present, make this the enclosing ball of balls. The rows are scored as
+    given; the rows moved inwards by NUDGE (g.interior), whose theta one
+    g.natural call gives, serve only as the start centre and the geodesic
+    targets. history is the enclosure (g.prepared_div) at the start centre
+    and at the final one, grad_inv(theta), which is the radius.
     More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
     first one.
     """
@@ -604,14 +620,17 @@ def seb_basic(g, pset, eps, seed=None):
 
     start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
     idx, first = farthest(g.interior(raw[start]))
-    c = g.grad_inv(_geodesic_rounds(raw, f + rad, theta, start, idx, n_iter))
-    history = np.maximum([first, farthest(c)[1]], 0.0)
+    c, radius = _geodesic_rounds(g, raw, f + rad, theta, start, idx, n_iter, 1.0 + eps,
+                                 lambda c: farthest(c)[1])
+    history = np.maximum([first, radius], 0.0)
     return InfoBall(center=c, radius=float(history[1]), history=history)
 
 
-def _geodesic_rounds(raw, b, theta, start, idx, n_iter):
-    """seb_basic's n_iter rounds from theta[start], whose first target is
-    row idx: theta after the last step.
+def _geodesic_rounds(g, raw, b, theta, start, idx, n_iter, factor, enclosure):
+    """seb_basic's rounds from theta[start], whose first target is row idx:
+    (c, enclosure(c)) at c = grad_inv(th) after the first round whose
+    enclosure is certified within factor of the optimum, or after n_iter
+    rounds.
 
     Round i steps th <- (1 - t) th + t theta[idx], t = 1/(i + 1), and
     picks idx = argmax_j b_j - <p_j, th>, ties to the lowest j. th is
@@ -633,8 +652,18 @@ def _geodesic_rounds(raw, b, theta, start, idx, n_iter):
     that leads every other by more than twice that is the pick. Where it
     does not (a near tie, an exact duplicate row, or scores too large
     for w), the round scores b - raw @ th instead.
+
+    The stop: after round i the start row and the targets, each weighted
+    by its count over i + 1, are a dual point, and round i stops when
+    enclosure(c) <= factor * _dual_lower of those weights at th. Each round
+    first tests that on what it holds: the enclosure F*(th) + max w/(i + 1),
+    within 3 u scale (i + d + 4) of the scored one by the bound above, and
+    the dual value of running sums of b_k and p_k over the picks. The test
+    allows 8 u scale (i + d + 4) on each side for their rounding, so only a
+    round that passes it scores enclosure(c) and the dual value of the
+    counts, which decide.
     """
-    d = raw.shape[1]
+    n, d = raw.shape
     scale = float(np.abs(b).max() + np.abs(raw).max() * np.abs(theta).sum(axis=1).max())
     # 8 u scale (i + 1)(i + d + 4) exceeds twice the bound above; where w
     # could leave the float range, every round is scored directly
@@ -642,17 +671,24 @@ def _geodesic_rounds(raw, b, theta, start, idx, n_iter):
 
     @functools.lru_cache(maxsize=_BASIC_COLUMNS)
     def column(k):
-        return b - raw @ theta[k], theta[k].tolist()
+        return b - raw @ theta[k], theta[k].tolist(), raw[k].tolist()
 
     th = theta[start].tolist()
     w = b - raw @ theta[start]
+    # how often each row is picked, and running sums of count_k b_k and
+    # count_k p_k
+    counts = {start: 1}
+    head, mix = b.item(start), raw[start].tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # w past the float range
         for i in range(1, n_iter + 1):
             t = 1.0 / (i + 1.0)
-            col, target = column(idx)
+            col, target, row = column(idx)
             keep = 1.0 - t
             th = [keep * a + t * v for a, v in zip(th, target)]
             w += col
+            counts[idx] = counts.get(idx, 0) + 1
+            head += b.item(idx)
+            mix = [a + v for a, v in zip(mix, row)]
             idx = int(w.argmax())
             top = w.item(idx)
             w[idx] = -math.inf
@@ -660,7 +696,22 @@ def _geodesic_rounds(raw, b, theta, start, idx, n_iter):
             w[idx] = top
             if not top - second > unit * (i + 1) * (i + d + 4):
                 idx = int(np.argmax(b - raw @ np.array(th)))
-    return np.array(th)
+            m, slack = i + 1.0, unit * (i + d + 4)
+            held = g.F_star(th) + top / m
+            # not >, so that a NaN or infinite test falls through to the scan
+            if not held - slack > factor * (head / m - g.F([a / m for a in mix]) + slack):
+                # the scan holds no more n-vectors than the rounds do; a
+                # round after it rebuilds the columns it needs
+                column.cache_clear()
+                arr, dual = np.array(th), np.zeros(n)
+                dual[list(counts)] = [k / m for k in counts.values()]
+                c = g.grad_inv(arr)
+                up = enclosure(c)
+                p_max = math.sqrt(float(np.einsum("ij,ij->i", raw, raw).max()))
+                if up <= factor * _dual_lower(g, dual, b, raw, arr, p_max):
+                    return c, up
+    c = g.grad_inv(np.array(th))
+    return c, enclosure(c)
 
 
 def seb_improved(g, pset, eps, seed=None):

@@ -89,6 +89,17 @@ class ConfusabilityGraph:
     labels: list = None
     _cyclic: bool = field(default=False, init=False, repr=False)
 
+    def __post_init__(self):
+        """Raise ValueError for a matrix that is not square or joins a
+        vertex to itself, naming the first such vertex; max_independent_set
+        never returns on a self-loop. Symmetry is not checked here."""
+        shape = np.shape(self.adjacency)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, not of shape {shape}")
+        loops = np.flatnonzero(np.diagonal(self.adjacency))
+        if loops.size:
+            raise ValueError(f"confusability graphs have no self-loops: vertex {loops[0]}")
+
     @property
     def cyclic(self):
         return self._cyclic
@@ -408,8 +419,14 @@ def max_independent_set(graph):
             stack.append([chosen | bit, size + 1, sub, sub_order, sub_bounds])
 
     witness = sorted(vertex[[i for i in range(n) if best_set >> i & 1]].tolist())
-    # paranoia: the witness must be pairwise non-adjacent in the input graph
+    # paranoia: the witness must be pairwise non-adjacent in the input graph;
+    # the search reads row v as v's neighbours, so a matrix that is not
+    # symmetric can make it fail
     if graph.adjacency[np.ix_(witness, witness)].any():
+        odd = np.argwhere(np.triu(graph.adjacency != graph.adjacency.T))
+        if len(odd):
+            a, b = odd[0].tolist()
+            raise ValueError(f"adjacency is not symmetric: [{a}, {b}] differs from [{b}, {a}]")
         raise AssertionError("independent-set witness touches an edge")
     return best_size, witness
 

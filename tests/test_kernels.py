@@ -207,6 +207,9 @@ def test_bench_kernels_script_runs():
                            "--sizes", "10"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "prepared_divergence" in proc.stdout and "minimax_ball" in proc.stdout
+    # seb_basic's radius over minimax_ball's lower end, within its (1 + eps)
+    row = re.search(r"^ +10 +\S+ms +\d+ +\S+ +\S+ms +(\d\.\d{4})$", proc.stdout, re.M)
+    assert row and 1.0 <= float(row.group(1)) <= 1.05
     assert "amplitude_damping p=0.9" in proc.stdout
     assert "quantum_capacity_single_use" in proc.stdout
     assert re.search(r"^qubit-input zoo, p=0\.3 +268 +8 +\d+\.\d+ms$", proc.stdout, re.M)

@@ -755,6 +755,27 @@ def test_self_loop_rejected():
         ConfusabilityGraph.from_edges(2, {(1, 1)})
 
 
+def test_matrix_with_a_self_loop_or_not_square_rejected():
+    # only the constructor runs: the search never returned on such a matrix
+    loop = np.zeros((3, 3), dtype=bool)
+    loop[1, 1] = loop[2, 2] = True
+    with pytest.raises(ValueError, match="vertex 1$"):
+        ConfusabilityGraph(loop)
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square"):
+            ConfusabilityGraph(np.zeros(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_asymmetric_matrix_named_by_the_search(n):
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[0, 1] = True
+    if n == 5:
+        adjacency[2, 4] = adjacency[4, 3] = True
+    with pytest.raises(ValueError, match=r"not symmetric: \[0, 1\] differs from \[1, 0\]"):
+        zeroerr.max_independent_set(ConfusabilityGraph(adjacency))
+
+
 @pytest.mark.parametrize("edge", [(0, 5), (5, 0), (-1, 2), (0, 3)])
 def test_out_of_range_edge_rejected(edge):
     with pytest.raises(ValueError, match=str(edge).replace("(", r"\(").replace(")", r"\)")):
