@@ -28,7 +28,10 @@ rounds score rows as minimax_ball's smoothing does, by b_i - <p_i, theta>
 with b_i = F(p_i) + r_i, and map no centre back; each round is one
 in-place add to running scores and one argmax, with the score columns of
 the _BASIC_COLUMNS rows picked last cached, and its result is
-bit-identical to scoring each round afresh.
+bit-identical to scoring each round afresh. Its picks, weighted by their
+counts, are a dual point of the ball problem, and the rounds stop once
+the enclosure is within (1 + eps) of their dual value, the lower bound
+that minimax_ball certifies its brackets with (_dual_lower).
 seb_improved moves no centre itself: it returns minimax_ball's on every
 row.
 """
@@ -58,7 +61,7 @@ _FINISH_POINTS = 2
 # points whose [p_i; 1] has a singular value this far below the largest are
 # affinely dependent for caratheodory and the finish
 _AFFINE_TOL = 1e-12
-# minimax_ball lowers its dual value by this many times the rounding unit of
+# _dual_lower lowers a dual value by this many times the rounding unit of
 # the terms it cancels, so that it stays below the rounded enclosures
 _DUAL_SLACK = 8.0 * float(np.finfo(float).eps)
 _LN2 = np.log(2.0)
@@ -586,8 +589,8 @@ def seb_basic(g, pset, eps, seed=None):
     is at most (1 + eps) times that value, so the radius is certified
     within a factor (1 + eps) of the optimum; otherwise they stop after
     ceil(1/eps^2) rounds. The (1 + eps) bound of Badoiu and Clarkson for
-    that many rounds is Euclidean: near the Bloch shell no round is
-    certified, and the radius can be 1.23 times optimal at eps = 0.05.
+    that many rounds is Euclidean: on rows at the Bloch shell no round may
+    be certified, and the radius can be 1.23 times optimal at eps = 0.05.
     seb_improved and minimax_ball give a bracket. Per-point radii, when
     present, make this the enclosing ball of balls. The rows are scored as
     given; the rows moved inwards by NUDGE (g.interior), whose theta one
@@ -657,11 +660,12 @@ def _geodesic_rounds(g, raw, b, theta, start, idx, n_iter, factor, enclosure):
     by its count over i + 1, are a dual point, and round i stops when
     enclosure(c) <= factor * _dual_lower of those weights at th. Each round
     first tests that on what it holds: the enclosure F*(th) + max w/(i + 1),
-    within 3 u scale (i + d + 4) of the scored one by the bound above, and
-    the dual value of running sums of b_k and p_k over the picks. The test
-    allows 8 u scale (i + d + 4) on each side for their rounding, so only a
-    round that passes it scores enclosure(c) and the dual value of the
-    counts, which decide.
+    within 3 u scale (i + d + 4) of F*(th) + max_j b_j - <p_j, th> by the
+    bound above, and the dual value of running sums of b_k and p_k. The
+    test allows 8 u scale (i + d + 4) on each side for their rounding and
+    for the rounding of what decides, so that it misses no round that
+    would stop. Only a round that passes scores enclosure(c) and
+    _dual_lower of the counts, which decide.
     """
     n, d = raw.shape
     scale = float(np.abs(b).max() + np.abs(raw).max() * np.abs(theta).sum(axis=1).max())
@@ -704,7 +708,7 @@ def _geodesic_rounds(g, raw, b, theta, start, idx, n_iter, factor, enclosure):
                 # round after it rebuilds the columns it needs
                 column.cache_clear()
                 arr, dual = np.array(th), np.zeros(n)
-                dual[list(counts)] = [k / m for k in counts.values()]
+                dual[list(counts)] = [count / m for count in counts.values()]
                 c = g.grad_inv(arr)
                 up = enclosure(c)
                 p_max = math.sqrt(float(np.einsum("ij,ij->i", raw, raw).max()))

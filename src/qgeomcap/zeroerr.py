@@ -91,14 +91,15 @@ class ConfusabilityGraph:
 
     def __post_init__(self):
         """Raise ValueError for a matrix that is not square or joins a
-        vertex to itself, naming the first such vertex; max_independent_set
-        never returns on a self-loop. Symmetry is not checked here."""
+        vertex to itself, naming the first such vertex: the search never
+        returns on a self-loop. Symmetry, an n^2 check, is left to
+        max_independent_set's witness check."""
         shape = np.shape(self.adjacency)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"adjacency must be a square matrix, not of shape {shape}")
-        loops = np.flatnonzero(np.diagonal(self.adjacency))
-        if loops.size:
-            raise ValueError(f"confusability graphs have no self-loops: vertex {loops[0]}")
+        loops = self.adjacency.diagonal()
+        if loops.any():
+            raise ValueError(f"confusability graphs have no self-loops: vertex {loops.argmax()}")
 
     @property
     def cyclic(self):
@@ -350,7 +351,9 @@ def max_independent_set(graph):
     every node, and the vertex of the highest class is branched on first.
     The search keeps an explicit stack, so its depth is bounded by K
     rather than by the recursion limit.
-    More than MAX_BRANCH_NODES branches raise ResourceCapError.
+    More than MAX_BRANCH_NODES branches raise ResourceCapError. A witness
+    that touches an edge raises ValueError naming the first pair (a, b),
+    a < b, where the adjacency is not symmetric, or AssertionError if it is.
 
     On a graph marked cyclic (build_confusability_graph, circulant one-use
     adjacency) the graph is vertex-transitive, so the search starts from the

@@ -522,21 +522,16 @@ def _centre_space_seb_basic(g, pset, eps, seed=None, near_ties=False):
     return c, val, history
 
 
-# the two scorings can pick different farthest rows where two rows' scores
-# differ by one rounding. Without the stop they did on the Euclidean
-# duplicates cloud at n = 10 without radii (eps 0.05 and 0.1, seeds None
-# and 42): its start row and its farthest row are the only ones that
-# matter, so the centre keeps returning to their bisector (5.6e-17 apart at
-# rounds 33 and 35). The stop fires by round 25 there, and no input below
-# reaches such a tie.
-
-
 @pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
 def test_seb_basic_matches_the_centre_space_loop(g):
     # scoring b_i - <p_i, theta> picks the row that prepared_div at
     # grad_inv(theta) scores farthest, so the centre, radius and both
     # history ends are the round trip's bit for bit, and each pick is also
-    # the round trip's farthest row up to a tie within 1e-14
+    # the round trip's farthest row up to a tie within 1e-14. The two
+    # scorings can pick different rows where two rows' scores differ by one
+    # rounding: the Euclidean duplicates cloud at n = 10 without radii keeps
+    # returning to the bisector of its start row and its farthest row, 5.6e-17
+    # apart at rounds 33 and 35, but the stop ends it by round 25
     rng = np.random.default_rng(23)
     for kind in ("uniform", "near_pure", "duplicates", "shell"):
         for n in (10, 100):
@@ -666,6 +661,35 @@ def test_seb_basic_stops_at_a_certified_radius(kind):
             assert lower <= res.upper, (n, eps)
 
 
+def _tight_eps(enclosure, lower):
+    """The least eps with enclosure <= (1 + eps) * lower in floats."""
+    eps = enclosure / lower - 1.0
+    while (1.0 + eps) * lower < enclosure:
+        eps = np.nextafter(eps, 1.0)
+    while (1.0 + np.nextafter(eps, 0.0)) * lower >= enclosure:
+        eps = np.nextafter(eps, 0.0)
+    return float(eps)
+
+
+@pytest.mark.parametrize("g", [BLOCH, EUCL], ids=["bloch", "euclidean"])
+def test_seb_basic_stops_at_a_tight_factor(g):
+    # with eps set so that (1 + eps) times a round's lower end meets its
+    # enclosure to the last bit, that round stops: the test on the running
+    # scores lets through every round that the scan then stops
+    rng = np.random.default_rng(41)
+    for kind in ("uniform", "near_pure", "duplicates"):
+        pset = WeightedPointSet(points=_seeded_cloud(rng, 30, kind))
+        for loose in (0.4, 0.3, 0.2, 0.1):
+            for seed in (None, 0, 42):
+                _, radius, _, _, rounds, lower = _natural_seb_basic(g, pset, loose, seed)
+                eps = _tight_eps(radius, lower)
+                center, radius, _, _, tight_rounds, _ = _natural_seb_basic(g, pset, eps, seed)
+                ball = infogeo.seb_basic(g, pset, eps, seed=seed)
+                assert tight_rounds == rounds, (kind, loose, seed)
+                assert np.array_equal(ball.center, center), (kind, loose, seed)
+                assert ball.radius == radius, (kind, loose, seed)
+
+
 def test_dual_lower_stays_below_the_rounded_enclosure():
     # a pair symmetric about c has the optimal ball at c, and weights 1/2
     # give a dual value equal to its radius; rounded, that value lands above
@@ -681,6 +705,26 @@ def test_dual_lower_stays_below_the_rounded_enclosure():
         assert infogeo._dual_lower(EUCL, w, b, pts, theta, p_max) <= enclosure
         above += float(w @ b) - EUCL.F(w @ pts) > enclosure
     assert above > 20
+
+
+def test_ball_answers_keep_few_bytes():
+    """A kept InfoBall holds its centre, radius and history in slots, with
+    no instance dict: on this cloud, at least about 350 B from seb_basic
+    and 330 B from seb_improved in three batches of 200, where a dict took
+    about 385 and 370 B."""
+    pset = WeightedPointSet(points=_seeded_cloud(np.random.default_rng(3), 100, "uniform"))
+    for solver, most in ((infogeo.seb_basic, 370), (infogeo.seb_improved, 350)):
+        assert not hasattr(solver(BLOCH, pset, 0.05), "__dict__")
+        per_answer = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kept = [solver(BLOCH, pset, 0.05) for _ in range(200)]
+                per_answer.append((tracemalloc.get_traced_memory()[0] - base) / len(kept))
+            finally:
+                tracemalloc.stop()
+        assert min(per_answer) <= most, (solver.__name__, per_answer)
 
 
 def test_seb_basic_memory_does_not_grow_with_the_rounds():
