@@ -709,9 +709,9 @@ def test_dual_lower_stays_below_the_rounded_enclosure():
 
 def test_ball_answers_keep_few_bytes():
     """A kept InfoBall holds its centre, radius and history in slots, with
-    no instance dict: on this cloud, at least about 350 B from seb_basic
-    and 330 B from seb_improved in three batches of 200, where a dict took
-    about 385 and 370 B."""
+    no instance dict: on this cloud the least of three batches of 100
+    keeps about 350 B per answer from seb_basic and 325 B from
+    seb_improved, where an instance dict took about 385 and 370 B."""
     pset = WeightedPointSet(points=_seeded_cloud(np.random.default_rng(3), 100, "uniform"))
     for solver, most in ((infogeo.seb_basic, 370), (infogeo.seb_improved, 350)):
         assert not hasattr(solver(BLOCH, pset, 0.05), "__dict__")
@@ -720,7 +720,7 @@ def test_ball_answers_keep_few_bytes():
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                kept = [solver(BLOCH, pset, 0.05) for _ in range(200)]
+                kept = [solver(BLOCH, pset, 0.05) for _ in range(100)]
                 per_answer.append((tracemalloc.get_traced_memory()[0] - base) / len(kept))
             finally:
                 tracemalloc.stop()
