@@ -310,17 +310,18 @@ def _king_pair(outs):
     """The finite minimax answer King's theorem gives when beta = 0: the
     outputs of the start columns +-v along the longest axis of the output
     ellipsoid (eigh orders the axes, so they are the last of each triple),
-    weights 1/2, centre their mean, lower end chi of the pair and upper end
-    the farthest column from that centre."""
+    weights 1/2 and centre their mean. The lower end is chi of the pair
+    less infogeo._dual_lower's rounding allowance, and the upper end the
+    farthest column from that centre (infogeo._farthest)."""
     pair = [HSW_START_COLUMNS + 2, HSW_START_COLUMNS + 5]
     weights = np.zeros(len(outs))
     weights[pair] = 0.5
-    mean = weights @ outs
-    theta = _BLOCH.natural(mean[None])[0][0]
+    theta = _BLOCH.natural((weights @ outs)[None])[0][0]
     center = _BLOCH.grad_inv(theta)
     ent = kernels.neg_entropy(outs)
-    lower = 0.5 * float(ent[pair].sum()) - kernels.neg_entropy_scalar(float(np.linalg.norm(mean)))
-    upper = float(_BLOCH.prepared_div(outs, ent, center).max())
+    p_max = math.sqrt(float(np.einsum("ij,ij->i", outs, outs).max()))
+    lower = infogeo._dual_lower(_BLOCH, weights, ent, outs, theta, p_max)
+    upper = infogeo._farthest(_BLOCH, outs, ent, 0.0, center)[1]
     return infogeo.MinimaxResult(center, theta, weights, min(lower, upper), upper, 0)
 
 

@@ -9,6 +9,7 @@ for channels whose Kraus form is not available.
 """
 
 import ast
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -16,10 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import states
+from .errors import ResourceCapError
 
 COMPLETENESS_TOL = 1e-10
 # largest in_dim or out_dim a ChannelSpec may declare
 MAX_SPEC_DIM = 1024
+# bytes of the largest stack of complex states that apply, the confusability
+# graph build and the command line's input reader may form
+MAX_STACK_BYTES = 1 << 28
+# bytes of the Kraus products that apply holds at once
+_APPLY_CHUNK_BYTES = 1 << 22
 
 _PAULI = {
     "x": states.PAULI_X,
@@ -190,15 +197,38 @@ def build_channel(spec):
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
+def check_stack_bytes(count, dim, what):
+    """Raise ResourceCapError naming what when count complex dim x dim
+    states would take more than MAX_STACK_BYTES."""
+    nbytes = 16 * count * dim * dim
+    if nbytes > MAX_STACK_BYTES:
+        raise ResourceCapError(f"{what}: {count} states of dimension {dim} take {nbytes} "
+                               f"bytes, more than the cap of {MAX_STACK_BYTES}")
+
+
 def apply(ch, rho):
-    """N(rho) = sum_i K_i rho K_i^dag, for one state or a stack (..., d, d)."""
+    """N(rho) = sum_i K_i rho K_i^dag, for one state or a stack (..., d, d).
+
+    A stack is mapped a chunk of states at a time, so that the Kraus
+    products held at once take about _APPLY_CHUNK_BYTES whatever the stack
+    size; each state's output is the same bit for bit. An output stack over
+    MAX_STACK_BYTES raises ResourceCapError before anything is formed.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (ch.in_dim, ch.in_dim):
         raise ValueError(
             f"state dim {rho.shape[-1]} does not match channel input {ch.in_dim}"
         )
+    lead, d_in, d_out = rho.shape[:-2], ch.in_dim, ch.out_dim
+    check_stack_bytes(math.prod(lead), d_out, "channel outputs")
     k = ch.kraus
-    return (k @ rho[..., None, :, :] @ k.conj().transpose(0, 2, 1)).sum(axis=-3)
+    k_dag = k.conj().transpose(0, 2, 1)
+    flat = rho.reshape(-1, d_in, d_in)
+    out = np.empty((len(flat), d_out, d_out), dtype=complex)
+    chunk = max(1, _APPLY_CHUNK_BYTES // (16 * len(k) * d_out * (d_in + d_out)))
+    for start in range(0, len(flat), chunk):
+        out[start:start + chunk] = (k @ flat[start:start + chunk, None] @ k_dag).sum(axis=-3)
+    return out.reshape(lead + (d_out, d_out))
 
 
 def complementary_channel(ch):

@@ -34,6 +34,7 @@ EXIT_RESOURCE_CAP = 3
 
 DEFAULT_SEED = 42
 BALL_ALGORITHMS = ("basic", "improved", "oracle")
+CAPACITY_MODES = ("holevo", "quantum", "private")
 # grid points of sweep --steps beyond which it refuses to build the grid
 MAX_SWEEP_STEPS = 1_000_000
 
@@ -131,9 +132,10 @@ def _read_inputs_csv(path):
 
     A Bloch row must lie in the unit ball, |r| <= 1 + states.BLOCH_RADIUS_TOL;
     a diagonal row must be a probability vector, with no negative entry and
-    a sum within zeroerr.TRACE_TOL = 1e-9 of 1.
+    a sum within zeroerr.TRACE_TOL = 1e-9 of 1. The row that would take the
+    dense states past channels.MAX_STACK_BYTES raises ResourceCapError.
     """
-    from . import states, zeroerr
+    from . import channels, states, zeroerr
 
     rows = []
     for where, vals in _numeric_rows(path):
@@ -146,6 +148,7 @@ def _read_inputs_csv(path):
         elif abs(math.fsum(vals) - 1.0) > zeroerr.TRACE_TOL:
             raise ValueError(f"{where}: diagonal state sums to {math.fsum(vals):.12g}, not 1")
         rows.append(vals)
+        channels.check_stack_bytes(len(rows), 2 if len(vals) == 3 else len(vals), where)
     if not rows:
         raise ValueError(f"no states parsed from {path}")
     if len(rows[0]) == 3:
@@ -247,8 +250,10 @@ def cmd_zeroerr(args):
     from . import channels, zeroerr
 
     spec = _read_channel(args.channel_file)
-    ch = channels.build_channel(spec)
+    # read first: an input file over the byte cap exits before a large
+    # channel is built
     inputs = _read_inputs_csv(args.inputs_file)
+    ch = channels.build_channel(spec)
     graph = zeroerr.build_confusability_graph(ch, inputs, args.uses)
     res = zeroerr.solve_zero_error(graph, args.uses, epr_normalized=args.epr)
     report = {
@@ -328,6 +333,8 @@ def cmd_validate(args):
         _check_ball_values(data)
     elif kind == "zeroerr":
         _check_zeroerr_values(data)
+    else:
+        _check_capacity_values(data)
     if "bracket" in data:
         _check_bracket(data["bracket"], data["radius" if kind == "ball" else "value"])
     sys.stdout.write(f"ok: valid {kind} report\n")
@@ -373,6 +380,24 @@ def _check_ball_values(data):
     n = data["n_points"]
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"'n_points' must be a positive int, got {n!r}")
+
+
+def _check_capacity_values(data):
+    """A capacity report's mode is one that the capacity command runs, its
+    value finite and converged a bool; where present, iterations is an int
+    >= 0, radius, r_AB, r_AE and r_coh are finite and declared is a bool.
+    The message names the first key that breaks its rule."""
+    if data["mode"] not in CAPACITY_MODES:
+        raise ValueError(f"'mode' must be one of {'|'.join(CAPACITY_MODES)}, "
+                         f"got {data['mode']!r}")
+    for key in ("value", "radius", "r_AB", "r_AE", "r_coh"):
+        if key in data and not _finite_number(data[key]):
+            raise ValueError(f"{key!r} must be a finite number, got {data[key]!r}")
+    for key in ("converged", "declared"):
+        if key in data and not isinstance(data[key], bool):
+            raise ValueError(f"{key!r} must be true or false, got {data[key]!r}")
+    if "iterations" in data and not (_is_int(data["iterations"]) and data["iterations"] >= 0):
+        raise ValueError(f"'iterations' must be an int >= 0, got {data['iterations']!r}")
 
 
 def _check_zeroerr_values(data):
@@ -434,8 +459,7 @@ def build_parser():
 
     c = sub.add_parser("capacity", help="channel capacity estimates")
     c.add_argument("channel_file")
-    c.add_argument("--mode", choices=("holevo", "quantum", "private"),
-                   default="holevo")
+    c.add_argument("--mode", choices=CAPACITY_MODES, default="holevo")
     c.add_argument("--output", "-o", default=None)
     c.set_defaults(func=cmd_capacity)
 

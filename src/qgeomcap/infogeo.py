@@ -24,16 +24,11 @@ seb_basic steps a centre's theta toward a row's, taken from one natural
 call, theta <- (1 - t) theta + t theta_s. For qubits this path is
 identical to applying matrix log/exp to the density matrices and
 renormalizing the trace, so centers always remain valid states. Its
-rounds score rows as minimax_ball's smoothing does, by b_i - <p_i, theta>
-with b_i = F(p_i) + r_i, and map no centre back; each round is one
-in-place add to running scores and one argmax, with the score columns of
-the _BASIC_COLUMNS rows picked last cached, and its result is
-bit-identical to scoring each round afresh. Its picks, weighted by their
-counts, are a dual point of the ball problem, and the rounds stop once
-the enclosure is within (1 + eps) of their dual value, the lower bound
-that minimax_ball certifies its brackets with (_dual_lower).
-seb_improved moves no centre itself: it returns minimax_ball's on every
-row.
+rounds stop once the enclosure is within (1 + eps) of the dual value of
+their picks, the lower bound that minimax_ball certifies its brackets
+with. Every solver scores an enclosure through _farthest and a dual value
+through _dual_lower. seb_improved moves no centre itself: it returns
+minimax_ball's on every row.
 """
 
 import functools
@@ -428,6 +423,15 @@ def _dual_lower(g, w, b, pts, theta, p_max):
     return max(head - mix - _DUAL_SLACK * scale, 0.0)
 
 
+def _farthest(g, pts, f, rad, center):
+    """(i, enclosure): the row i of largest D(p_i || center) + r_i, ties to
+    the lowest index, and that value, given f = g.batch_F(pts). Only
+    rounding at a centre on every row puts it below 0, which reads 0."""
+    vals = g.prepared_div(pts, f, center) + rad
+    idx = int(np.argmax(vals))
+    return idx, max(float(vals[idx]), 0.0)
+
+
 def minimax_ball(g, pset, warm=None):
     """Smallest enclosing information ball of a finite set, with a bracket.
 
@@ -472,14 +476,6 @@ def minimax_ball(g, pset, warm=None):
         return MinimaxResult(ball[0], theta, weights, ball[1], ball[1], 0)
     f_pts = g.batch_F(pts)
     b = f_pts + rad
-
-    def farthest(center):
-        # ties go to the lowest index; only rounding at a centre on every
-        # point gives a value below 0, which reads 0
-        vals = g.prepared_div(pts, f_pts, center) + rad
-        idx = int(np.argmax(vals))
-        return idx, max(float(vals[idx]), 0.0)
-
     p_max = math.sqrt(float(np.einsum("ij,ij->i", pts, pts).max()))
     lower, upper, center, center_theta, steps = -np.inf, np.inf, None, None, 0
 
@@ -494,7 +490,7 @@ def minimax_ball(g, pset, warm=None):
         lo = _dual_lower(g, w, b, pts, theta, p_max)
         if lo > lower:
             lower, weights = lo, w
-        idx, up = farthest(c)
+        idx, up = _farthest(g, pts, f_pts, rad, c)
         if up < upper:
             upper, center, center_theta = up, c, theta
         closed = upper < math.inf and upper - lower <= MINIMAX_GAP_TOL * max(1.0, upper)
@@ -506,7 +502,7 @@ def minimax_ball(g, pset, warm=None):
     if warm is not None:
         # a warm centre on a pure point (the answer for one distinct row) has
         # no theta, and the shell rule scores it +inf
-        idx, up = farthest(warm.center)
+        idx, up = _farthest(g, pts, f_pts, rad, warm.center)
         if math.isfinite(up):
             w = np.zeros(len(pset))
             w[:len(warm.weights)] = warm.weights
@@ -572,33 +568,57 @@ def seb_basic(g, pset, eps, seed=None):
     """Smallest enclosing information ball by iterated geodesic averaging,
     stopped by a dual certificate.
 
-    Starts from the first point (or a seeded random point) and runs rounds:
-    find the farthest point and move the center a step t = 1/(i+1) toward
-    it along the geodesic, the straight line
-    theta <- (1 - t) theta + t theta_s in natural coordinates. A round maps
-    no centre back: its farthest row is argmax_i b_i - <p_i, theta>, with
-    b_i = F(p_i) + r_i, since F*(theta) is common to every row. Running
-    scores make that one in-place add and one argmax (_geodesic_rounds),
-    with at most _BASIC_COLUMNS cached n-vectors at any eps, and give the
-    same picks, centre and radius bit for bit as scoring b - P theta each
-    round.
-    The rows picked so far, the start row and each target, weighted by how
-    often each was picked, are a Frank-Wolfe dual point (Badoiu and
-    Clarkson 2003; Clarkson 2010), whose dual value (_dual_lower) is at most
-    the optimal radius. The rounds stop after the first one whose enclosure
-    is at most (1 + eps) times that value, so the radius is certified
-    within a factor (1 + eps) of the optimum; otherwise they stop after
-    ceil(1/eps^2) rounds. The (1 + eps) bound of Badoiu and Clarkson for
-    that many rounds is Euclidean: on rows at the Bloch shell no round may
-    be certified, and the radius can be 1.23 times optimal at eps = 0.05.
-    seb_improved and minimax_ball give a bracket. Per-point radii, when
-    present, make this the enclosing ball of balls. The rows are scored as
-    given; the rows moved inwards by NUDGE (g.interior), whose theta one
-    g.natural call gives, serve only as the start centre and the geodesic
-    targets. history is the enclosure (g.prepared_div) at the start centre
-    and at the final one, grad_inv(theta), which is the radius.
-    More than MAX_BASIC_ROUNDS rounds raise ResourceCapError before the
-    first one.
+    Starts from the first point (or a seeded random point), theta[start],
+    and runs rounds: round i steps the centre's natural coordinate toward
+    the row idx picked last along the geodesic,
+    th <- (1 - t) th + t theta[idx] with t = 1/(i + 1), and picks the
+    farthest row idx = argmax_j b_j - <p_j, th>, with b_j = F(p_j) + r_j,
+    ties to the lowest j: F*(th) is common to every row, so a round maps no
+    centre back. The rows are scored as given; the rows moved inwards by
+    NUDGE (g.interior), whose theta one g.natural call gives, serve only as
+    the start centre and the geodesic targets. Per-point radii, when
+    present, make this the enclosing ball of balls.
+
+    th is S/(i + 1), with S = theta[start] plus the targets so far, so the
+    pick is also the argmax of w = (i + 1) b - raw @ S: the running sum of
+    the columns b - raw @ theta[k] of the start and of each target. A round
+    adds one column to w in place and takes its argmax; the columns of the
+    _BASIC_COLUMNS targets used last are cached, so memory does not grow
+    with the rounds. The pick is bit for bit the argmax of b - raw @ th at
+    the rounded th, which is carried on Python floats (elementwise numpy's
+    arithmetic). With u = 2^-53 and
+    scale = max|b| + max|p| max||theta_k||_1, a column rounds by
+    (d + 2) u scale, the sum w_j by u scale (i + 1)(i + 2) / 2, and
+    b - <p, th> by (d + 2) u scale plus |<p, e_i>|, where the recursion's
+    error e_i obeys (i + 1) e_i = sum_{k <= i} (k + 1) delta_k with
+    ||delta_k||_1 <= 5 u max||theta_k||_1. So w_j and (i + 1) times the
+    score differ by at most 3 u scale (i + 1)(i + d + 4), and a top w that
+    leads every other by more than twice that is the pick. Where it does
+    not (a near tie, an exact duplicate row, or scores too large for w),
+    the round scores b - raw @ th instead.
+
+    After round i the start row and the targets, each weighted by its
+    count over i + 1, are a Frank-Wolfe dual point (Badoiu and Clarkson
+    2003; Clarkson 2010), whose dual value (_dual_lower) is at most the
+    optimal radius. The rounds stop after the first one whose enclosure is
+    at most (1 + eps) times that value, so the radius is certified within a
+    factor (1 + eps) of the optimum; otherwise they stop after
+    ceil(1/eps^2) rounds. Each round first tests the stop on what it holds:
+    the enclosure F*(th) + max w/(i + 1), within 3 u scale (i + d + 4) of
+    the scored one by the bound above, and the dual value of running sums
+    of b_k and p_k. This pretest allows 8 u scale (i + d + 4) on each side
+    for their rounding and for the rounding of what decides, so that it
+    misses no round that would stop. Only a round that passes scores the
+    enclosure at grad_inv(th) (_farthest) and _dual_lower of the counts,
+    which decide, so the radius is the enclosure at the reported centre.
+    The (1 + eps) bound of Badoiu and Clarkson for ceil(1/eps^2) rounds is
+    Euclidean: on rows at the Bloch shell no round may be certified, and
+    the radius can be 1.23 times optimal at eps = 0.05. seb_improved and
+    minimax_ball give a bracket.
+
+    history is the enclosure at the start centre and at the final one,
+    which is the radius. More than MAX_BASIC_ROUNDS rounds raise
+    ResourceCapError before the first one.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -612,62 +632,14 @@ def seb_basic(g, pset, eps, seed=None):
     if ball is not None:
         return InfoBall(*ball, history=np.full(2, ball[1]))
     raw, rad = pset.points, pset.radii
+    n, d = raw.shape
     # the rounds keep only the nudged rows' theta, not the rows
     theta = g.natural(g.interior(raw))[0]
     f = g.batch_F(raw)
-
-    def farthest(center):
-        vals = g.prepared_div(raw, f, center) + rad
-        idx = int(np.argmax(vals))
-        return idx, vals[idx]
-
+    b = f + rad
+    p_max = math.sqrt(float(np.einsum("ij,ij->i", raw, raw).max()))
     start = 0 if seed is None else np.random.default_rng(seed).integers(len(pset))
-    idx, first = farthest(g.interior(raw[start]))
-    c, radius = _geodesic_rounds(g, raw, f + rad, theta, start, idx, n_iter, 1.0 + eps,
-                                 lambda c: farthest(c)[1])
-    history = np.maximum([first, radius], 0.0)
-    return InfoBall(center=c, radius=float(history[1]), history=history)
-
-
-def _geodesic_rounds(g, raw, b, theta, start, idx, n_iter, factor, enclosure):
-    """seb_basic's rounds from theta[start], whose first target is row idx:
-    (c, enclosure(c)) at c = grad_inv(th) after the first round whose
-    enclosure is certified within factor of the optimum, or after n_iter
-    rounds.
-
-    Round i steps th <- (1 - t) th + t theta[idx], t = 1/(i + 1), and
-    picks idx = argmax_j b_j - <p_j, th>, ties to the lowest j. th is
-    S/(i + 1), with S = theta[start] plus the targets so far, so the pick
-    is also the argmax of w = (i + 1) b - raw @ S: the running sum of the
-    columns b - raw @ theta[k] of the start and of each target. A round
-    adds one column to w in place and takes its argmax; the columns of the
-    _BASIC_COLUMNS targets used last are cached, so memory does not grow
-    with the rounds.
-
-    The pick is bit for bit the argmax of b - raw @ th at the rounded th,
-    which is carried on Python floats (elementwise numpy's arithmetic).
-    With u = 2^-53 and scale = max|b| + max|p| max||theta_k||_1, a column
-    rounds by (d + 2) u scale, the sum w_j by u scale (i + 1)(i + 2) / 2,
-    and b - <p, th> by (d + 2) u scale plus |<p, e_i>|, where the
-    recursion's error e_i obeys (i + 1) e_i = sum_{k <= i} (k + 1) delta_k
-    with ||delta_k||_1 <= 5 u max||theta_k||_1. So w_j and (i + 1) times
-    the score differ by at most 3 u scale (i + 1)(i + d + 4), and a top w
-    that leads every other by more than twice that is the pick. Where it
-    does not (a near tie, an exact duplicate row, or scores too large
-    for w), the round scores b - raw @ th instead.
-
-    The stop: after round i the start row and the targets, each weighted
-    by its count over i + 1, are a dual point, and round i stops when
-    enclosure(c) <= factor * _dual_lower of those weights at th. Each round
-    first tests that on what it holds: the enclosure F*(th) + max w/(i + 1),
-    within 3 u scale (i + d + 4) of F*(th) + max_j b_j - <p_j, th> by the
-    bound above, and the dual value of running sums of b_k and p_k. The
-    test allows 8 u scale (i + d + 4) on each side for their rounding and
-    for the rounding of what decides, so that it misses no round that
-    would stop. Only a round that passes scores enclosure(c) and
-    _dual_lower of the counts, which decide.
-    """
-    n, d = raw.shape
+    idx, first = _farthest(g, raw, f, rad, g.interior(raw[start]))
     scale = float(np.abs(b).max() + np.abs(raw).max() * np.abs(theta).sum(axis=1).max())
     # 8 u scale (i + 1)(i + d + 4) exceeds twice the bound above; where w
     # could leave the float range, every round is scored directly
@@ -703,19 +675,20 @@ def _geodesic_rounds(g, raw, b, theta, start, idx, n_iter, factor, enclosure):
             m, slack = i + 1.0, unit * (i + d + 4)
             held = g.F_star(th) + top / m
             # not >, so that a NaN or infinite test falls through to the scan
-            if not held - slack > factor * (head / m - g.F([a / m for a in mix]) + slack):
+            if not held - slack > (1.0 + eps) * (head / m - g.F([a / m for a in mix]) + slack):
                 # the scan holds no more n-vectors than the rounds do; a
                 # round after it rebuilds the columns it needs
                 column.cache_clear()
                 arr, dual = np.array(th), np.zeros(n)
                 dual[list(counts)] = [count / m for count in counts.values()]
                 c = g.grad_inv(arr)
-                up = enclosure(c)
-                p_max = math.sqrt(float(np.einsum("ij,ij->i", raw, raw).max()))
-                if up <= factor * _dual_lower(g, dual, b, raw, arr, p_max):
-                    return c, up
-    c = g.grad_inv(np.array(th))
-    return c, enclosure(c)
+                radius = _farthest(g, raw, f, rad, c)[1]
+                if radius <= (1.0 + eps) * _dual_lower(g, dual, b, raw, arr, p_max):
+                    break
+        else:
+            c = g.grad_inv(np.array(th))
+            radius = _farthest(g, raw, f, rad, c)[1]
+    return InfoBall(center=c, radius=radius, history=np.array([first, radius]))
 
 
 def seb_improved(g, pset, eps, seed=None):

@@ -260,15 +260,19 @@ def build_confusability_graph(ch, inputs, n_uses=1, tol=ADJACENCY_TOL):
     a NaN or infinity, raises ValueError naming its index: the overlaps of
     unnormalised inputs scale with their traces, so tol would not set the
     same bar for every pair. A tol that is NaN, infinite or negative raises
-    ValueError. More than MAX_VERTICES codewords raise ResourceCapError, and
-    so does n_uses >= MAX_VERTICES.bit_length() (14), checked first: with
+    ValueError. An input stack over channels.MAX_STACK_BYTES raises
+    ResourceCapError before it is formed. More than MAX_VERTICES codewords
+    raise ResourceCapError, and so does n_uses >= MAX_VERTICES.bit_length()
+    (14), checked first: with
     two inputs or more that is over the vertex cap anyway, and a huge
     n_uses then forms no m^n_uses and, with one input, builds no n_uses
     factors.
     """
-    inputs = np.array(list(inputs), dtype=complex)
-    if not len(inputs):
+    inputs = list(inputs)
+    if not inputs:
         raise ValueError("empty input set")
+    channels.check_stack_bytes(len(inputs), max(np.shape(inputs[0]), default=0), "input states")
+    inputs = np.array(inputs, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(inputs).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"input {bad[0]} has a non-finite entry")

@@ -147,6 +147,38 @@ def _assert_king_pair(ch, res):
     assert np.linalg.norm(A @ dirs[0]) == pytest.approx(np.linalg.norm(A, 2), abs=1e-12)
 
 
+def _exact_chi(pair):
+    """chi of an equal-weight pair of Bloch vectors, in 50-digit arithmetic
+    on the float vectors as given."""
+    import mpmath
+
+    def neg_entropy(r):
+        rr = min(mpmath.sqrt(sum(v * v for v in r)), 1)
+        return sum(lam * mpmath.log(lam, 2) for lam in ((1 + rr) / 2, (1 - rr) / 2) if lam)
+
+    with mpmath.workdps(50):
+        a, b = ([mpmath.mpf(float(v)) for v in r] for r in pair)
+        mean = [(x + y) / 2 for x, y in zip(a, b)]
+        return (neg_entropy(a) + neg_entropy(b)) / 2 - neg_entropy(mean)
+
+
+@pytest.mark.parametrize("kind", ["bit_flip", "phase_flip", "bit_phase_flip", "depolarizing",
+                                  "dephasing"])
+def test_king_pair_lower_end_below_the_exact_chi(kind):
+    """The lower end of King's round is _dual_lower's: at p = 0.01, ...,
+    0.99 it lies at or below the 50-digit chi of the pair, which chi
+    evaluated in floats overshoots on about a fifth of these channels."""
+    n = capacity.HSW_START_COLUMNS
+    for k in range(1, 100):
+        aff = channels.kraus_to_affine(_chan(kind, k / 100))
+        axes = capacity._OutputEllipsoid(aff).V.T
+        outs = aff(np.vstack([capacity.fibonacci_sphere(n), axes, -axes]))
+        res = capacity._king_pair(outs)
+        chi = _exact_chi(outs[[n + 2, n + 5]])
+        assert chi - 1e-12 <= res.lower <= chi, (kind, k)
+        assert res.lower <= res.upper
+
+
 def _no_minimax_ball(*args, **kwargs):
     raise AssertionError("minimax_ball called")
 

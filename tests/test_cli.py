@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -15,10 +16,55 @@ import qgeomcap
 from qgeomcap import capacity, channels, cli, superact
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+# the six commands of README's "Command line", each with the file under
+# tests/golden that holds its output
+README_COMMANDS = [
+    (["capacity", DATA / "depolarizing.channel", "--mode", "holevo"],
+     "capacity_holevo_depolarizing.json"),
+    (["capacity", DATA / "erasure.channel", "--mode", "quantum"], "capacity_quantum_erasure.json"),
+    (["sweep", "--pc-min", "0", "--pc-max", "0.1", "--steps", "1000"], "sweep.csv"),
+    (["zeroerr", DATA / "pentagon.channel", DATA / "pentagon_inputs.csv", "--uses", "2"],
+     "zeroerr_pentagon_uses2.json"),
+    (["ball", DATA / "example_points.csv", "--algorithm", "improved", "--eps", "0.05"],
+     "ball_improved.json"),
+    (["validate", GOLDEN / "capacity_holevo_depolarizing.json"], "validate.txt"),
+]
+_PROVENANCE_BLOCK = re.compile(r'^  "provenance": \{$.*?^  \}', re.M | re.S)
+
+
+def _without_provenance(name, text):
+    """(text with the provenance values taken out, provenance key names):
+    the block of a JSON report, the '# key = value' lines of a CSV."""
+    if name.endswith(".json"):
+        keys = sorted(json.loads(text)["provenance"])
+        return _PROVENANCE_BLOCK.sub('  "provenance": {}', text), keys
+    if name.endswith(".csv"):
+        lines = text.splitlines(keepends=True)
+        keys = [line.split(" = ", 1)[0] for line in lines if line.startswith("# ")]
+        return "".join(line for line in lines if not line.startswith("# ")), keys
+    return text, []
+
+
+@pytest.mark.parametrize("argv, golden", README_COMMANDS, ids=[g for _, g in README_COMMANDS])
+def test_readme_commands_match_their_golden_reports(tmp_path, capsys, argv, golden):
+    """Each README command, run in process, prints its golden output byte
+    for byte, apart from the provenance values (tool version, backend,
+    library versions), whose key names must match."""
+    if argv[0] != "validate":
+        argv = argv + ["-o", tmp_path / golden]
+    assert run(argv) == 0
+    text = capsys.readouterr().out if argv[0] == "validate" else (tmp_path / golden).read_text()
+    got, got_keys = _without_provenance(golden, text)
+    want, want_keys = _without_provenance(golden, (GOLDEN / golden).read_text())
+    assert got_keys == want_keys
+    assert got == want
 
 
 def test_capacity_holevo_identity(tmp_path):
@@ -238,6 +284,26 @@ def test_zeroerr_cap_exit_code(capsys):
     assert "10000000 channel uses exceed the cap of 13" in capsys.readouterr().err
 
 
+def test_oversized_state_stacks_exit_3_at_once(tmp_path, capsys):
+    """capacity --mode quantum on a qubit-to-1024 isometry would form 4.5 GB
+    of outputs, and zeroerr on 1 000 one-hot rows of dimension 1024 16 GiB
+    of inputs: both exit 3 within a second, naming the byte cap."""
+    iso = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]] + [[[0.0, 0.0]] * 2] * 1022
+    spec = tmp_path / "iso.channel"
+    spec.write_text(f'kind = "custom_kraus"\nkraus = {[iso]!r}\n')
+    ident = tmp_path / "ident.channel"
+    ident.write_text('kind = "identity"\nin_dim = 1024\n')
+    rows = tmp_path / "onehot.csv"
+    zeros = ["0"] * 1024
+    rows.write_text("".join(",".join(zeros[:i] + ["1"] + zeros[i + 1:]) + "\n"
+                            for i in range(1000)))
+    for argv in (["capacity", spec, "--mode", "quantum"], ["zeroerr", ident, rows]):
+        t0 = time.perf_counter()
+        assert run(argv) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert f"more than the cap of {channels.MAX_STACK_BYTES}" in capsys.readouterr().err
+
+
 def test_zeroerr_one_input_uses_cap(tmp_path, capsys):
     # one input makes one codeword at any n, but the build's work grew with
     # --uses (3.5 s at 10^6): 13 uses run, 14 reach the cap
@@ -442,6 +508,47 @@ def test_validate_rejects_bad_report(tmp_path, capsys):
         bad.write_text(json.dumps({**good, "algorithm": algorithm}))
         assert run(["validate", bad]) == 0
     capsys.readouterr()
+
+
+def _capacity_report(tmp_path, mode):
+    """A report of the capacity command: holevo on depolarizing, quantum on
+    erasure, private on a declared capacity."""
+    spec = {"holevo": DATA / "depolarizing.channel", "quantum": DATA / "erasure.channel",
+            "private": tmp_path / "declared.channel"}[mode]
+    if mode == "private":
+        spec.write_text('kind = "declared_capacity"\nprivate_capacity_bits = 0.02\n')
+    path = tmp_path / "cap.json"
+    assert run(["capacity", spec, "--mode", mode, "-o", path]) == 0
+    assert run(["validate", path]) == 0
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("mode, key, value", [
+    ("holevo", "mode", "sideways"), ("holevo", "mode", None), ("holevo", "mode", ["holevo"]),
+    ("holevo", "value", "abc"), ("holevo", "value", True), ("holevo", "value", None),
+    ("holevo", "converged", "yes"), ("holevo", "converged", 1), ("holevo", "converged", None),
+    ("holevo", "iterations", -3), ("holevo", "iterations", 1.0),
+    ("holevo", "iterations", True), ("holevo", "iterations", "1"),
+    ("holevo", "radius", [1]), ("holevo", "radius", "0.1"), ("holevo", "radius", None),
+    ("quantum", "r_AB", "x"), ("quantum", "r_AE", None), ("quantum", "r_coh", [0.0]),
+    ("private", "declared", "yes"), ("private", "declared", 1),
+    ("private", "iterations", -1),
+])
+def test_validate_checks_capacity_values(tmp_path, capsys, mode, key, value):
+    path, good = _capacity_report(tmp_path, mode)
+    path.write_text(json.dumps({**good, key: value}))
+    assert run(["validate", path]) == 1
+    assert f"error: {key!r} must be" in capsys.readouterr().err
+
+
+def test_validate_rejects_the_bad_capacity_report(tmp_path, capsys):
+    path, good = _capacity_report(tmp_path, "holevo")
+    path.write_text(json.dumps({"type": "capacity", "mode": "sideways", "value": "abc",
+                                "converged": "yes", "iterations": -3, "radius": [1],
+                                "provenance": good["provenance"]}))
+    assert run(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'mode' must be one of holevo|quantum|private")
 
 
 def _zeroerr_report(tmp_path):

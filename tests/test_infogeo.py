@@ -707,6 +707,21 @@ def test_dual_lower_stays_below_the_rounded_enclosure():
     assert above > 20
 
 
+def test_farthest_breaks_ties_to_the_lowest_index():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert infogeo._farthest(EUCL, pts, EUCL.batch_F(pts), np.zeros(4), np.zeros(2)) == (1, 1.0)
+    rad = np.array([0.0, 0.0, 0.5, 0.5])
+    assert infogeo._farthest(EUCL, pts, EUCL.batch_F(pts), rad, np.zeros(2)) == (2, 1.5)
+
+
+def test_farthest_reads_zero_where_rounding_puts_every_score_below_zero():
+    # D(p || p) rounds to about -8.9e-17 bits on both copies of this row
+    pts = np.array([[0.01, 0.0, 0.0]] * 2)
+    f = BLOCH.batch_F(pts)
+    assert (BLOCH.prepared_div(pts, f, pts[0]) < 0.0).all()
+    assert infogeo._farthest(BLOCH, pts, f, np.zeros(2), pts[0]) == (0, 0.0)
+
+
 def test_ball_answers_keep_few_bytes():
     """A kept InfoBall holds its centre, radius and history in slots, with
     no instance dict: on this cloud the least of three batches of 100

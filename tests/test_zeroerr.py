@@ -742,6 +742,17 @@ def test_vertex_cap_enforced():
         zeroerr.build_confusability_graph(ch, zeroerr.pentagon_inputs(), 6)
 
 
+def test_input_stack_cap_enforced():
+    """17 one-hot states of dimension 1024 would take 272 MiB as one complex
+    stack: ResourceCapError before it is formed (the list holds one array)."""
+    state = np.zeros((1024, 1024))
+    state[0, 0] = 1.0
+    ch = channels.build_channel(channels.ChannelSpec("identity", in_dim=1024))
+    with pytest.raises(zeroerr.ResourceCapError,
+                       match="input states: 17 states of dimension 1024"):
+        zeroerr.build_confusability_graph(ch, [state] * 17)
+
+
 def test_dot_export():
     g = ConfusabilityGraph.from_edges(3, {(0, 1)}, labels=["a", "b", "c"])
     dot = g.to_dot()
