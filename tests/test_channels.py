@@ -221,4 +221,7 @@ def test_apply_refuses_an_output_stack_over_the_byte_cap():
     ch = channels.KrausChannel([iso], 2, 1024)
     with pytest.raises(ResourceCapError, match="268 states of dimension 1024"):
         channels.apply(ch, capacity.qubit_candidate_states())
-    assert channels.apply(ch, capacity.qubit_candidate_states()[:16]).shape == (16, 1024, 1024)
+    # 16 such outputs take exactly the cap, which is allowed
+    channels.check_stack_bytes(16, 1024, "outputs")
+    with pytest.raises(ResourceCapError, match="^outputs: 17 states"):
+        channels.check_stack_bytes(17, 1024, "outputs")
