@@ -69,7 +69,9 @@ class KrausChannel:
                     f"({self.out_dim}, {self.in_dim})"
                 )
         self.kraus = np.array(ops, dtype=complex).reshape(-1, self.out_dim, self.in_dim)
-        comp = np.einsum("kji,kjl->il", self.kraus.conj(), self.kraus)
+        # sum_k K_k^dag K_k as one matmul of the stacked Kraus rows
+        flat = self.kraus.reshape(-1, self.in_dim)
+        comp = flat.conj().T @ flat
         if np.abs(comp - np.eye(self.in_dim)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum K^dag K = I violated")
 

@@ -51,7 +51,10 @@ def _provenance(args, flags):
 
 
 def _dump(report, path):
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+
+
+def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -237,12 +240,7 @@ def cmd_sweep(args):
     prov = _provenance(args, {"pc_min": args.pc_min, "pc_max": args.pc_max,
                               "steps": args.steps})
     lines = "".join(f"# {k} = {v}\n" for k, v in sorted(prov.items()))
-    text = lines + result.to_csv()
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write(lines + result.to_csv(), args.output)
     return EXIT_OK
 
 
@@ -305,42 +303,6 @@ def cmd_ball(args):
     return EXIT_OK
 
 
-_REQUIRED_KEYS = {
-    "capacity": {"mode", "value", "converged", "provenance"},
-    "zeroerr": {"K", "rate_bits", "witness", "n_uses", "normalized", "provenance"},
-    "ball": {"algorithm", "center", "radius", "n_points", "provenance"},
-}
-
-
-def cmd_validate(args):
-    with open(args.report) as fh:
-        data = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
-    if not isinstance(data, dict):
-        raise ValueError(f"report must be a JSON object, got a top-level {type(data).__name__}")
-    kind = data.get("type")
-    if kind not in _REQUIRED_KEYS:
-        raise ValueError(f"unknown or missing report type {kind!r}")
-    missing = _REQUIRED_KEYS[kind] - set(data)
-    if missing:
-        raise ValueError(f"report missing keys: {sorted(missing)}")
-    prov = data["provenance"]
-    if not isinstance(prov, dict):
-        raise ValueError(f"provenance must be a JSON object, got {type(prov).__name__}")
-    for key in ("tool", "version", "flags"):
-        if key not in prov:
-            raise ValueError(f"provenance missing {key!r}")
-    if kind == "ball":
-        _check_ball_values(data)
-    elif kind == "zeroerr":
-        _check_zeroerr_values(data)
-    else:
-        _check_capacity_values(data)
-    if "bracket" in data:
-        _check_bracket(data["bracket"], data["radius" if kind == "ball" else "value"])
-    sys.stdout.write(f"ok: valid {kind} report\n")
-    return EXIT_OK
-
-
 def _reject_constant(name):
     """json's parse_constant: NaN, Infinity and -Infinity are not JSON
     numbers, and the reports this tool writes never hold them."""
@@ -356,77 +318,17 @@ def _finite_float(text):
 
 
 def _finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # NaN, the infinities and an int too large for a double, such as 10**400, fail
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_ball_values(data):
-    """A ball report's center is 3 finite numbers, its algorithm one that
-    the ball command runs, its radius finite and >= 0 and its n_points a
-    positive int; the message names the first key that breaks its rule."""
-    center = data["center"]
-    if not (isinstance(center, list) and len(center) == 3
-            and all(_finite_number(v) for v in center)):
-        raise ValueError(f"'center' must be 3 finite numbers, got {center!r}")
-    if data["algorithm"] not in BALL_ALGORITHMS:
-        raise ValueError(f"'algorithm' must be one of {'|'.join(BALL_ALGORITHMS)}, "
-                         f"got {data['algorithm']!r}")
-    radius = data["radius"]
-    if not (_finite_number(radius) and radius >= 0):
-        raise ValueError(f"'radius' must be a finite number >= 0, got {radius!r}")
-    n = data["n_points"]
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"'n_points' must be a positive int, got {n!r}")
-
-
-def _check_capacity_values(data):
-    """A capacity report's mode is one that the capacity command runs, its
-    value finite and converged a bool; where present, iterations is an int
-    >= 0, radius, r_AB, r_AE and r_coh are finite and declared is a bool.
-    The message names the first key that breaks its rule."""
-    if data["mode"] not in CAPACITY_MODES:
-        raise ValueError(f"'mode' must be one of {'|'.join(CAPACITY_MODES)}, "
-                         f"got {data['mode']!r}")
-    for key in ("value", "radius", "r_AB", "r_AE", "r_coh"):
-        if key in data and not _finite_number(data[key]):
-            raise ValueError(f"{key!r} must be a finite number, got {data[key]!r}")
-    for key in ("converged", "declared"):
-        if key in data and not isinstance(data[key], bool):
-            raise ValueError(f"{key!r} must be true or false, got {data[key]!r}")
-    if "iterations" in data and not (_is_int(data["iterations"]) and data["iterations"] >= 0):
-        raise ValueError(f"'iterations' must be an int >= 0, got {data['iterations']!r}")
-
-
-def _check_zeroerr_values(data):
-    """A zeroerr report's witness holds distinct ints >= 0, K is its size,
-    n_uses an int >= 1, normalized a bool, and rate_bits is log2(K) /
-    n_uses, halved when normalized (0 at K = 0), to 1e-12; the message
-    names the first key that breaks its rule."""
-    witness = data["witness"]
-    if not (isinstance(witness, list) and all(_is_int(v) and v >= 0 for v in witness)
-            and len(set(witness)) == len(witness)):
-        raise ValueError(f"'witness' must be a list of distinct ints >= 0, got {witness!r}")
-    k = data["K"]
-    if not (_is_int(k) and k == len(witness)):
-        raise ValueError(f"'K' must be an int >= 0 equal to the witness size "
-                         f"{len(witness)}, got {k!r}")
-    n_uses = data["n_uses"]
-    if not (_is_int(n_uses) and n_uses >= 1):
-        raise ValueError(f"'n_uses' must be an int >= 1, got {n_uses!r}")
-    normalized = data["normalized"]
-    if not isinstance(normalized, bool):
-        raise ValueError(f"'normalized' must be true or false, got {normalized!r}")
-    # 1 / n_uses: an int too large for a float divides to 0.0 without overflow
-    rate = math.log2(k) * (1 / n_uses) if k else 0.0
-    if normalized:
-        rate *= 0.5
-    got = data["rate_bits"]
-    if not (_finite_number(got) and abs(got - rate) <= 1e-12):
-        raise ValueError(f"'rate_bits' must be log2(K) / n_uses"
-                         f"{' / 2' if normalized else ''} = {rate!r}, got {got!r}")
+def _check_provenance(prov, report):
+    if not isinstance(prov, dict):
+        raise ValueError(f"provenance must be a JSON object, got {type(prov).__name__}")
+    for key in ("tool", "version", "flags"):
+        if key not in prov:
+            raise ValueError(f"provenance missing {key!r}")
+    return True
 
 
 def _check_bracket(bracket, value):
@@ -438,6 +340,77 @@ def _check_bracket(bracket, value):
     lower, upper = bracket
     if not (_finite_number(value) and lower - 1e-12 <= value <= upper + 1e-12):
         raise ValueError(f"value {value!r} outside its bracket [{lower!r}, {upper!r}]")
+    return True
+
+
+def _zeroerr_rate(report):
+    """log2(K) / n_uses, halved when normalized, and 0 at K = 0."""
+    # 1 / n_uses: an int too large for a float divides to 0.0 without overflow
+    rate = math.log2(report["K"]) * (1 / report["n_uses"]) if report["K"] else 0.0
+    return 0.5 * rate if report["normalized"] else rate
+
+
+# The report contract: for each report type, its keys in check order as
+# (key, required, rule, what). rule(value, report) is true on a good value and
+# reads only keys of earlier rows; the provenance and bracket rules raise their
+# own messages. what, a string or a function of the report, names a good value.
+# Every report type starts with provenance. A JSON bool is not a number, and
+# type(v) is int is false on it.
+_RULES = {k: (("provenance", True, _check_provenance, "a JSON object"), *r) for k, r in {
+    "ball": (
+        ("center", True, lambda v, d: isinstance(v, list) and len(v) == 3
+         and all(_finite_number(x) for x in v), "3 finite numbers"),
+        ("algorithm", True, lambda v, d: v in BALL_ALGORITHMS,
+         f"one of {'|'.join(BALL_ALGORITHMS)}"),
+        ("radius", True, lambda v, d: _finite_number(v) and v >= 0, "a finite number >= 0"),
+        ("n_points", True, lambda v, d: type(v) is int and v >= 1, "a positive int"),
+        ("bracket", False, lambda v, d: _check_bracket(v, d["radius"]), "around the radius"),
+    ),
+    "capacity": (
+        ("mode", True, lambda v, d: v in CAPACITY_MODES, f"one of {'|'.join(CAPACITY_MODES)}"),
+        *((key, key == "value", lambda v, d: _finite_number(v), "a finite number")
+          for key in ("value", "radius", "r_AB", "r_AE", "r_coh")),
+        *((key, key == "converged", lambda v, d: isinstance(v, bool), "true or false")
+          for key in ("converged", "declared")),
+        ("iterations", False, lambda v, d: type(v) is int and v >= 0, "an int >= 0"),
+        ("bracket", False, lambda v, d: _check_bracket(v, d["value"]), "around the value"),
+    ),
+    "zeroerr": (
+        ("witness", True, lambda v, d: isinstance(v, list)
+         and all(type(x) is int and x >= 0 for x in v) and len(set(v)) == len(v),
+         "a list of distinct ints >= 0"),
+        ("K", True, lambda v, d: type(v) is int and v == len(d["witness"]),
+         lambda d: f"an int >= 0 equal to the witness size {len(d['witness'])}"),
+        ("n_uses", True, lambda v, d: type(v) is int and v >= 1, "an int >= 1"),
+        ("normalized", True, lambda v, d: isinstance(v, bool), "true or false"),
+        ("rate_bits", True, lambda v, d: _finite_number(v) and abs(v - _zeroerr_rate(d)) <= 1e-12,
+         lambda d: f"log2(K) / n_uses{' / 2' if d['normalized'] else ''} = {_zeroerr_rate(d)!r}"),
+        ("bracket", False, lambda v, d: False, "left out of a zeroerr report"),
+    ),
+}.items()}
+
+
+def cmd_validate(args):
+    with open(args.report) as fh:
+        try:
+            data = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        except RecursionError:
+            raise ValueError("report nests deeper than the JSON reader can go") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"report must be a JSON object, got a top-level {type(data).__name__}")
+    kind = data.get("type")
+    # a JSON array or object as the type is unhashable
+    if not (isinstance(kind, str) and kind in _RULES):
+        raise ValueError(f"unknown or missing report type {kind!r}")
+    missing = sorted(key for key, required, _, _ in _RULES[kind] if required and key not in data)
+    if missing:
+        raise ValueError(f"report missing keys: {missing}")
+    for key, _, rule, what in _RULES[kind]:
+        if key in data and not rule(data[key], data):
+            what = what(data) if callable(what) else what
+            raise ValueError(f"{key!r} must be {what}, got {data[key]!r}")
+    sys.stdout.write(f"ok: valid {kind} report\n")
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

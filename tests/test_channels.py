@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,15 @@ def test_apply_refuses_an_output_stack_over_the_byte_cap():
     channels.check_stack_bytes(16, 1024, "outputs")
     with pytest.raises(ResourceCapError, match="^outputs: 17 states"):
         channels.check_stack_bytes(17, 1024, "outputs")
+
+
+def test_identity_at_the_largest_dimension_builds_in_under_a_second():
+    """The completeness sum at in_dim MAX_SPEC_DIM is one BLAS matmul (an
+    einsum over the Kraus axes took 3.2 s), and it still sees a Kraus set
+    scaled by 0.999."""
+    t0 = time.perf_counter()
+    ch = channels.build_channel(channels.ChannelSpec("identity", in_dim=channels.MAX_SPEC_DIM))
+    assert time.perf_counter() - t0 < 1.0
+    assert ch.kraus.shape == (1, channels.MAX_SPEC_DIM, channels.MAX_SPEC_DIM)
+    with pytest.raises(ValueError, match="completeness"):
+        channels.KrausChannel(0.999 * ch.kraus, channels.MAX_SPEC_DIM, channels.MAX_SPEC_DIM)

@@ -67,6 +67,32 @@ def test_readme_commands_match_their_golden_reports(tmp_path, capsys, argv, gold
     assert got == want
 
 
+# reports once compared by hand with cmp, each as (argv, text of the input
+# file that "{input}" in argv names, golden file)
+CMP_SET = [
+    (["ball", DATA / "example_points.csv", "--algorithm", "basic"], None,
+     "ball_basic_example_points.json"),
+    (["ball", "{input}", "--algorithm", "basic"], "1,0,0\n0,0.5,0\n0,0,1\n",
+     "ball_basic_near_shell.json"),
+    *((["capacity", "{input}", "--mode", "holevo"], f'kind = "{kind}"\np = {p}\n',
+       f"capacity_holevo_{kind}_p{p}.json")
+      for kind in ("amplitude_damping", "bit_flip") for p in ("0.1", "0.3", "0.5", "0.7", "0.9")),
+]
+
+
+@pytest.mark.parametrize("argv, text, golden", CMP_SET, ids=[g for _, _, g in CMP_SET])
+def test_cmp_set_matches_its_golden_reports(tmp_path, argv, text, golden):
+    """ball --algorithm basic on the example points and on the near-shell
+    set, and holevo capacity on amplitude damping and bit flip at five p,
+    each run in process, write their golden reports byte for byte apart from
+    the provenance values."""
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+        argv = [tmp_path / "input" if a == "{input}" else a for a in argv]
+    assert run(argv + ["-o", tmp_path / golden]) == 0
+    got = _without_provenance(golden, (tmp_path / golden).read_text())
+    assert got == _without_provenance(golden, (GOLDEN / golden).read_text())
+
 def test_capacity_holevo_identity(tmp_path):
     spec = tmp_path / "id.channel"
     spec.write_text('kind = "identity"\n')
@@ -620,6 +646,85 @@ def test_validate_rejects_the_bad_zeroerr_report(tmp_path, capsys):
     path.write_text(json.dumps(bad).replace('"@"', "NaN"))
     assert run(["validate", path]) == 1
     assert "report holds NaN" in capsys.readouterr().err
+
+
+def _any_report(tmp_path, kind):
+    """(path, report) of a capacity mode, of ball --algorithm oracle or of
+    zeroerr --uses 2."""
+    if kind == "zeroerr":
+        return _zeroerr_report(tmp_path)
+    if kind == "ball":
+        path = tmp_path / "ball.json"
+        assert run(["ball", DATA / "example_points.csv", "--algorithm", "oracle", "-o", path]) == 0
+        return path, json.loads(path.read_text())
+    return _capacity_report(tmp_path, kind)
+
+
+@pytest.mark.parametrize("kind", ["holevo", "ball", "zeroerr"])
+def test_validate_checks_the_provenance_of_every_report_type(tmp_path, capsys, kind):
+    path, report = _any_report(tmp_path, kind)
+    for prov, message in [(5, "provenance must be a JSON object, got int"),
+                          ({"tool": "qgeomcap", "version": "0"}, "provenance missing 'flags'")]:
+        path.write_text(json.dumps({**report, "provenance": prov}))
+        assert run(["validate", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", [["ball"], {"type": "ball"}, [], {}])
+def test_validate_names_a_type_that_is_an_array_or_object(tmp_path, capsys, kind):
+    # an unhashable type raised TypeError out of its lookup
+    path, report = _any_report(tmp_path, "ball")
+    path.write_text(json.dumps({**report, "type": kind}))
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == f"error: unknown or missing report type {kind!r}\n"
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("quantum", "value", _HUGE, "'value' must be a finite number"),
+    ("quantum", "value", -_HUGE, "'value' must be a finite number"),
+    ("quantum", "radius", _HUGE, "'radius' must be a finite number"),
+    ("quantum", "r_AB", _HUGE, "'r_AB' must be a finite number"),
+    ("quantum", "r_AE", _HUGE, "'r_AE' must be a finite number"),
+    ("quantum", "r_coh", _HUGE, "'r_coh' must be a finite number"),
+    ("holevo", "bracket", [0.0, _HUGE], "bracket must be two finite numbers"),
+    ("ball", "radius", _HUGE, "'radius' must be a finite number >= 0"),
+    ("ball", "center", [_HUGE, 0.0, 0.0], "'center' must be 3 finite numbers"),
+    ("ball", "bracket", [0.0, _HUGE], "bracket must be two finite numbers"),
+    ("zeroerr", "rate_bits", _HUGE, "'rate_bits' must be log2(K) / n_uses = "),
+], ids=["quantum-value", "quantum-value-negative", "quantum-radius", "quantum-r_AB",
+        "quantum-r_AE", "quantum-r_coh", "holevo-bracket", "ball-radius", "ball-center",
+        "ball-bracket", "zeroerr-rate_bits"])
+def test_validate_names_an_int_too_large_for_a_double(tmp_path, capsys, kind, key, value,
+                                                      message):
+    """An int literal such as 1 followed by 400 zeros holds no double, and
+    math.isfinite raised OverflowError on it; n_uses may still be one (see
+    test_validate_accepts_consistent_zeroerr_values)."""
+    path, report = _any_report(tmp_path, kind)
+    path.write_text(json.dumps({**report, key: value}))
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_validate_refuses_a_report_nested_too_deeply(tmp_path, capsys):
+    # the JSON reader raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == "error: report nests deeper than the JSON reader can go\n"
+
+
+@pytest.mark.parametrize("bracket", [[0.0, 2.0], [1.0], None, "x"])
+def test_validate_refuses_a_bracket_in_a_zeroerr_report(tmp_path, capsys, bracket):
+    # a zeroerr report has no value for a bracket to hold; its lookup raised
+    # KeyError
+    path, report = _zeroerr_report(tmp_path)
+    path.write_text(json.dumps({**report, "bracket": bracket}))
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == (f"error: 'bracket' must be left out of a zeroerr report, "
+                                       f"got {bracket!r}\n")
 
 
 @pytest.mark.parametrize("spec, key", [
