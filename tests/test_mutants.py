@@ -1,11 +1,11 @@
-import importlib.util
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("mutants", ROOT / "benchmarks" / "mutants.py")
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
+# mutants.py imports ab.py from its own directory, as it does when run
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import mutants  # noqa: E402
 
 
 def test_each_mutant_edits_one_place_and_names_tests_that_exist():
