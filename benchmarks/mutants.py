@@ -2,9 +2,11 @@
 should catch.
 
 Each mutant is one text edit of one file and the pytest ids that should
-fail on it. For each one this script unpacks the commit with `git archive`
-into a temporary directory, replaces the old text (which must occur exactly
-once) with the new, runs the named tests there with `-x`, and prints
+fail on it. The script unpacks HEAD with `git archive` into a temporary
+directory and first runs the union of the named tests there unmutated: if
+any fails, every mutant is reported as an error. Otherwise, for each mutant
+in turn it replaces the old text (which must occur exactly once) with the
+new, runs the named tests with `-x`, restores the file and prints
 
     killed     a named test failed;
     survived   every named test passed;
@@ -12,16 +14,14 @@ once) with the new, runs the named tests there with `-x`, and prints
 
 A survivor listed in KNOWN_SURVIVORS is printed with its reason. The exit
 status is 0 when every mutant is killed or a known survivor, 1 otherwise.
-Standard library only; not part of Tier-1.
+Standard library only; not part of Tier-1. Commit first, then run from the
+git checkout as:
 
-Run from a git checkout as:
-
-    python3 benchmarks/mutants.py [--commit HEAD] [NAME ...]
+    python3 benchmarks/mutants.py
 """
 
-import argparse
-import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -32,8 +32,6 @@ from typing import NamedTuple
 from ab import unpack
 
 TIMEOUT_S = 240
-# mutants run at once, each in its own pytest process
-JOBS = 2
 
 
 class Mutant(NamedTuple):
@@ -58,8 +56,8 @@ CYCLIC = f"{T_ZEROERR}::test_build_is_the_strong_power_on_cyclic_channels"
 
 
 def _row_true(name, old, tests):
-    """The mutant that makes always true the rule of the cli._RULES row
-    whose text up to its rule lambda is old."""
+    """The mutant that makes the cli._RULES row whose text up to its rule's
+    condition is old pass every value."""
     return Mutant(name, CLI, old, f"{old}True or ", tests)
 
 
@@ -115,7 +113,7 @@ MUTANTS = [
            "    ch = channels.build_channel(spec)\n",
            "    ch = channels.build_channel(spec)\n"
            "    inputs = _read_inputs_csv(args.inputs_file)\n",
-           (f"{T_CLI}::test_oversized_state_stacks_exit_3_at_once",)),
+           (f"{T_CLI}::test_zeroerr_reads_the_inputs_before_it_builds_the_channel",)),
     # seb_basic's certified stop and the shared enclosure scorer
     Mutant("(1 + eps) dropped from seb_basic's stop", INFOGEO,
            "if radius <= (1.0 + eps) * _dual_lower(", "if radius <= _dual_lower(",
@@ -182,45 +180,45 @@ MUTANTS = [
            "except RecursionError:", "except ZeroDivisionError:",
            (f"{T_CLI}::test_validate_refuses_a_report_nested_too_deeply",)),
     Mutant("zeroerr bracket checked against a value", CLI,
-           "lambda v, d: False,", 'lambda v, d: _check_bracket(v, d["value"]),',
+           '_must("bracket", False, lambda v, d: False, "left out of a zeroerr report"),',
+           '("bracket", False, lambda v, d: _bracket_fault(v, d["value"])),',
            (f"{T_CLI}::test_validate_refuses_a_bracket_in_a_zeroerr_report",)),
     Mutant("provenance rule true", CLI,
-           "_check_provenance, \"a JSON object\"", "lambda v, d: True, \"a JSON object\"",
+           '("provenance", True, _provenance_fault)', '("provenance", True, lambda v, d: None)',
            (PROVENANCE,)),
-    _row_true("ball center rule true", '("center", True, lambda v, d: ', (VALIDATE_BAD,)),
+    _row_true("ball center rule true", '_must("center", True, lambda v, d: ', (VALIDATE_BAD,)),
     _row_true("ball algorithm rule true",
-              '("algorithm", True, lambda v, d: ', (VALIDATE_BAD,)),
-    _row_true("ball radius rule true", '("radius", True, lambda v, d: ', (VALIDATE_BAD,)),
-    _row_true("ball n_points rule true", '("n_points", True, lambda v, d: ', (VALIDATE_BAD,)),
+              '_must("algorithm", True, lambda v, d: ', (VALIDATE_BAD,)),
+    _row_true("ball radius rule true", '_must("radius", True, lambda v, d: ', (VALIDATE_BAD,)),
+    _row_true("ball n_points rule true", '_must("n_points", True, lambda v, d: ', (VALIDATE_BAD,)),
     Mutant("ball bracket row dropped", CLI,
-           '        ("bracket", False, lambda v, d: _check_bracket(v, d["radius"]), '
-           '"around the radius"),\n', "",
+           '        ("bracket", False, lambda v, d: _bracket_fault(v, d["radius"])),\n', "",
            (f"{T_CLI}::test_validate_rejects_bad_bracket",)),
-    _row_true("capacity mode rule true", '("mode", True, lambda v, d: ', (CAPACITY_VALUES,)),
+    _row_true("capacity mode rule true", '_must("mode", True, lambda v, d: ', (CAPACITY_VALUES,)),
     *(_key_dropped(key, keys) for keys in [("value", "radius", "r_AB", "r_AE", "r_coh"),
                                            ("converged", "declared")] for key in keys),
     _row_true("capacity iterations rule true",
-              '("iterations", False, lambda v, d: ', (CAPACITY_VALUES,)),
+              '_must("iterations", False, lambda v, d: ', (CAPACITY_VALUES,)),
     Mutant("capacity bracket row dropped", CLI,
-           '        ("bracket", False, lambda v, d: _check_bracket(v, d["value"]), '
-           '"around the value"),\n', "",
+           '        ("bracket", False, lambda v, d: _bracket_fault(v, d["value"])),\n', "",
            (f"{T_CLI}::test_capacity_holevo_bracket_and_provenance",)),
-    _row_true("zeroerr witness rule true", '("witness", True, lambda v, d: ', (ZEROERR_VALUES,)),
+    _row_true("zeroerr witness rule true",
+              '_must("witness", True, lambda v, d: ', (ZEROERR_VALUES,)),
     Mutant("zeroerr repeated witness vertices allowed", CLI,
            " and len(set(v)) == len(v),", ",", (ZEROERR_VALUES,)),
     Mutant("zeroerr negative witness vertices allowed", CLI,
            "type(x) is int and x >= 0 for x in v", "type(x) is int for x in v", (ZEROERR_VALUES,)),
-    _row_true("zeroerr K rule true", '("K", True, lambda v, d: ', (ZEROERR_VALUES,)),
+    _row_true("zeroerr K rule true", '("K", True, lambda v, d: None if ', (ZEROERR_VALUES,)),
     Mutant("zeroerr K not compared with the witness size", CLI,
            'v == len(d["witness"])', "v >= 0", (ZEROERR_VALUES,)),
-    _row_true("zeroerr n_uses rule true", '("n_uses", True, lambda v, d: ', (ZEROERR_VALUES,)),
+    _row_true("zeroerr n_uses rule true", '_must("n_uses", True, lambda v, d: ', (ZEROERR_VALUES,)),
     Mutant("zeroerr n_uses 0 allowed", CLI,
            "v >= 1, \"an int >= 1\"", "v >= 0, \"an int >= 1\"",
            (ZEROERR_VALUES,)),
     _row_true("zeroerr normalized rule true",
-              '("normalized", True, lambda v, d: ', (ZEROERR_VALUES,)),
+              '_must("normalized", True, lambda v, d: ', (ZEROERR_VALUES,)),
     _row_true("zeroerr rate_bits rule true",
-              '("rate_bits", True, lambda v, d: ', (ZEROERR_VALUES,)),
+              '("rate_bits", True, lambda v, d: None if ', (ZEROERR_VALUES,)),
     Mutant("zeroerr rate not halved when normalized", CLI,
            'return 0.5 * rate if report["normalized"] else rate', "return rate",
            (f"{T_CLI}::test_validate_accepts_consistent_zeroerr_values",)),
@@ -236,56 +234,61 @@ KNOWN_SURVIVORS = {
     "running stop test not loosened":
         "even at the tight factor the running estimates pass every round that stops: "
         "_dual_lower's own lowering exceeds their rounding on every set tested",
-    "zeroerr builds the channel before reading the inputs":
-        "the order only bounds time: since the completeness check is one matmul, building "
-        "identity at in_dim 1024 takes 0.12-0.18 s, so the 1 s bound holds either way",
 }
 
 
-def run_mutant(mutant, commit):
-    """(verdict, seconds, last line of pytest's output) of one mutant."""
-    with tempfile.TemporaryDirectory() as tree:
-        unpack(commit, tree)
-        target = Path(tree, mutant.path)
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            return "error", 0.0, f"old text occurs {text.count(mutant.old)} times"
-        target.write_text(text.replace(mutant.old, mutant.new))
-        t0 = time.perf_counter()
-        try:
-            proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                                   "no:cacheprovider", *mutant.tests], cwd=tree,
-                                  capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "error", time.perf_counter() - t0, f"timed out after {TIMEOUT_S} s"
+def pytest(tree, tests):
+    """(exit code, seconds, last line of output) of pytest on tests in tree;
+    the exit code is None on a timeout."""
+    t0 = time.perf_counter()
+    try:
+        # no bytecode: a mutated file and its restored text can share size and mtime
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider", *tests], cwd=tree, capture_output=True,
+                              text=True, timeout=TIMEOUT_S,
+                              env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - t0, f"timed out after {TIMEOUT_S} s"
     lines = proc.stdout.strip().splitlines()
-    verdict = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
-    return verdict, time.perf_counter() - t0, lines[-1] if lines else proc.stderr.strip()[-200:]
+    return (proc.returncode, time.perf_counter() - t0,
+            lines[-1] if lines else proc.stderr.strip()[-200:])
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    p.add_argument("--commit", default="HEAD")
-    args = p.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        p.error(f"no such mutants: {sorted(unknown)}")
+def run_mutant(tree, mutant):
+    """pytest on mutant's tests with mutant's edit made in tree, which is
+    left as it was."""
+    target = Path(tree, mutant.path)
+    text = target.read_text()
+    if text.count(mutant.old) != 1:
+        return None, 0.0, f"old text occurs {text.count(mutant.old)} times"
+    target.write_text(text.replace(mutant.old, mutant.new))
+    try:
+        return pytest(tree, mutant.tests)
+    finally:
+        target.write_text(text)
+
+
+def main():
     failed = 0
-    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
-        runs = [pool.submit(run_mutant, m, args.commit) for m in chosen]
-        for mutant, future in zip(chosen, runs):
-            verdict, seconds, last = future.result()
+    with tempfile.TemporaryDirectory() as tree:
+        unpack("HEAD", tree)
+        # a named test that fails without any edit would read as a kill
+        named = sorted({test for m in MUTANTS for test in m.tests})
+        baseline, seconds, last = pytest(tree, named)
+        print(f"unmutated {seconds:6.1f} s  the {len(named)} named tests: {last}", flush=True)
+        for mutant in MUTANTS:
+            code, seconds, last = (run_mutant(tree, mutant) if baseline == 0 else
+                                   (None, 0.0, "a named test fails on the unmutated tree"))
+            verdict = {0: "survived", 1: "killed"}.get(code, "error")
             reason = KNOWN_SURVIVORS.get(mutant.name)
             if verdict == "survived" and reason:
                 verdict = "survived (known)"
             else:
                 failed += verdict != "killed"
             print(f"{verdict:17} {seconds:6.1f} s  {mutant.name}: {last}", flush=True)
-            if reason and verdict == "survived (known)":
+            if verdict == "survived (known)":
                 print(f"{'':27}{reason}")
-    print(f"{len(chosen)} mutants, {failed} neither killed nor a known survivor")
+    print(f"{len(MUTANTS)} mutants, {failed} neither killed nor a known survivor")
     return 1 if failed else 0
 
 

@@ -322,25 +322,23 @@ def _finite_number(v):
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _check_provenance(prov, report):
+def _provenance_fault(prov, report):
+    """None on a JSON object holding tool, version and flags, else the message."""
     if not isinstance(prov, dict):
-        raise ValueError(f"provenance must be a JSON object, got {type(prov).__name__}")
-    for key in ("tool", "version", "flags"):
-        if key not in prov:
-            raise ValueError(f"provenance missing {key!r}")
-    return True
+        return f"provenance must be a JSON object, got {type(prov).__name__}"
+    missing = [key for key in ("tool", "version", "flags") if key not in prov]
+    return f"provenance missing {missing[0]!r}" if missing else None
 
 
-def _check_bracket(bracket, value):
-    """A report's bracket is [lower, upper], finite, around its value (a
-    ball's radius or a capacity): lower <= value <= upper, to 1e-12."""
+def _bracket_fault(bracket, value):
+    """None on two finite numbers lower <= value <= upper, to 1e-12; else the message."""
     if not (isinstance(bracket, list) and len(bracket) == 2
             and all(_finite_number(v) for v in bracket)):
-        raise ValueError(f"bracket must be two finite numbers, got {bracket!r}")
+        return f"bracket must be two finite numbers, got {bracket!r}"
     lower, upper = bracket
     if not (_finite_number(value) and lower - 1e-12 <= value <= upper + 1e-12):
-        raise ValueError(f"value {value!r} outside its bracket [{lower!r}, {upper!r}]")
-    return True
+        return f"value {value!r} outside its bracket [{lower!r}, {upper!r}]"
+    return None
 
 
 def _zeroerr_rate(report):
@@ -350,42 +348,46 @@ def _zeroerr_rate(report):
     return 0.5 * rate if report["normalized"] else rate
 
 
+def _must(key, required, rule, what):
+    """The row of key with the plain message; rule(value, report) holds on a good value."""
+    return key, required, lambda v, d: None if rule(v, d) else f"{key!r} must be {what}, got {v!r}"
+
+
 # The report contract: for each report type, its keys in check order as
-# (key, required, rule, what). rule(value, report) is true on a good value and
-# reads only keys of earlier rows; the provenance and bracket rules raise their
-# own messages. what, a string or a function of the report, names a good value.
-# Every report type starts with provenance. A JSON bool is not a number, and
-# type(v) is int is false on it.
-_RULES = {k: (("provenance", True, _check_provenance, "a JSON object"), *r) for k, r in {
+# (key, required, fault), provenance first. fault(value, report) is None on a
+# good value, else the message, and reads only keys of earlier rows. A JSON
+# bool is not a number, and type(v) is int is false on it.
+_RULES = {k: (("provenance", True, _provenance_fault), *r) for k, r in {
     "ball": (
-        ("center", True, lambda v, d: isinstance(v, list) and len(v) == 3
-         and all(_finite_number(x) for x in v), "3 finite numbers"),
-        ("algorithm", True, lambda v, d: v in BALL_ALGORITHMS,
-         f"one of {'|'.join(BALL_ALGORITHMS)}"),
-        ("radius", True, lambda v, d: _finite_number(v) and v >= 0, "a finite number >= 0"),
-        ("n_points", True, lambda v, d: type(v) is int and v >= 1, "a positive int"),
-        ("bracket", False, lambda v, d: _check_bracket(v, d["radius"]), "around the radius"),
+        _must("center", True, lambda v, d: isinstance(v, list) and len(v) == 3
+              and all(_finite_number(x) for x in v), "3 finite numbers"),
+        _must("algorithm", True, lambda v, d: v in BALL_ALGORITHMS,
+              f"one of {'|'.join(BALL_ALGORITHMS)}"),
+        _must("radius", True, lambda v, d: _finite_number(v) and v >= 0, "a finite number >= 0"),
+        _must("n_points", True, lambda v, d: type(v) is int and v >= 1, "a positive int"),
+        ("bracket", False, lambda v, d: _bracket_fault(v, d["radius"])),
     ),
     "capacity": (
-        ("mode", True, lambda v, d: v in CAPACITY_MODES, f"one of {'|'.join(CAPACITY_MODES)}"),
-        *((key, key == "value", lambda v, d: _finite_number(v), "a finite number")
+        _must("mode", True, lambda v, d: v in CAPACITY_MODES, f"one of {'|'.join(CAPACITY_MODES)}"),
+        *(_must(key, key == "value", lambda v, d: _finite_number(v), "a finite number")
           for key in ("value", "radius", "r_AB", "r_AE", "r_coh")),
-        *((key, key == "converged", lambda v, d: isinstance(v, bool), "true or false")
+        *(_must(key, key == "converged", lambda v, d: isinstance(v, bool), "true or false")
           for key in ("converged", "declared")),
-        ("iterations", False, lambda v, d: type(v) is int and v >= 0, "an int >= 0"),
-        ("bracket", False, lambda v, d: _check_bracket(v, d["value"]), "around the value"),
+        _must("iterations", False, lambda v, d: type(v) is int and v >= 0, "an int >= 0"),
+        ("bracket", False, lambda v, d: _bracket_fault(v, d["value"])),
     ),
     "zeroerr": (
-        ("witness", True, lambda v, d: isinstance(v, list)
-         and all(type(x) is int and x >= 0 for x in v) and len(set(v)) == len(v),
-         "a list of distinct ints >= 0"),
-        ("K", True, lambda v, d: type(v) is int and v == len(d["witness"]),
-         lambda d: f"an int >= 0 equal to the witness size {len(d['witness'])}"),
-        ("n_uses", True, lambda v, d: type(v) is int and v >= 1, "an int >= 1"),
-        ("normalized", True, lambda v, d: isinstance(v, bool), "true or false"),
-        ("rate_bits", True, lambda v, d: _finite_number(v) and abs(v - _zeroerr_rate(d)) <= 1e-12,
-         lambda d: f"log2(K) / n_uses{' / 2' if d['normalized'] else ''} = {_zeroerr_rate(d)!r}"),
-        ("bracket", False, lambda v, d: False, "left out of a zeroerr report"),
+        _must("witness", True, lambda v, d: isinstance(v, list)
+              and all(type(x) is int and x >= 0 for x in v) and len(set(v)) == len(v),
+              "a list of distinct ints >= 0"),
+        ("K", True, lambda v, d: None if type(v) is int and v == len(d["witness"]) else
+         f"'K' must be an int >= 0 equal to the witness size {len(d['witness'])}, got {v!r}"),
+        _must("n_uses", True, lambda v, d: type(v) is int and v >= 1, "an int >= 1"),
+        _must("normalized", True, lambda v, d: isinstance(v, bool), "true or false"),
+        ("rate_bits", True, lambda v, d: None if _finite_number(v)
+         and abs(v - _zeroerr_rate(d)) <= 1e-12 else "'rate_bits' must be log2(K) / n_uses"
+         f"{' / 2' if d['normalized'] else ''} = {_zeroerr_rate(d)!r}, got {v!r}"),
+        _must("bracket", False, lambda v, d: False, "left out of a zeroerr report"),
     ),
 }.items()}
 
@@ -402,13 +404,13 @@ def cmd_validate(args):
     # a JSON array or object as the type is unhashable
     if not (isinstance(kind, str) and kind in _RULES):
         raise ValueError(f"unknown or missing report type {kind!r}")
-    missing = sorted(key for key, required, _, _ in _RULES[kind] if required and key not in data)
+    missing = sorted(key for key, required, _ in _RULES[kind] if required and key not in data)
     if missing:
         raise ValueError(f"report missing keys: {missing}")
-    for key, _, rule, what in _RULES[kind]:
-        if key in data and not rule(data[key], data):
-            what = what(data) if callable(what) else what
-            raise ValueError(f"{key!r} must be {what}, got {data[key]!r}")
+    for key, _, fault in _RULES[kind]:
+        message = key in data and fault(data[key], data)
+        if message:
+            raise ValueError(message)
     sys.stdout.write(f"ok: valid {kind} report\n")
     return EXIT_OK
 

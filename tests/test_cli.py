@@ -330,6 +330,23 @@ def test_oversized_state_stacks_exit_3_at_once(tmp_path, capsys):
         assert f"more than the cap of {channels.MAX_STACK_BYTES}" in capsys.readouterr().err
 
 
+def test_zeroerr_reads_the_inputs_before_it_builds_the_channel(tmp_path, monkeypatch, capsys):
+    """An input file over the byte cap exits 3 without building the channel.
+    Building identity at in_dim 1024 takes about 0.15 s, so the 1 s bound of
+    test_oversized_state_stacks_exit_3_at_once cannot see this order."""
+    built = []
+    monkeypatch.setattr(channels, "build_channel", built.append)
+    ident = tmp_path / "ident.channel"
+    ident.write_text('kind = "identity"\nin_dim = 1024\n')
+    # 17 one-hot rows of dimension 1024 take 17 * 16 MiB, over the 256 MiB cap
+    rows = tmp_path / "onehot.csv"
+    rows.write_text("".join(",".join("1" if j == i else "0" for j in range(1024)) + "\n"
+                            for i in range(17)))
+    assert run(["zeroerr", ident, rows]) == 3
+    assert built == []
+    assert f"more than the cap of {channels.MAX_STACK_BYTES}" in capsys.readouterr().err
+
+
 def test_zeroerr_one_input_uses_cap(tmp_path, capsys):
     # one input makes one codeword at any n, but the build's work grew with
     # --uses (3.5 s at 10^6): 13 uses run, 14 reach the cap
